@@ -34,9 +34,7 @@ from .domains import (
 )
 from .hermitian import (
     HermitianMatrix,
-    PsdVerdict,
     determinant,
-    psd_check,
     solve_hermitian,
 )
 from .immersion import (
@@ -78,7 +76,6 @@ __all__ = [
     "HermitianMatrix",
     "ImmersionTarget",
     "ImmersionVerdict",
-    "PsdVerdict",
     "ResolvabilityVerdict",
     "base_hessian_closed",
     "base_power_coefficients",
@@ -99,7 +96,6 @@ __all__ = [
     "mixed_partial",
     "phi",
     "point",
-    "psd_check",
     "resolvability",
     "ricci_closed",
     "ricci_numeric",

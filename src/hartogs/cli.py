@@ -10,6 +10,7 @@ answer is no (not Einstein, not extremal, no immersion, criterion failed);
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -61,8 +62,8 @@ def _parse_h_list(text: str) -> list[float]:
     values = []
     for part in text.split(","):
         h = float(part)
-        if h <= 0:
-            raise ValueError("all h values must be positive")
+        if not (h > 0 and math.isfinite(h)):
+            raise ValueError("all h values must be positive and finite")
         values.append(h)
     return values
 

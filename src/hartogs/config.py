@@ -18,6 +18,7 @@ Unknown keys are hard errors carrying the line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -53,10 +54,16 @@ def _parse_number(text: str, line: int) -> float:
     try:
         if "/" in text:
             num, den = text.split("/")
-            return float(Fraction(int(num), int(den)))
-        return float(text)
+            value = float(Fraction(int(num), int(den)))
+        else:
+            value = float(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"expected a number, got {text!r}", line=line) from None
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}", line=line)
+    return value
 
 
 def _parse_int(text: str, line: int) -> int:

@@ -282,7 +282,10 @@ def verdicts(spec: HartogsSpec, sample, tol: float = VERDICT_TOLERANCE) -> Curva
 
     tau is decided in exact rational arithmetic on the catalog constants, so
     the constant-scalar verdict is a real equality test, not a float one.
-    For Einstein bases the three verdicts coincide; this is asserted.
+    For Einstein bases (all factor constants c_i equal) the three verdicts
+    coincide; this is asserted. Otherwise they are reported as measured:
+    polydisc(1/2, 1) has tau = 0, so its metric is of constant scalar
+    curvature but not Einstein.
     """
     sample = list(sample)
     if len(sample) < 10:
@@ -301,7 +304,9 @@ def verdicts(spec: HartogsSpec, sample, tol: float = VERDICT_TOLERANCE) -> Curva
         tau=tau_value(spec.base),
         tolerance=tol,
     )
-    if len({out.is_einstein, out.is_extremal, out.is_constant_scalar}) != 1:
+    einstein_base = len(set(spec.base.einstein_constants)) == 1
+    agree = len({out.is_einstein, out.is_extremal, out.is_constant_scalar}) == 1
+    if einstein_base and not agree:
         raise HartogsError(
             "Einstein / extremal / constant-scalar verdicts disagree on an "
             f"Einstein base: {out}"

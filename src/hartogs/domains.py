@@ -82,8 +82,8 @@ class BaseDomainSpec:
             raise ValueError("factor dimensions must be positive integers")
         if len(exps) != len(dims):
             raise ValueError("need one exponent per factor")
-        if any(m <= 0 for m in exps):
-            raise ValueError("exponents must be positive")
+        if not all(m > 0 and math.isfinite(m) for m in exps):
+            raise ValueError("exponents must be positive and finite")
         if kind is DomainKind.POLYDISC:
             if any(d != 1 for d in dims):
                 raise ValueError("polydisc factors are one-dimensional discs")
@@ -116,6 +116,8 @@ class BaseDomainSpec:
             )
             if len(override) != len(dims):
                 raise ValueError(f"need one {name} override per factor")
+            if not all(math.isfinite(v) for v in override):
+                raise ValueError(f"{name} overrides must be finite")
         self._warn_on_inconsistent_overrides()
 
     def _warn_on_inconsistent_overrides(self):
@@ -238,8 +240,8 @@ class HartogsSpec:
     def __post_init__(self):
         if self.fiber_dim < 1:
             raise ValueError("fiber dimension must be at least 1")
-        if self.scale <= 0:
-            raise ValueError("metric scale must be positive")
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise ValueError("metric scale must be positive and finite")
 
     @property
     def total_dim(self) -> int:

@@ -272,9 +272,7 @@ def criterion_projective_blocks() -> CriterionResult:
             all_psd = all_psd and v.all_psd
             for i in range(1, 11):
                 for sigma in range(0, i + 1):
-                    entry = float(
-                        block(Form.PROJECTIVE, spec, i, sigma, h=h).matrix.array[0, 0].real
-                    )
+                    entry = float(block(Form.PROJECTIVE, spec, i, sigma, h=h).diagonal[0])
                     factor = math.exp(
                         math.lgamma(h + sigma) - math.lgamma(h) + math.lgamma(sigma + 1)
                     )

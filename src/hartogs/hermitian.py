@@ -1,14 +1,12 @@
-"""Dense Hermitian-matrix substrate: determinants, solves, PSD and rank decisions.
+"""Dense Hermitian-matrix substrate: eigenvalues, determinants, solves.
 
-Everything downstream (metric tensors, Ricci tensors, series coefficient
-blocks) is stored as a :class:`HermitianMatrix`, so symmetry and realness of
-eigenvalues are guaranteed once at construction instead of being re-checked
-at every use site.
+Metric and Ricci tensors are stored as a :class:`HermitianMatrix`, so
+symmetry and realness of eigenvalues are guaranteed once at construction
+instead of being re-checked at every use site. (Series coefficient blocks are
+diagonal and are stored as their diagonals in :mod:`hartogs.series`.)
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,26 +62,8 @@ class HermitianMatrix:
         """Read-only view of the entries."""
         return self._m
 
-    def max_abs_entry(self) -> float:
-        return float(np.max(np.abs(self._m)))
-
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class PsdVerdict:
-    """Outcome of a positive-semidefiniteness check."""
-
-    is_psd: bool
-    min_eigenvalue: float
-    numeric_rank: int
-    tolerance: float
-
-
-def default_psd_tolerance(m: HermitianMatrix) -> float:
-    """Relative threshold, robust against large Gamma-factor entries."""
-    return 1e-10 * (1.0 + m.max_abs_entry())
 
 
 def eigenvalues(m: HermitianMatrix) -> np.ndarray:
@@ -99,26 +79,6 @@ def eigenvalues(m: HermitianMatrix) -> np.ndarray:
 
 def determinant(m: HermitianMatrix) -> complex:
     return complex(np.linalg.det(m.array))
-
-
-def psd_check(m: HermitianMatrix, tolerance=None) -> PsdVerdict:
-    """Decide PSD-ness and numeric rank with an explicit eigenvalue threshold.
-
-    ``numeric_rank`` counts eigenvalues strictly above the tolerance; it is a
-    numeric rank, never claimed exact.
-    """
-    tol = default_psd_tolerance(m) if tolerance is None else float(tolerance)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    eig = eigenvalues(m)
-    min_eig = float(eig[0])
-    rank = int(np.count_nonzero(eig > tol))
-    return PsdVerdict(
-        is_psd=min_eig >= -tol,
-        min_eigenvalue=min_eig,
-        numeric_rank=rank,
-        tolerance=tol,
-    )
 
 
 def solve_hermitian(m: HermitianMatrix, rhs) -> np.ndarray:

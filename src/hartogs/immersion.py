@@ -22,6 +22,7 @@ Catalog bases carry derived facts; anything else must be user supplied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -201,8 +202,8 @@ def decide(
     """Existence verdict for one target space form at scale h."""
     target = ImmersionTarget(target)
     h = spec.scale if h is None else float(h)
-    if h <= 0:
-        raise ValueError("scale h must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("scale h must be positive and finite")
     facts = catalog_facts(spec.base) if facts is None else facts
 
     def verdict(answer, rule):

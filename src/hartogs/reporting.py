@@ -11,8 +11,6 @@ import io
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .curvature import curvature_report
 from .domains import EvaluationPoint, HartogsSpec
 
@@ -108,24 +106,24 @@ def resolvability_payload(verdict) -> dict:
 
 
 def block_csv(block) -> str:
-    """CSV dump of one coefficient block: row/column indices and the entry."""
+    """CSV dump of one coefficient block: row/column indices and the entry.
+
+    Blocks are diagonal, so there is one row per diagonal entry.
+    """
     rows = []
-    matrix = block.matrix.array
     labels = [
         (nu, alpha) for nu in block.fiber_indices for alpha in block.base_indices
     ]
-    for r, (nu_r, a_r) in enumerate(labels):
-        for c, (nu_c, a_c) in enumerate(labels):
-            value = matrix[r, c]
-            if value == 0 and r != c:
-                continue
-            rows.append(
-                {
-                    "row_fiber": "|".join(map(str, nu_r)),
-                    "row_base": "|".join(map(str, a_r)),
-                    "col_fiber": "|".join(map(str, nu_c)),
-                    "col_base": "|".join(map(str, a_c)),
-                    "value": float(np.real(value)),
-                }
-            )
+    for (nu, alpha), value in zip(labels, block.diagonal):
+        fiber = "|".join(map(str, nu))
+        base = "|".join(map(str, alpha))
+        rows.append(
+            {
+                "row_fiber": fiber,
+                "row_base": base,
+                "col_fiber": fiber,
+                "col_base": base,
+                "value": float(value),
+            }
+        )
     return render_csv(rows)

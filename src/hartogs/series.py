@@ -11,11 +11,14 @@ univariate-in-t series whose z-parts are powers of phi:
 
 Circularity kills every coefficient whose fiber degrees or base degrees
 disagree, so the infinite coefficient matrix is block diagonal over the pairs
-(total degree i, fiber degree s); each block is assembled here in derivative
-normalization (Taylor coefficient times m_j! m_k!). For the radial catalog
-bases the per-block base tables are themselves diagonal with closed forms,
-built from Pochhammer products; the Hyperbolic entries come from this direct
-Taylor expansion, and only their signs are compared against external claims.
+(total degree i, fiber degree s). For the radial catalog bases each block is
+itself diagonal in the monomial basis, with closed Pochhammer-product
+entries, so a block is stored as its diagonal, in derivative normalization
+(Taylor coefficient times m_j! m_k!), and its eigenvalues are its entries.
+Entries are assembled in double precision; a block with an entry outside
+that range raises :class:`CapabilityError`. The Hyperbolic entries come from
+this direct Taylor expansion, and only their signs are compared against
+external claims.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ from .domains import (
     point_from_coords,
 )
 from .errors import CapabilityError
-from .hermitian import HermitianMatrix, PsdVerdict, psd_check
-
-#: Above this total degree, Gamma-type factors are assembled in log space.
-_LOG_SPACE_THRESHOLD = 60
 
 
 class Form(str, Enum):
@@ -53,14 +52,6 @@ class Form(str, Enum):
 # ---------------------------------------------------------------------------
 # Multi-index ordering
 # ---------------------------------------------------------------------------
-
-
-def index_degree(m) -> int:
-    return sum(m)
-
-def index_sort_key(m):
-    """Graded order; within a grade the larger leading entry comes first."""
-    return (sum(m), tuple(-e for e in m))
 
 
 def _grade(var_count: int, deg: int):
@@ -100,7 +91,11 @@ def multi_factorial(m) -> float:
 
 
 def pochhammer(a: float, k: int) -> float:
-    """Rising factorial a (a+1) ... (a+k-1); exact zeros are preserved."""
+    """Rising factorial a (a+1) ... (a+k-1); exact zeros are preserved.
+
+    Past the double range the product is left infinite; block assembly
+    rejects it.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     out = 1.0
@@ -109,22 +104,7 @@ def pochhammer(a: float, k: int) -> float:
         if term == 0.0:
             return 0.0
         out *= term
-    if math.isinf(out):
-        sign = 1.0
-        log_abs = 0.0
-        for j in range(k):
-            term = a + j
-            sign *= math.copysign(1.0, term)
-            log_abs += math.log(abs(term))
-        return sign * math.exp(min(log_abs, 745.0))
     return out
-
-
-def gamma_ratio(h: float, sigma: int) -> float:
-    """Gamma(h + sigma) Gamma(sigma + 1) / Gamma(h), always positive for h > 0."""
-    if sigma <= _LOG_SPACE_THRESHOLD:
-        return pochhammer(h, sigma) * math.factorial(sigma)
-    return math.exp(math.lgamma(h + sigma) - math.lgamma(h) + math.lgamma(sigma + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -137,52 +117,60 @@ def _require_radial(base: BaseDomainSpec):
         raise CapabilityError("rank >= 2 Cartan series unsupported")
 
 
-def _factor_power_deriv(base: BaseDomainSpec, idx: int, s: float, part) -> float:
-    """Derivative-normalized diagonal entry of phi_i^-s for one factor."""
-    mu = base.exponents[idx]
-    k = sum(part)
-    if base.kind is DomainKind.FOCK:
-        return (s * mu) ** k * multi_factorial(part)
-    # ball-like: (1 - t)^(-mu s) expands with Pochhammer coefficients
-    return pochhammer(mu * s, k) * multi_factorial(part)
+class _BaseTable:
+    """Mixed partials at 0 of phi^-s (or of -log phi when s is None) for the
+    diagonal index pairs (alpha, alpha).
 
+    phi^-s is a product over factors, so its entry is the product of one
+    factor value per factor: pochhammer(mu s, k) (ball-like) or (s mu)^k
+    (fock) at the factor degree k, times the factorials of the factor's part
+    of alpha. Each factor value is evaluated once per (factor, s, k); entries
+    are the same floats however often the table is reused. -log phi is a sum
+    over factors, so its entry vanishes unless alpha is supported on a single
+    factor.
+    """
 
-def _factor_log_deriv(base: BaseDomainSpec, idx: int, part) -> float:
-    """Derivative-normalized diagonal entry of -log phi_i for one factor."""
-    mu = base.exponents[idx]
-    k = sum(part)
-    if k == 0:
-        return 0.0
-    if base.kind is DomainKind.FOCK:
-        return mu if k == 1 else 0.0
-    return mu * math.factorial(k - 1) * multi_factorial(part)
+    def __init__(self, base: BaseDomainSpec):
+        _require_radial(base)
+        self._base = base
+        self._fock = base.kind is DomainKind.FOCK
+        self._slices = base.factor_slices
+        self._values: dict[tuple, float] = {}
+
+    def _factor_value(self, idx: int, s: float, k: int) -> float:
+        key = (idx, s, k)
+        value = self._values.get(key)
+        if value is None:
+            mu = self._base.exponents[idx]
+            value = (s * mu) ** k if self._fock else pochhammer(mu * s, k)
+            self._values[key] = value
+        return value
+
+    def __call__(self, s: float | None, alpha) -> float:
+        if s is not None:
+            out = 1.0
+            for idx, sl in enumerate(self._slices):
+                part = alpha[sl]
+                out *= self._factor_value(idx, s, sum(part)) * multi_factorial(part)
+            return out
+        supported = [
+            (idx, alpha[sl])
+            for idx, sl in enumerate(self._slices)
+            if sum(alpha[sl]) > 0
+        ]
+        if len(supported) != 1:
+            return 0.0
+        idx, part = supported[0]
+        mu = self._base.exponents[idx]
+        k = sum(part)
+        if self._fock:
+            return mu if k == 1 else 0.0
+        return mu * math.factorial(k - 1) * multi_factorial(part)
 
 
 def power_deriv(base: BaseDomainSpec, s: float, alpha) -> float:
     """Mixed partial of phi^-s at 0 for the diagonal index pair (alpha, alpha)."""
-    _require_radial(base)
-    out = 1.0
-    for idx, sl in enumerate(base.factor_slices):
-        out *= _factor_power_deriv(base, idx, s, alpha[sl])
-    return out
-
-
-def log_deriv(base: BaseDomainSpec, alpha) -> float:
-    """Mixed partial of -log phi at 0 for the diagonal pair (alpha, alpha).
-
-    -log phi is a sum over factors, so the entry vanishes unless alpha is
-    supported on a single factor.
-    """
-    _require_radial(base)
-    supported = [
-        (idx, alpha[sl])
-        for idx, sl in enumerate(base.factor_slices)
-        if sum(alpha[sl]) > 0
-    ]
-    if len(supported) != 1:
-        return 0.0
-    idx, part = supported[0]
-    return _factor_log_deriv(base, idx, part)
+    return _BaseTable(base)(s, alpha)
 
 
 def base_power_coefficients(base: BaseDomainSpec, s: float, max_degree: int) -> dict:
@@ -191,9 +179,9 @@ def base_power_coefficients(base: BaseDomainSpec, s: float, max_degree: int) -> 
     Negative s arises for the hyperbolic form, where phi^(h - sigma) is
     queried as s = sigma - h.
     """
-    _require_radial(base)
+    table = _BaseTable(base)
     return {
-        (alpha, alpha): power_deriv(base, s, alpha)
+        (alpha, alpha): table(s, alpha)
         for alpha in enumerate_indices(base.dim, max_degree)
     }
 
@@ -203,12 +191,13 @@ def base_power_coefficients(base: BaseDomainSpec, s: float, max_degree: int) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientBlock:
     """One diagonal block at (total degree, fiber degree) of a form's matrix.
 
     Rows and columns are (fiber index, base index) pairs in the canonical
-    order; ``matrix`` holds derivative-normalized coefficients.
+    order (fiber index outer); the block is diagonal, and ``diagonal`` holds
+    its derivative-normalized entries in that order.
     """
 
     form: Form
@@ -216,47 +205,37 @@ class CoefficientBlock:
     fiber_degree: int
     fiber_indices: tuple
     base_indices: tuple
-    matrix: HermitianMatrix
+    diagonal: np.ndarray
+
+    def __post_init__(self):
+        self.diagonal.setflags(write=False)
 
 
 def _series_term(form: Form, sigma: int, h: float):
-    """Series prefactor P_sigma and the base-table spec ('log' or power s).
+    """Series prefactor P_sigma and the base-table power s (None for -log phi).
 
     The expanded potential reads sum_sigma P_sigma t^sigma G_sigma(z); entries
     in derivative normalization are P_sigma sigma! nu! times the table value.
     """
     if form is Form.EUCLIDEAN:
         if sigma == 0:
-            return h, ("log", None)
-        return h / sigma, ("power", float(sigma))
+            return h, None
+        return h / sigma, float(sigma)
     if form is Form.PROJECTIVE:
-        return pochhammer(h, sigma) / math.factorial(sigma), ("power", h + sigma)
+        return pochhammer(h, sigma) / math.factorial(sigma), h + sigma
     if sigma == 0:
-        return -1.0, ("power", -h)
-    return -pochhammer(-h, sigma) / math.factorial(sigma), ("power", float(sigma) - h)
+        return -1.0, -h
+    return -pochhammer(-h, sigma) / math.factorial(sigma), float(sigma) - h
 
 
-def _table_value(base: BaseDomainSpec, table_spec, alpha) -> float:
-    kind, s = table_spec
-    if kind == "log":
-        return log_deriv(base, alpha)
-    return power_deriv(base, s, alpha)
-
-
-def block(form: Form, spec: HartogsSpec, i: int, sigma: int, h: float | None = None) -> CoefficientBlock:
-    """The (i, sigma) diagonal block of the chosen form's coefficient matrix.
-
-    Fiber multi-indices of degree sigma expand ||z0||^(2 sigma) multinomially
-    (positive weights sigma! nu!), which keeps the one-fiber block structure
-    for every fiber dimension.
-    """
-    _require_radial(spec.base)
-    if not 0 <= sigma <= i:
-        raise ValueError("need 0 <= sigma <= i")
+def _scale(spec: HartogsSpec, h) -> float:
     h = spec.scale if h is None else float(h)
-    if h <= 0:
-        raise ValueError("scale h must be positive")
-    form = Form(form)
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("scale h must be positive and finite")
+    return h
+
+
+def _block(form: Form, spec: HartogsSpec, i: int, sigma: int, h: float, table: _BaseTable) -> CoefficientBlock:
     if i == 0:
         # constant term of all three expansions vanishes since phi(0) = 1
         return CoefficientBlock(
@@ -265,27 +244,47 @@ def block(form: Form, spec: HartogsSpec, i: int, sigma: int, h: float | None = N
             fiber_degree=0,
             fiber_indices=((0,) * spec.fiber_dim,),
             base_indices=((0,) * spec.base.dim,),
-            matrix=HermitianMatrix([[0.0]]),
+            diagonal=np.zeros(1),
         )
     fiber_idx = tuple(grade_indices(spec.fiber_dim, sigma))
     base_idx = tuple(grade_indices(spec.base.dim, i - sigma))
-    prefactor, table_spec = _series_term(form, sigma, h)
-    sig_fact = math.factorial(sigma)
-    entries = np.array(
-        [
-            prefactor * sig_fact * multi_factorial(nu) * _table_value(spec.base, table_spec, alpha)
-            for nu in fiber_idx
-            for alpha in base_idx
-        ]
-    )
+    diagonal = None
+    try:
+        prefactor, s = _series_term(form, sigma, h)
+        sig_fact = math.factorial(sigma)
+        weights = [prefactor * sig_fact * multi_factorial(nu) for nu in fiber_idx]
+        values = [table(s, alpha) for alpha in base_idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            diagonal = np.outer(weights, values).ravel()
+    except OverflowError:
+        pass
+    if diagonal is None or not np.isfinite(diagonal).all():
+        raise CapabilityError(
+            f"{form.value} coefficient block (i={i}, sigma={sigma}) exceeds the "
+            "double-precision range; lower the truncation degree"
+        )
     return CoefficientBlock(
         form=form,
         total_degree=i,
         fiber_degree=sigma,
         fiber_indices=fiber_idx,
         base_indices=base_idx,
-        matrix=HermitianMatrix(np.diag(entries)),
+        diagonal=diagonal,
     )
+
+
+def block(form: Form, spec: HartogsSpec, i: int, sigma: int, h: float | None = None) -> CoefficientBlock:
+    """The (i, sigma) diagonal block of the chosen form's coefficient matrix.
+
+    Fiber multi-indices of degree sigma expand ||z0||^(2 sigma) multinomially
+    (positive weights sigma! nu!), which keeps the one-fiber block structure
+    for every fiber dimension. Raises :class:`CapabilityError` when an entry
+    leaves the double-precision range.
+    """
+    table = _BaseTable(spec.base)
+    if not 0 <= sigma <= i:
+        raise ValueError("need 0 <= sigma <= i")
+    return _block(Form(form), spec, i, sigma, _scale(spec, h), table)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +314,18 @@ class ResolvabilityVerdict:
     all_psd: bool
     rank_lower_bound: int
     first_failure: BlockFailure | None
-    block_verdicts: tuple = ()
+
+
+def _diagonal_verdict(diagonal: np.ndarray) -> tuple[bool, float, int]:
+    """(is PSD, min eigenvalue, numeric rank) of a diagonal block.
+
+    The eigenvalues are the entries. The threshold 1e-10 (1 + max |d|) is
+    relative, robust against large Gamma-factor entries; the rank counts
+    entries above it and is numeric, never claimed exact.
+    """
+    tol = 1e-10 * (1.0 + float(np.max(np.abs(diagonal))))
+    min_value = float(np.min(diagonal))
+    return min_value >= -tol, min_value, int(np.count_nonzero(diagonal > tol))
 
 
 def resolvability(
@@ -323,7 +333,6 @@ def resolvability(
     spec: HartogsSpec,
     h: float | None = None,
     truncation_degree: int = 10,
-    tol: float | None = None,
 ) -> ResolvabilityVerdict:
     """Decide PSD-ness of every coefficient block with i <= truncation_degree.
 
@@ -332,29 +341,28 @@ def resolvability(
     """
     if truncation_degree < 2:
         raise ValueError("truncation degree must be at least 2")
-    h = spec.scale if h is None else float(h)
+    table = _BaseTable(spec.base)
+    form = Form(form)
+    h = _scale(spec, h)
     all_psd = True
     rank = 0
     first: BlockFailure | None = None
-    per_block = []
     for i in range(truncation_degree + 1):
         for sigma in range(i, -1, -1):
-            b = block(form, spec, i, sigma, h)
-            v = psd_check(b.matrix, tol)
-            per_block.append(((i, sigma), v))
-            rank += v.numeric_rank
-            if not v.is_psd:
+            b = _block(form, spec, i, sigma, h, table)
+            is_psd, min_value, block_rank = _diagonal_verdict(b.diagonal)
+            rank += block_rank
+            if not is_psd:
                 all_psd = False
                 if first is None:
-                    first = BlockFailure(i, sigma, v.min_eigenvalue)
+                    first = BlockFailure(i, sigma, min_value)
     return ResolvabilityVerdict(
-        form=Form(form),
+        form=form,
         h=h,
         truncation_degree=truncation_degree,
         all_psd=all_psd,
         rank_lower_bound=rank,
         first_failure=first,
-        block_verdicts=tuple(per_block),
     )
 
 
@@ -374,7 +382,7 @@ def series_partial_sum(spec: HartogsSpec, p: EvaluationPoint, truncation_degree:
     Only meaningful near the origin; enforced at ||(z0, z)|| <= 0.3 where the
     expansions converge fast for every catalog base.
     """
-    _require_radial(spec.base)
+    table = _BaseTable(spec.base)
     coords = p.coords
     if float(np.linalg.norm(coords)) > 0.3:
         raise ValueError("series evaluation expects ||coordinates|| <= 0.3")
@@ -382,22 +390,28 @@ def series_partial_sum(spec: HartogsSpec, p: EvaluationPoint, truncation_degree:
     base_sq = np.abs(np.asarray(p.base)) ** 2
     h = spec.scale
     total = 0.0
-    for i in range(truncation_degree + 1):
-        if i == 0:
-            continue
-        for sigma in range(i, -1, -1):
-            prefactor, table_spec = _series_term(Form.EUCLIDEAN, sigma, h)
-            sig_fact = math.factorial(sigma)
-            for nu in grade_indices(spec.fiber_dim, sigma):
-                fiber_mono = float(np.prod(fiber_sq ** np.array(nu)))
-                weight = sig_fact / multi_factorial(nu)
-                for alpha in grade_indices(spec.base.dim, i - sigma):
-                    deriv = _table_value(spec.base, table_spec, alpha)
-                    if deriv == 0.0:
-                        continue
-                    coeff = deriv / multi_factorial(alpha) ** 2
-                    base_mono = float(np.prod(base_sq ** np.array(alpha)))
-                    total += prefactor * weight * coeff * fiber_mono * base_mono
+    try:
+        for i in range(1, truncation_degree + 1):
+            for sigma in range(i, -1, -1):
+                prefactor, s = _series_term(Form.EUCLIDEAN, sigma, h)
+                sig_fact = math.factorial(sigma)
+                for nu in grade_indices(spec.fiber_dim, sigma):
+                    fiber_mono = float(np.prod(fiber_sq ** np.array(nu)))
+                    weight = sig_fact / multi_factorial(nu)
+                    for alpha in grade_indices(spec.base.dim, i - sigma):
+                        deriv = table(s, alpha)
+                        if deriv == 0.0:
+                            continue
+                        coeff = deriv / multi_factorial(alpha) ** 2
+                        base_mono = float(np.prod(base_sq ** np.array(alpha)))
+                        total += prefactor * weight * coeff * fiber_mono * base_mono
+    except OverflowError:
+        total = math.nan
+    if not math.isfinite(total):
+        raise CapabilityError(
+            f"euclidean series through degree {truncation_degree} exceeds the "
+            "double-precision range"
+        )
     return total
 
 
@@ -460,9 +474,7 @@ def cross_coefficient_audit(
 
     control = ((1,) + (0,) * (spec.total_dim - 1),) * 2
     control_fd = wirtinger.mixed_partial(f, origin, control[0], control[1], cfg)
-    control_expected = float(
-        block(Form.EUCLIDEAN, spec, 1, 1).matrix.array[0, 0].real
-    )
+    control_expected = float(block(Form.EUCLIDEAN, spec, 1, 1).diagonal[0])
     return CrossCoefficientAudit(
         max_off_structure=max(v for _, v in values),
         pair_values=tuple(values),

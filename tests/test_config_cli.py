@@ -1,8 +1,13 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hartogs.cli import main
+from hartogs.cli import _parse_h_list, main
 from hartogs.config import parse_config_text
 from hartogs.domains import DomainKind
 from hartogs.errors import ConfigError
@@ -21,6 +26,13 @@ base.kind = fock
 base.dims = 1
 base.mu = 1
 fiber.dim = 1
+"""
+
+# c = (-4, -2): tau = 0 on a base that is not Einstein
+POLYDISC_HALF_CONFIG = """\
+base.kind = polydisc
+base.dims = 1,1
+base.mu = 1/2,1
 """
 
 
@@ -69,6 +81,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config_text("base.kind = ball\nbase.dims = 1\nbase.mu = abc\n")
         assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "base.mu = nan",
+            "base.mu = inf",
+            "base.mu = 1e400",
+            "base.mu = " + "9" * 400 + "/1",
+            "scale.h = nan",
+            "scale.h = -inf",
+            "base.genus = nan",
+            "base.einstein_constant = inf",
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, line):
+        mu = "" if line.startswith("base.mu") else "base.mu = 1\n"
+        text = f"base.kind = ball\nbase.dims = 1\n{mu}{line}\n"
+        with pytest.raises(ConfigError, match="finite") as err:
+            parse_config_text(text)
+        assert err.value.line == text.count("\n")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "1,-inf", "0.5,nan", "0", "-1"])
+    def test_h_list_rejects_non_finite_and_non_positive(self, text):
+        with pytest.raises(ValueError, match="positive and finite"):
+            _parse_h_list(text)
 
     def test_user_facts(self):
         parsed = parse_config_text(
@@ -209,6 +246,35 @@ class TestCli:
         assert payload["curvature"]["is_einstein"] is False
         assert len(payload["immersion"]) == 12  # 6 targets x 2 scales
 
+    @pytest.mark.parametrize(
+        "args", [["--truncation", "200"], ["--h", "nan"], ["--h", "inf"], ["--h=-inf"]]
+    )
+    def test_diastasis_out_of_range_fails_cleanly(self, disc_config, capsys, args):
+        code = main(["diastasis", "--config", str(disc_config), *args])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "NaN" not in out + err and "Infinity" not in out + err
+
+    def test_immersion_nan_scale_is_an_error(self, disc_config, capsys):
+        code = main(["immersion", "--config", str(disc_config), "--h", "nan"])
+        assert code == 1
+        assert "positive and finite" in capsys.readouterr().err
+
+    def test_checks_on_a_tau_zero_base_that_is_not_einstein(self, tmp_path):
+        cfg = tmp_path / "poly.cfg"
+        cfg.write_text(POLYDISC_HALF_CONFIG, encoding="utf-8")
+        common = ["--config", str(cfg), "--samples", "10"]
+        out = tmp_path / "out.json"
+        assert main(["check-einstein", *common, "--out", str(out)]) == 2
+        assert json.loads(out.read_text())["is_einstein"] is False
+        assert main(["check-extremal", *common, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["is_extremal"] is True
+        assert main(["report", *common, "--truncation", "4", "--out", str(out)]) == 0
+        curvature = json.loads(out.read_text())["curvature"]
+        assert curvature["is_constant_scalar"] is True
+        assert curvature["is_einstein"] is False
+
     def test_config_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(
@@ -227,3 +293,39 @@ class TestCli:
         code = main(["diastasis", "--config", str(cfg)])
         assert code == 1
         assert "unsupported" in capsys.readouterr().err
+
+
+_NEVER_RAISE_CONFIGS = [
+    DISC_CONFIG,
+    POLYDISC_HALF_CONFIG,
+    DISC_CONFIG.replace("base.mu = 1", "base.mu = nan"),
+    DISC_CONFIG.replace("scale.h = 1", "scale.h = inf"),
+    POLYDISC_HALF_CONFIG.replace("1/2,1", "1/2,-inf"),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["diastasis", "immersion", "check-einstein"]),
+    config=st.sampled_from(_NEVER_RAISE_CONFIGS),
+    h=st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308]),
+    ),
+    truncation=st.integers(min_value=2, max_value=250),
+    samples=st.integers(min_value=1, max_value=12),
+)
+def test_cli_never_raises(command, config, h, truncation, samples):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "domain.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        out = Path(tmp) / "out.json"
+        code = main(
+            [command, "--config", str(cfg), f"--h={h!r}",
+             "--truncation", str(truncation), "--samples", str(samples),
+             "--out", str(out)]
+        )
+        assert code in (0, 1, 2)
+        if out.exists():
+            text = out.read_text()
+            assert "NaN" not in text and "Infinity" not in text

@@ -211,6 +211,16 @@ class TestVerdicts:
         v = verdicts(spec, pts)
         assert not (v.is_einstein or v.is_extremal or v.is_constant_scalar)
 
+    def test_tau_zero_base_that_is_not_einstein(self):
+        # polydisc(1/2, 1): c = (-4, -2), so tau = 6 - 4 - 2 = 0 although the
+        # factor constants differ; constant scalar curvature, not Einstein
+        spec = HartogsSpec(BaseDomainSpec.polydisc((0.5, 1.0)), 1)
+        pts = sample_points(spec, 10, seed=8, margin_frac=0.1, min_margin=0.05)
+        v = verdicts(spec, pts)
+        assert not v.is_einstein
+        assert v.max_einstein_residual > 1.0
+        assert v.is_extremal and v.is_constant_scalar
+
     def test_requires_ten_points(self):
         with pytest.raises(ValueError):
             verdicts(B2, sample_points(B2, 5, seed=1))

@@ -83,6 +83,20 @@ class TestSpecMetadata:
             HartogsSpec(BaseDomainSpec.disc(1.0), 0)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_inputs(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BaseDomainSpec.disc(bad)
+        with pytest.raises(ValueError, match="finite"):
+            BaseDomainSpec.polydisc((1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            BaseDomainSpec(DomainKind.BALL, (1,), (1.0,), genus_override=(bad,))
+        with pytest.raises(ValueError, match="finite"):
+            BaseDomainSpec(DomainKind.BALL, (1,), (1.0,), einstein_override=(bad,))
+        with pytest.raises(ValueError, match="finite"):
+            HartogsSpec(BaseDomainSpec.disc(1.0), 1, scale=bad)
+
+
 class TestPhi:
     def test_center_value(self):
         assert phi(BaseDomainSpec.disc(1.0), [0.0]) == pytest.approx(1.0)

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from hartogs.errors import EigenSolverError, NotPositiveDefiniteError
 from hartogs.hermitian import (
     HermitianMatrix,
-    default_psd_tolerance,
     determinant,
     eigenvalues,
-    psd_check,
     solve_hermitian,
 )
+from hartogs.series import _diagonal_verdict
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -61,37 +60,31 @@ class TestDeterminant:
 
 
 class TestPsdCheck:
+    """The PSD / rank rule for diagonal coefficient blocks: (is_psd, min, rank)."""
+
     def test_diagonal_psd_rank_one(self):
-        v = psd_check(HermitianMatrix.diagonal([1.5, 0.0]), tolerance=1e-10)
-        assert v.is_psd and v.numeric_rank == 1
+        is_psd, _, rank = _diagonal_verdict(np.array([1.5, 0.0]))
+        assert is_psd and rank == 1
 
     def test_indefinite(self):
-        v = psd_check(HermitianMatrix.diagonal([1.5, -1.5]), tolerance=1e-10)
-        assert not v.is_psd
-        assert v.min_eigenvalue == pytest.approx(-1.5)
+        is_psd, min_value, _ = _diagonal_verdict(np.array([1.5, -1.5]))
+        assert not is_psd
+        assert min_value == -1.5
 
     def test_zero_matrix(self):
-        v = psd_check(HermitianMatrix(np.zeros((3, 3))), tolerance=1e-10)
-        assert v.is_psd and v.numeric_rank == 0
+        assert _diagonal_verdict(np.zeros(3)) == (True, 0.0, 0)
 
     def test_default_tolerance_relative(self):
-        m = HermitianMatrix.diagonal([1e6, 1.0])
-        assert default_psd_tolerance(m) == pytest.approx(1e-10 * (1 + 1e6))
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            psd_check(HermitianMatrix.identity(2), tolerance=0.0)
+        # threshold 1e-10 (1 + 1e6) ~ 1e-4: entries of size 1e-5 are numerically zero
+        assert _diagonal_verdict(np.array([1e6, 1e-5])) == (True, 1e-5, 1)
+        assert _diagonal_verdict(np.array([1e6, -1e-5]))[0]
+        assert not _diagonal_verdict(np.array([1.0, -1e-5]))[0]
 
     def test_rank_scale_covariant(self):
         rng = np.random.default_rng(3)
-        base = random_hermitian(rng, 6)
-        tol = default_psd_tolerance(base)
+        d = rng.normal(size=6)
         alpha = 37.5
-        scaled = HermitianMatrix(alpha * base.array)
-        assert (
-            psd_check(scaled, tolerance=alpha * tol).numeric_rank
-            == psd_check(base, tolerance=tol).numeric_rank
-        )
+        assert _diagonal_verdict(alpha * d)[::2] == _diagonal_verdict(d)[::2]
 
     def test_solver_failure_names_dimension(self, monkeypatch):
         def boom(_):

@@ -125,6 +125,11 @@ class TestDecide:
         assert v.answer is Answer.NOT_EXISTS
         assert "h > 1" in v.rule
 
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0])
+    def test_rejects_bad_scale(self, h):
+        with pytest.raises(ValueError, match="positive and finite"):
+            decide(DISC, ImmersionTarget.CH_INFINITE, h=h)
+
     def test_fock_euclidean(self):
         assert decide(FOCK, ImmersionTarget.C_INFINITE).answer is Answer.EXISTS
         assert decide(FOCK, ImmersionTarget.C_FINITE).answer is Answer.NOT_EXISTS

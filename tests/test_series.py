@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from hartogs.domains import BaseDomainSpec, HartogsSpec, point
 from hartogs.errors import CapabilityError
-from hartogs.hermitian import HermitianMatrix, psd_check
 from hartogs.series import (
     Form,
+    _diagonal_verdict,
     base_power_coefficients,
     block,
     cross_coefficient_audit,
     diastasis_value,
     enumerate_indices,
-    gamma_ratio,
     grade_indices,
-    index_sort_key,
     pochhammer,
     power_deriv,
     resolvability,
@@ -39,8 +37,9 @@ class TestOrdering:
         assert grade_indices(2, 2) == [(2, 0), (1, 1), (0, 2)]
 
     def test_sort_key_matches_enumeration(self):
+        # graded order; within a grade the larger leading entry comes first
         idx = enumerate_indices(3, 4)
-        assert idx == sorted(idx, key=index_sort_key)
+        assert idx == sorted(idx, key=lambda m: (sum(m), tuple(-e for e in m)))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=6))
@@ -63,11 +62,13 @@ class TestGammaFactors:
         via_lgamma = math.exp(
             math.lgamma(h + sigma) - math.lgamma(h) + math.lgamma(sigma + 1)
         )
-        assert gamma_ratio(h, sigma) == pytest.approx(via_lgamma, rel=1e-11)
+        gamma_ratio = pochhammer(h, sigma) * math.factorial(sigma)
+        assert gamma_ratio == pytest.approx(via_lgamma, rel=1e-11)
 
-    def test_log_space_fallback(self):
-        assert gamma_ratio(1.5, 80) > 0
-        assert math.isfinite(gamma_ratio(1.5, 80))
+    def test_overflow_is_left_infinite(self):
+        assert pochhammer(1.5, 200) == math.inf
+        assert pochhammer(-0.5, 200) == -math.inf
+        assert pochhammer(-150.0, 200) == 0.0  # an exact zero wins over overflow
 
 
 class TestBaseTables:
@@ -105,13 +106,13 @@ class TestBaseTables:
 class TestBlocks:
     def test_euclidean_pure_fiber(self):
         b = block(Form.EUCLIDEAN, DISC, 2, 2)
-        assert b.matrix.array.shape == (1, 1)
-        assert b.matrix.array[0, 0].real == pytest.approx(2.0)  # Gamma(2)Gamma(3)
+        assert b.diagonal.shape == (1,)
+        assert b.diagonal[0] == pytest.approx(2.0)  # Gamma(2)Gamma(3)
 
     def test_euclidean_top_fiber_always_positive(self):
         for i in range(1, 15):
             b = block(Form.EUCLIDEAN, DISC, i, i)
-            entry = b.matrix.array[0, 0].real
+            entry = b.diagonal[0]
             assert entry == pytest.approx(
                 math.factorial(i - 1) * math.factorial(i), rel=1e-12
             )
@@ -119,21 +120,21 @@ class TestBlocks:
 
     def test_hyperbolic_h1_vanishes(self):
         b = block(Form.HYPERBOLIC, DISC, 2, 2, h=1.0)
-        assert b.matrix.array[0, 0] == 0.0
+        assert b.diagonal[0] == 0.0
 
     def test_hyperbolic_h_three_halves(self):
         b = block(Form.HYPERBOLIC, DISC, 2, 2, h=1.5)
-        assert b.matrix.array[0, 0].real == pytest.approx(-1.5, abs=1e-12)
+        assert b.diagonal[0] == pytest.approx(-1.5, abs=1e-12)
 
     def test_degree_zero_block_is_zero(self):
         for form in Form:
-            assert block(form, DISC, 0, 0, h=0.7).matrix.array[0, 0] == 0.0
+            assert block(form, DISC, 0, 0, h=0.7).diagonal.tolist() == [0.0]
 
     def test_block_dimension(self):
         spec = HartogsSpec(BaseDomainSpec.ball(2, 1.0), 2)
         b = block(Form.PROJECTIVE, spec, 3, 1, h=0.5)
         # 2 fiber indices of degree 1 times 3 base indices of degree 2
-        assert b.matrix.dim == 2 * 3
+        assert b.diagonal.shape == (2 * 3,)
 
     def test_projective_factorization(self):
         # blocks factor as Gamma(h+s)Gamma(s+1)/Gamma(h) times the phi^-(h+s)
@@ -147,7 +148,7 @@ class TestBlocks:
                 )
                 alpha = (i - sigma,)
                 expected = factor * power_deriv(DISC.base, h + sigma, alpha)
-                got = b.matrix.array[0, 0].real
+                got = b.diagonal[0]
                 assert got == pytest.approx(expected, rel=1e-10)
 
     def test_normalization_invariance_of_verdicts(self):
@@ -162,13 +163,10 @@ class TestBlocks:
                     for a in b.base_indices
                 ]
             )
-            rescaled = HermitianMatrix(
-                np.diag(scale) @ b.matrix.array @ np.diag(scale)
-            )
-            v1 = psd_check(b.matrix)
-            v2 = psd_check(rescaled)
-            assert v1.is_psd == v2.is_psd
-            assert v1.numeric_rank == v2.numeric_rank
+            v1 = _diagonal_verdict(b.diagonal)
+            v2 = _diagonal_verdict(scale * b.diagonal * scale)
+            assert v1[0] == v2[0]  # is_psd
+            assert v1[2] == v2[2]  # numeric rank
 
 
 class TestResolvability:
@@ -218,6 +216,39 @@ class TestResolvability:
             v = resolvability(Form.HYPERBOLIC, FOCK, h=h, truncation_degree=4)
             assert not v.all_psd
             assert v.first_failure.total_degree == 2
+
+
+class TestDoubleRange:
+    def test_block_past_double_range_names_the_block(self):
+        with pytest.raises(CapabilityError, match=r"euclidean .*\(i=99, sigma=99\)"):
+            block(Form.EUCLIDEAN, DISC, 99, 99)
+
+    def test_factorial_past_170_is_a_capability_error(self):
+        # the h = 1 hyperbolic top-fiber entries are exact zeros up to 170!
+        assert block(Form.HYPERBOLIC, DISC, 170, 170, h=1.0).diagonal[0] == 0.0
+        with pytest.raises(CapabilityError, match=r"\(i=171, sigma=171\)"):
+            block(Form.HYPERBOLIC, DISC, 171, 171, h=1.0)
+
+    def test_non_finite_entry_is_not_an_obstruction(self):
+        # (101, 3) holds inf * 0 = NaN; it must not read as a failing block
+        with pytest.raises(CapabilityError, match=r"hyperbolic .*\(i=101, sigma=3\)"):
+            resolvability(Form.HYPERBOLIC, DISC, h=1.0, truncation_degree=120)
+
+    def test_rank_is_not_capped_by_infinite_entries(self):
+        for t in (120, 150):
+            with pytest.raises(CapabilityError):
+                resolvability(Form.EUCLIDEAN, DISC, truncation_degree=t)
+
+    def test_partial_sum_past_double_range(self):
+        with pytest.raises(CapabilityError, match="euclidean series"):
+            series_partial_sum(DISC, point([0.1], [0.1]), 180)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1.0])
+    def test_scale_must_be_positive_and_finite(self, h):
+        with pytest.raises(ValueError, match="positive and finite"):
+            resolvability(Form.PROJECTIVE, DISC, h=h)
+        with pytest.raises(ValueError, match="positive and finite"):
+            block(Form.PROJECTIVE, DISC, 2, 1, h=h)
 
 
 class TestSeries:
@@ -295,9 +326,5 @@ class TestAudit:
 
         fd_20 = mixed_partial(f, origin, (2, 0, 0), (2, 0, 0))
         fd_11 = mixed_partial(f, origin, (1, 1, 0), (1, 1, 0))
-        assert b.matrix.array[idx[(2, 0)], idx[(2, 0)]].real == pytest.approx(
-            fd_20.real, abs=1e-5
-        )
-        assert b.matrix.array[idx[(1, 1)], idx[(1, 1)]].real == pytest.approx(
-            fd_11.real, abs=1e-5
-        )
+        assert b.diagonal[idx[(2, 0)]] == pytest.approx(fd_20.real, abs=1e-5)
+        assert b.diagonal[idx[(1, 1)]] == pytest.approx(fd_11.real, abs=1e-5)
