@@ -277,6 +277,7 @@ def cmd_fixtures(args) -> int:
     summary = run_acceptance(seed=args.seed)
     for c in summary.criteria:
         print(c.line())
+        print(f"criterion {c.cid:02d} elapsed {c.elapsed:.3f} s", file=sys.stderr)
     print(f"total wall time {summary.total_elapsed:.1f} s", file=sys.stderr)
     payload = summary.payload()
     reporting.write_text(reporting.to_json(payload), args.out)

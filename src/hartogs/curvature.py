@@ -33,11 +33,13 @@ from .domains import (
     factor_determinant_constants,
     factor_hessians,
     interior_margin,
-    phi_with_derivatives,
-    point_from_coords,
+    phi_derivatives_stack,
+    require_interior,
+    row_power,
+    squared_norms,
 )
 from .errors import BoundaryViolationError, HartogsError
-from .hermitian import HermitianMatrix, determinant, eigenvalues, solve_hermitian
+from .hermitian import HermitianMatrix, determinant, eigenvalues, hermitian_part, solve_hermitian
 from .wirtinger import DiffConfig, conjugate_jacobian, wirtinger_hessian
 
 #: Smallest interior margin accepted by the nested finite-difference oracles.
@@ -76,29 +78,43 @@ def _tau_is_zero(base: BaseDomainSpec) -> bool:
 
 
 def _margin_or_raise(spec: HartogsSpec, p: EvaluationPoint) -> float:
-    margin = interior_margin(spec, p)
-    if margin < domains.MIN_INTERIOR_MARGIN:
-        raise BoundaryViolationError(
-            f"point is not interior (margin {margin:.3e})", margin=margin
-        )
-    return margin
+    return float(require_interior(np.array([interior_margin(spec, p)]))[0])
+
+
+def _metric_parts(spec: HartogsSpec, coords):
+    """Block-formula metrics of an (N, n) stack, not yet symmetrised, with
+    the fiber rows, phi and its gradient they were built from."""
+    coords = np.asarray(coords, dtype=np.complex128)
+    d0 = spec.fiber_dim
+    z0 = np.ascontiguousarray(coords[:, :d0])
+    phi_val, phi_grad, phi_hess = phi_derivatives_stack(spec.base, coords[:, d0:])
+    margin = require_interior(phi_val - squared_norms(z0))[:, None, None]
+    g = np.empty((len(coords), spec.total_dim, spec.total_dim), dtype=np.complex128)
+    z0bar = np.conj(z0)[:, :, None]
+    g[:, :d0, :d0] = margin * np.eye(d0) + z0bar * z0[:, None, :]
+    g[:, :d0, d0:] = -(z0bar * np.conj(phi_grad)[:, None, :])
+    g[:, d0:, :d0] = -(phi_grad[:, :, None] * z0[:, None, :])
+    g[:, d0:, d0:] = phi_grad[:, :, None] * np.conj(phi_grad)[:, None, :] - margin * phi_hess
+    g /= row_power(margin[:, 0, 0], 2)[:, None, None]
+    return g, z0, phi_val, phi_grad
+
+
+def _symmetrised(g: np.ndarray) -> np.ndarray:
+    return hermitian_part(g, 1e-12 * (1.0 + np.abs(g).max(axis=(1, 2))))
+
+
+def metric_stack(spec: HartogsSpec, coords) -> np.ndarray:
+    """The metrics of -log(phi - ||z0||^2) at an (N, n) stack of points.
+
+    One exactly Hermitian n x n matrix per row, from the closed block
+    formula; raises :class:`BoundaryViolationError` if a row is not interior.
+    """
+    return _symmetrised(_metric_parts(spec, coords)[0])
 
 
 def metric_matrix(spec: HartogsSpec, p: EvaluationPoint) -> HermitianMatrix:
     """The n x n metric of -log(phi - ||z0||^2) from the closed block formula."""
-    margin = _margin_or_raise(spec, p)
-    z0 = p.fiber
-    phi_val, phi_grad, phi_hess = phi_with_derivatives(spec.base, p.base)
-    d0 = spec.fiber_dim
-    d = spec.base.dim
-    n = d0 + d
-    g = np.empty((n, n), dtype=np.complex128)
-    g[:d0, :d0] = margin * np.eye(d0) + np.outer(np.conj(z0), z0)
-    g[:d0, d0:] = -np.outer(np.conj(z0), np.conj(phi_grad))
-    g[d0:, :d0] = -np.outer(phi_grad, z0)
-    g[d0:, d0:] = np.outer(phi_grad, np.conj(phi_grad)) - margin * phi_hess
-    g /= margin**2
-    return HermitianMatrix(g, atol=1e-12 * (1.0 + float(np.max(np.abs(g)))))
+    return HermitianMatrix(metric_stack(spec, p.coords[None, :])[0])
 
 
 def _require_constants(base: BaseDomainSpec):
@@ -113,11 +129,9 @@ def det_closed(spec: HartogsSpec, p: EvaluationPoint) -> float:
     n = spec.total_dim
     d = spec.base.dim
     out = margin ** (-(n + 1))
-    parts = [p.base[s] for s in spec.base.factor_slices]
     consts = factor_determinant_constants(spec.base)
-    for idx, zf in enumerate(parts):
+    for idx, phi_i in enumerate(domains.factor_phis(spec.base, p.base)):
         c = spec.base.einstein_constants[idx]
-        phi_i = domains._factor_phi(spec.base, idx, zf)
         out *= phi_i ** (d + 1 + c) * consts[idx]
     return out
 
@@ -162,9 +176,7 @@ def ricci_numeric(spec: HartogsSpec, p: EvaluationPoint, cfg: DiffConfig | None 
         cfg = DiffConfig(step=_nested_step(margin), richardson=True)
 
     def log_det(q):
-        m = metric_matrix(spec, point_from_coords(spec, q))
-        sign, logabs = np.linalg.slogdet(m.array)
-        return float(logabs)
+        return np.linalg.slogdet(metric_stack(spec, q))[1]
 
     hess = wirtinger_hessian(log_det, p.coords, cfg)
     return HermitianMatrix(-hess.array)
@@ -208,14 +220,12 @@ def einstein_residual(spec: HartogsSpec, p: EvaluationPoint) -> float:
     return out
 
 
-def _scalar_gradient(spec: HartogsSpec, q: EvaluationPoint):
-    """Closed holomorphic gradient of the scalar curvature at q."""
+def _scalar_gradient(spec: HartogsSpec, z0, phi_val, phi_grad) -> np.ndarray:
+    """Closed holomorphic gradient of the scalar curvature, one row per point."""
     tau = tau_value(spec.base)
-    phi_val, phi_grad, _ = phi_with_derivatives(spec.base, q.base)
-    r2 = float(np.real(np.vdot(q.fiber, q.fiber)))
-    grad_fiber = -tau * np.conj(q.fiber) / phi_val
-    grad_base = tau * r2 * phi_grad / phi_val**2
-    return np.concatenate([grad_fiber, grad_base])
+    grad_fiber = -tau * np.conj(z0) / phi_val[:, None]
+    grad_base = (tau * squared_norms(z0))[:, None] * phi_grad / row_power(phi_val, 2)[:, None]
+    return np.concatenate([grad_fiber, grad_base], axis=1)
 
 
 @dataclass(frozen=True)
@@ -242,11 +252,14 @@ def extremal_check(spec: HartogsSpec, p: EvaluationPoint, cfg: DiffConfig | None
             margin=margin,
         )
 
+    at_p = []
+
     def v_field(q):
-        pt = point_from_coords(spec, q)
-        g = metric_matrix(spec, pt)
-        grad_s = _scalar_gradient(spec, pt)
-        return np.conj(solve_hermitian(g, grad_s))
+        # p rides along as row 0, so the whole check is one stack evaluation
+        g, *phi_data = _metric_parts(spec, np.concatenate([p.coords[None, :], q]))
+        v = np.conj(solve_hermitian(_symmetrised(g), _scalar_gradient(spec, *phi_data)))
+        at_p.append(v[0])
+        return v[1:]
 
     if cfg is None:
         cfg = DiffConfig(step=min(1e-3, margin / 8.0), richardson=True)
@@ -255,7 +268,7 @@ def extremal_check(spec: HartogsSpec, p: EvaluationPoint, cfg: DiffConfig | None
     tau = tau_value(spec.base)
     phi_val = domains.phi(spec.base, p.base)
     witness = -tau * complex(p.fiber[0]) * margin**2 / phi_val**2
-    fiber_component = complex(v_field(p.coords)[0])
+    fiber_component = complex(at_p[0][0])
     return ExtremalCheck(
         residual=residual, witness_closed=witness, fiber_component=fiber_component
     )

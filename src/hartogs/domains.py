@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -219,7 +219,7 @@ class BaseDomainSpec:
             out.append(None if mu_frac is None else Fraction(-g) / mu_frac)
         return tuple(out)
 
-    @property
+    @cached_property
     def factor_slices(self) -> tuple[slice, ...]:
         offsets = np.cumsum((0,) + self.dims)
         return tuple(slice(int(a), int(b)) for a, b in zip(offsets, offsets[1:]))
@@ -278,103 +278,165 @@ def point_from_coords(spec: HartogsSpec, coords) -> EvaluationPoint:
 
 
 # ---------------------------------------------------------------------------
-# Per-factor evaluation
+# Stack kernels
 # ---------------------------------------------------------------------------
+#
+# Evaluations run over (N, k) stacks, one point per row; a single point is
+# the N = 1 case. A row gives the same floats as the point alone, because
+# squared norms are stacked matmuls on C-contiguous rows (bit for bit
+# np.vdot) and powers and exponentials run on Python floats (libm) row by row.
 
 
-def _split_factors(base: BaseDomainSpec, z: np.ndarray) -> list[np.ndarray]:
+def squared_norms(z) -> np.ndarray:
+    """||z_r||^2 for every row z_r of an (N, k) complex stack."""
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    return (np.conj(z)[:, None, :] @ z[:, :, None])[:, 0, 0].real
+
+
+def row_power(values: np.ndarray, exponent) -> np.ndarray:
+    """values ** exponent entry by entry, in Python (libm) floating point."""
+    return np.array([v**exponent for v in values.tolist()])
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[:, :, None] * b[:, None, :]
+
+
+def _reject(margins: np.ndarray, bad: np.ndarray, message: str) -> np.ndarray:
+    """The margins, unless a row is bad: then the first one raises."""
+    if np.count_nonzero(bad):
+        worst = float(margins[bad.argmax()])
+        raise BoundaryViolationError(message.format(worst), margin=worst)
+    return margins
+
+
+def require_interior(margins: np.ndarray) -> np.ndarray:
+    """The margins phi - ||z0||^2, after checking every row is interior."""
+    bad = margins < MIN_INTERIOR_MARGIN
+    return _reject(margins, bad, "point is not interior (margin {:.3e})")
+
+
+_OUTSIDE = "base point lies outside the domain (factor margin {:.3e})"
+
+# A kernel maps an (N, k) C-contiguous stack of factor coordinates to phi_i
+# per row and, with ``derivatives``, the gradient (N, k) and mixed Hessian
+# (N, k, k) of u_i = -log phi_i.
+
+
+def _ball_kernel(z, mu, shape, derivatives):
+    # phi_i = (1 - ||z||^2)^mu
+    s = 1.0 - squared_norms(z)
+    _reject(s, s <= 0.0, _OUTSIDE)
+    value = row_power(s, mu)
+    if not derivatives:
+        return value, None, None
+    grad = mu * np.conj(z) / s[:, None]
+    outer = _outer(np.conj(z), z) / row_power(s, 2)[:, None, None]
+    hess = mu * (np.eye(z.shape[1]) / s[:, None, None] + outer)
+    return value, grad, hess
+
+
+def _cartan_kernel(z, mu, shape, derivatives):
+    # phi_i = det(I - Z Z*)^mu for the m x n matrix Z of each row
+    m, n = shape
+    zmat = z.reshape(-1, m, n)
+    zstar = np.conj(zmat).swapaxes(-1, -2)
+    y = np.eye(m) - zmat @ zstar
+    margin = np.linalg.eigvalsh(y)[:, 0]
+    _reject(margin, margin <= 0.0, _OUTSIDE)
+    value = row_power(np.linalg.det(y).real, mu)
+    if not derivatives:
+        return value, None, None
+    yinv = np.linalg.inv(y)
+    xinv = np.linalg.inv(np.eye(n) - zstar @ zmat)
+    # (a, beta) flat row-major: grad[(a, beta)] = mu * (Z* Y^-1)[beta, a]
+    grad = mu * (zstar @ yinv).swapaxes(-1, -2).reshape(len(z), m * n)
+    # mu * kron(Y^-T, X^-1) per row
+    kron = yinv.swapaxes(-1, -2)[:, :, None, :, None] * xinv[:, None, :, None, :]
+    return value, grad, mu * kron.reshape(len(z), m * n, m * n)
+
+
+def _fock_kernel(z, mu, shape, derivatives):
+    # phi_i = exp(-mu ||z||^2) on all of C^k
+    value = np.array([math.exp(v) for v in (-mu * squared_norms(z)).tolist()])
+    if not derivatives:
+        return value, None, None
+    k = z.shape[1]
+    hess = np.broadcast_to(mu * np.eye(k, dtype=np.complex128), (len(z), k, k))
+    return value, mu * np.conj(z), hess
+
+
+_KERNELS = {
+    DomainKind.BALL: _ball_kernel,
+    DomainKind.POLYDISC: _ball_kernel,
+    DomainKind.CARTAN_TYPE_I: _cartan_kernel,
+    DomainKind.FOCK: _fock_kernel,
+}
+
+
+def _factor_stacks(base: BaseDomainSpec, z, derivatives: bool) -> list[tuple]:
+    """(phi_i, grad u_i, ddbar u_i) per factor over an (N, d) stack of base points."""
     z = np.asarray(z, dtype=np.complex128)
-    if z.shape != (base.dim,):
-        raise ValueError(f"expected a base vector of length {base.dim}")
-    return [z[s] for s in base.factor_slices]
+    if z.ndim != 2 or z.shape[1] != base.dim:
+        raise ValueError(f"expected base vectors of length {base.dim}")
+    kernel = _KERNELS[base.kind]
+    return [
+        kernel(np.ascontiguousarray(z[:, sl]), mu, base.shape, derivatives)
+        for sl, mu in zip(base.factor_slices, base.exponents)
+    ]
 
 
-def _factor_margin(base: BaseDomainSpec, zf: np.ndarray) -> float:
-    """Distance-like interiority measure of a factor point (inf for fock)."""
-    if base.kind is DomainKind.FOCK:
-        return math.inf
-    if base.kind is DomainKind.CARTAN_TYPE_I:
-        m, n = base.shape
-        zmat = zf.reshape(m, n)
-        y = np.eye(m) - zmat @ zmat.conj().T
-        return float(np.linalg.eigvalsh(y)[0])
-    return 1.0 - float(np.real(np.vdot(zf, zf)))
+def _one_row(z) -> np.ndarray:
+    return np.asarray(z, dtype=np.complex128)[None]
 
 
-def _factor_phi(base: BaseDomainSpec, idx: int, zf: np.ndarray) -> float:
-    mu = base.exponents[idx]
-    if base.kind is DomainKind.FOCK:
-        return math.exp(-mu * float(np.real(np.vdot(zf, zf))))
-    margin = _factor_margin(base, zf)
-    if margin <= 0.0:
-        raise BoundaryViolationError(
-            f"base point lies outside the domain (factor margin {margin:.3e})",
-            margin=margin,
-        )
-    if base.kind is DomainKind.CARTAN_TYPE_I:
-        m, n = base.shape
-        zmat = zf.reshape(m, n)
-        det = float(np.real(np.linalg.det(np.eye(m) - zmat @ zmat.conj().T)))
-        return det**mu
-    return margin**mu
+def phi_stack(base: BaseDomainSpec, z) -> np.ndarray:
+    """phi = prod phi_i per row of an (N, d) stack; errors outside the domain."""
+    value = 1.0
+    for factor_value, _, _ in _factor_stacks(base, z, derivatives=False):
+        value = value * factor_value
+    return value
 
 
-def _factor_u_derivatives(base, idx, zf):
-    """Value, gradient and mixed Hessian of u = -log phi_i for one factor."""
-    mu = base.exponents[idx]
-    if base.kind is DomainKind.FOCK:
-        t = float(np.real(np.vdot(zf, zf)))
-        grad = mu * np.conj(zf)
-        hess = mu * np.eye(len(zf), dtype=np.complex128)
-        return mu * t, grad, hess
-    if base.kind is DomainKind.CARTAN_TYPE_I:
-        m, n = base.shape
-        zmat = zf.reshape(m, n)
-        y = np.eye(m) - zmat @ zmat.conj().T
-        x = np.eye(n) - zmat.conj().T @ zmat
-        yinv = np.linalg.inv(y)
-        xinv = np.linalg.inv(x)
-        # (a, beta) flat row-major: grad[(a, beta)] = mu * (z* Y^-1)[beta, a]
-        g = zmat.conj().T @ yinv
-        grad = mu * g.T.reshape(-1)
-        hess = mu * np.kron(yinv.T, xinv)
-        value = -mu * math.log(float(np.real(np.linalg.det(y))))
-        return value, grad, hess
-    # ball / disc factor: u = -mu log(1 - ||z||^2)
-    t = float(np.real(np.vdot(zf, zf)))
-    s = 1.0 - t
-    grad = mu * np.conj(zf) / s
-    hess = mu * (np.eye(len(zf)) / s + np.outer(np.conj(zf), zf) / s**2)
-    return -mu * math.log(s), grad, hess
+def phi_derivatives_stack(base: BaseDomainSpec, z):
+    """phi, its holomorphic gradient and mixed Hessian per row of a stack.
+
+    Assembled from the factor data for u = -log phi: with phi = exp(-U),
+
+        d phi = -phi dU,    ddbar phi = phi (dU odot conj(dU) - ddbar U).
+    """
+    rows, d = len(z), base.dim
+    value = 1.0
+    u_grad = np.zeros((rows, d), dtype=np.complex128)
+    u_hess = np.zeros((rows, d, d), dtype=np.complex128)
+    factors = _factor_stacks(base, z, derivatives=True)
+    for sl, (factor_value, g, h) in zip(base.factor_slices, factors):
+        value = value * factor_value
+        u_grad[:, sl] = g
+        u_hess[:, sl, sl] = h
+    grad = -value[:, None] * u_grad
+    hess = value[:, None, None] * (_outer(u_grad, np.conj(u_grad)) - u_hess)
+    return value, grad, hess
 
 
 # ---------------------------------------------------------------------------
-# Public potential API
+# Public potential API (single points)
 # ---------------------------------------------------------------------------
 
 
 def phi(base: BaseDomainSpec, z) -> float:
     """Product potential phi(z) = prod phi_i; errors outside the domain."""
-    parts = _split_factors(base, np.asarray(z, dtype=np.complex128))
-    out = 1.0
-    for idx, zf in enumerate(parts):
-        out *= _factor_phi(base, idx, zf)
-    return out
+    return float(phi_stack(base, _one_row(z))[0])
 
 
-def membership_margin(base: BaseDomainSpec, z) -> float:
-    parts = _split_factors(base, np.asarray(z, dtype=np.complex128))
-    return min(_factor_margin(base, zf) for zf in parts)
+def factor_phis(base: BaseDomainSpec, z) -> list[float]:
+    """The factor potentials phi_i at z; errors outside the domain."""
+    return [float(v[0]) for v, _, _ in _factor_stacks(base, _one_row(z), False)]
 
 
 def factor_hessians(base: BaseDomainSpec, z) -> list[np.ndarray]:
     """Mixed Hessians of -log phi_i per factor, in factor coordinates."""
-    parts = _split_factors(base, np.asarray(z, dtype=np.complex128))
-    out = []
-    for idx, zf in enumerate(parts):
-        _factor_phi(base, idx, zf)  # membership check
-        out.append(_factor_u_derivatives(base, idx, zf)[2])
-    return out
+    return [h[0] for _, _, h in _factor_stacks(base, _one_row(z), True)]
 
 
 def base_hessian_closed(base: BaseDomainSpec, z) -> HermitianMatrix:
@@ -386,53 +448,22 @@ def base_hessian_closed(base: BaseDomainSpec, z) -> HermitianMatrix:
     return HermitianMatrix(hess, atol=1e-10 * (1.0 + float(np.max(np.abs(hess)))))
 
 
-def minus_log_phi_gradient(base: BaseDomainSpec, z) -> np.ndarray:
-    parts = _split_factors(base, np.asarray(z, dtype=np.complex128))
-    grads = []
-    for idx, zf in enumerate(parts):
-        _factor_phi(base, idx, zf)
-        grads.append(_factor_u_derivatives(base, idx, zf)[1])
-    return np.concatenate(grads)
-
-
 def phi_with_derivatives(base: BaseDomainSpec, z):
-    """phi, its holomorphic gradient and mixed Hessian at z.
-
-    Assembled from the factor data for u = -log phi: with phi = exp(-U),
-
-        d phi = -phi dU,    ddbar phi = phi (dU odot conj(dU) - ddbar U).
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    parts = _split_factors(base, z)
-    d = base.dim
-    value = 1.0
-    u_grad = np.zeros(d, dtype=np.complex128)
-    u_hess = np.zeros((d, d), dtype=np.complex128)
-    for idx, (zf, sl) in enumerate(zip(parts, base.factor_slices)):
-        value *= _factor_phi(base, idx, zf)
-        _, g, h = _factor_u_derivatives(base, idx, zf)
-        u_grad[sl] = g
-        u_hess[sl, sl] = h
-    grad = -value * u_grad
-    hess = value * (np.outer(u_grad, np.conj(u_grad)) - u_hess)
-    return value, grad, hess
+    """phi, its holomorphic gradient and mixed Hessian at z."""
+    value, grad, hess = phi_derivatives_stack(base, _one_row(z))
+    return float(value[0]), grad[0], hess[0]
 
 
 def interior_margin(spec: HartogsSpec, p: EvaluationPoint) -> float:
     """Membership margin phi(z) - ||z0||^2 of a Hartogs point."""
-    r2 = float(np.real(np.vdot(p.fiber, p.fiber)))
     if len(p.fiber) != spec.fiber_dim:
         raise ValueError(f"expected a fiber vector of length {spec.fiber_dim}")
-    return phi(spec.base, p.base) - r2
+    return phi(spec.base, p.base) - float(squared_norms(p.fiber[None, :])[0])
 
 
 def hartogs_potential(spec: HartogsSpec, p: EvaluationPoint) -> float:
     """-h log(phi(z) - ||z0||^2); tends to +inf as the margin vanishes."""
-    margin = interior_margin(spec, p)
-    if margin < MIN_INTERIOR_MARGIN:
-        raise BoundaryViolationError(
-            f"point is not interior (margin {margin:.3e})", margin=margin
-        )
+    margin = require_interior(np.array([interior_margin(spec, p)]))[0]
     return -spec.scale * math.log(margin)
 
 

@@ -25,9 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Callable
 
-from .domains import BaseDomainSpec, DomainKind, HartogsSpec
+from .domains import BaseDomainSpec, DomainKind, HartogsSpec, _as_fraction
 from .errors import CapabilityError, HartogsError
 from .series import Form, resolvability
 
@@ -119,6 +120,11 @@ def _check_fact(value: str):
         raise ValueError(f"fact values must be one of {_FACT_VALUES}")
 
 
+def _exact(x: float) -> Fraction:
+    """x as its short fraction where that reproduces it (0.1 is 1/10), else exactly."""
+    return _as_fraction(x) or Fraction(x)
+
+
 def constant_facts(euclidean: str, projective: str, hyperbolic: str, provenance="user_supplied") -> BaseImmersionFacts:
     """Facts with scale-independent projective / hyperbolic verdicts."""
     for v in (euclidean, projective, hyperbolic):
@@ -167,7 +173,7 @@ def catalog_facts(base: BaseDomainSpec) -> BaseImmersionFacts:
     return BaseImmersionFacts(
         euclidean=YES,
         projective=lambda h: YES,
-        hyperbolic=lambda h, mu=mu: YES if h * mu <= 1.0 + 1e-15 else NO,
+        hyperbolic=lambda h, mu=mu: YES if _exact(h) * _exact(mu) <= 1 else NO,
         provenance="catalog",
     )
 
@@ -220,7 +226,7 @@ def decide(
         fact = facts.projective_all_shifts(h)
         rule = _RULE_PROJECTIVE
     else:
-        if h > 1.0 + 1e-15:
+        if _exact(h) > 1:
             return verdict(Answer.NOT_EXISTS, _RULE_SCALE_BOUND)
         fact = facts.hyperbolic_at(h)
         rule = _RULE_HYPERBOLIC

@@ -10,6 +10,12 @@ Conventions, for z_a = x_a + i y_a:
     d/dz_a    = (d/dx_a - i d/dy_a) / 2
     d/dzbar_a = (d/dx_a + i d/dy_a) / 2
 
+Each stencil is laid out first, both Richardson levels included, and ``f``
+is called once on the whole stack: ``f`` takes an (N, n) array of complex
+points, one per row, and returns one value per row, an (N,) array for a
+real-valued f or (N, m) for a vector-valued F. ``mixed_partial`` alone keeps
+per-point callables, because its iterated stencils nest functions of a point.
+
 Functions raise :class:`BoundaryViolationError` from inside the stencil when
 an evaluation point leaves the domain; callers that know a margin are
 expected to keep ``step <= margin / 8``.
@@ -53,64 +59,54 @@ def _split_real(p: np.ndarray) -> np.ndarray:
     return np.concatenate([p.real, p.imag])
 
 
-def _join_complex(u: np.ndarray) -> np.ndarray:
-    n = len(u) // 2
-    return u[:n] + 1j * u[n:]
+def _levels(cfg: DiffConfig) -> tuple[float, ...]:
+    """Stencil steps, finest first: (step / 2, step) with Richardson."""
+    return (cfg.step / 2.0, cfg.step) if cfg.richardson else (cfg.step,)
 
 
-def _wrap(f: Callable) -> Callable:
-    return lambda u: f(_join_complex(u))
+def _richardson(per_level: list) -> np.ndarray:
+    if len(per_level) == 1:
+        return per_level[0]
+    return (4.0 * per_level[0] - per_level[1]) / 3.0
 
 
-def _d1(fv, u, idx, step, richardson):
-    def stencil(h):
-        up = u.copy()
-        um = u.copy()
-        up[idx] += h
-        um[idx] -= h
-        return (fv(up) - fv(um)) / (2.0 * h)
-
-    if not richardson:
-        return stencil(step)
-    return (4.0 * stencil(step / 2.0) - stencil(step)) / 3.0
+def _displaced(u: np.ndarray, axes, deltas) -> np.ndarray:
+    """Row r is u plus deltas[r][k] at coordinate axes[r][k], for every k."""
+    axes, deltas = np.asarray(axes), np.asarray(deltas)
+    rows = np.tile(u, (len(axes), 1))
+    for k in range(axes.shape[1]):
+        rows[np.arange(len(axes)), axes[:, k]] += deltas[:, k]
+    return rows
 
 
-def _d2_diag(fv, u, f0, idx, step, richardson):
-    def stencil(h):
-        up = u.copy()
-        um = u.copy()
-        up[idx] += h
-        um[idx] -= h
-        return (fv(up) - 2.0 * f0 + fv(um)) / (h * h)
-
-    if not richardson:
-        return stencil(step)
-    return (4.0 * stencil(step / 2.0) - stencil(step)) / 3.0
+def _plus_minus(u: np.ndarray, levels) -> np.ndarray:
+    """Rows u + h e_a, u - h e_a for every real axis a, then level h."""
+    signed = [[sign * h] for h in levels for sign in (1.0, -1.0)]
+    return _displaced(u, [[a] for a in range(len(u)) for _ in signed], signed * len(u))
 
 
-def _d2_cross(fv, u, i, j, step, richardson):
-    def stencil(h):
-        total = 0.0
-        for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            v = u.copy()
-            v[i] += si * h
-            v[j] += sj * h
-            total += si * sj * fv(v)
-        return total / (4.0 * h * h)
+def _evaluate(f: Callable, rows: np.ndarray) -> np.ndarray:
+    """f once on a stack of real coordinate rows, passed as complex points."""
+    n = rows.shape[1] // 2
+    return np.asarray(f(rows[:, :n] + 1j * rows[:, n:]))
 
-    if not richardson:
-        return stencil(step)
-    return (4.0 * stencil(step / 2.0) - stencil(step)) / 3.0
+
+def _first_derivatives(f: Callable, p, cfg: DiffConfig) -> np.ndarray:
+    """df/du_a along every real coordinate u_a of p, from one call of f."""
+    u = _split_real(p)
+    levels = _levels(cfg)
+    vals = _evaluate(f, _plus_minus(u, levels))
+    vals = vals.reshape((len(u), len(levels), 2) + vals.shape[1:])
+    return _richardson(
+        [(vals[:, l, 0] - vals[:, l, 1]) / (2.0 * h) for l, h in enumerate(levels)]
+    )
 
 
 def wirtinger_gradient(f, p, cfg: DiffConfig = DEFAULT_CONFIG) -> np.ndarray:
     """(df/dz_a)_a of a real-valued f at the complex vector p."""
-    u = _split_real(p)
-    n = len(u) // 2
-    fv = _wrap(f)
-    gx = np.array([_d1(fv, u, a, cfg.step, cfg.richardson) for a in range(n)])
-    gy = np.array([_d1(fv, u, n + a, cfg.step, cfg.richardson) for a in range(n)])
-    return 0.5 * (gx - 1j * gy)
+    d = _first_derivatives(f, p, cfg)
+    n = len(d) // 2
+    return 0.5 * (d[:n] - 1j * d[n:])
 
 
 def wirtinger_hessian(f, p, cfg: DiffConfig = DEFAULT_CONFIG) -> HermitianMatrix:
@@ -120,39 +116,37 @@ def wirtinger_hessian(f, p, cfg: DiffConfig = DEFAULT_CONFIG) -> HermitianMatrix
 
         W = (H_xx + H_yy + i (H_xy - H_xy^T)) / 4,
 
-    which is exactly Hermitian once H is assembled symmetrically.
+    which is exactly Hermitian once H is assembled symmetrically. One stack
+    holds p, the diagonal stencils and the four corners of every pair a < b.
     """
     u = _split_real(p)
     n = len(u) // 2
-    n2 = 2 * n
-    fv = _wrap(f)
-    f0 = fv(u)
-    h = np.empty((n2, n2), dtype=float)
-    for a in range(n2):
-        h[a, a] = _d2_diag(fv, u, f0, a, cfg.step, cfg.richardson)
-        for b in range(a + 1, n2):
-            v = _d2_cross(fv, u, a, b, cfg.step, cfg.richardson)
-            h[a, b] = v
-            h[b, a] = v
-    xx = h[:n, :n]
-    yy = h[n:, n:]
-    xy = h[:n, n:]
-    w = 0.25 * ((xx + yy) + 1j * (xy - xy.T))
-    return HermitianMatrix(w)
+    levels = _levels(cfg)
+    pairs = list(zip(*np.triu_indices(2 * n, 1)))
+    corners = [(si * h, sj * h) for h in levels for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    diag_rows = _plus_minus(u, levels)
+    cross_rows = _displaced(u, [ab for ab in pairs for _ in corners], corners * len(pairs))
+    vals = _evaluate(f, np.vstack([u[None, :], diag_rows, cross_rows]))
+    dv = vals[1 : 1 + len(diag_rows)].reshape(2 * n, len(levels), 2)
+    cv = vals[1 + len(diag_rows) :].reshape(len(pairs), len(levels), 4)
+    h = np.diag(_richardson(
+        [(dv[:, l, 0] - 2.0 * vals[0] + dv[:, l, 1]) / (s * s) for l, s in enumerate(levels)]
+    ))
+    first, second = np.triu_indices(2 * n, 1)
+    h[first, second] = h[second, first] = _richardson([
+        (0.0 + cv[:, l, 0] - cv[:, l, 1] - cv[:, l, 2] + cv[:, l, 3]) / (4.0 * s * s)
+        for l, s in enumerate(levels)
+    ])
+    xx, yy, xy = h[:n, :n], h[n:, n:], h[:n, n:]
+    return HermitianMatrix(0.25 * ((xx + yy) + 1j * (xy - xy.T)))
 
 
 def conjugate_jacobian(f, p, cfg: DiffConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Matrix (dF_a / dzbar_b) for a complex-vector-valued F at p."""
-    u = _split_real(p)
-    n = len(u) // 2
-    fv = _wrap(f)
-    m = len(np.atleast_1d(fv(u)))
-    jac = np.empty((m, n), dtype=np.complex128)
-    for b in range(n):
-        dx = _d1(fv, u, b, cfg.step, cfg.richardson)
-        dy = _d1(fv, u, n + b, cfg.step, cfg.richardson)
-        jac[:, b] = 0.5 * (np.atleast_1d(dx) + 1j * np.atleast_1d(dy))
-    return jac
+    d = _first_derivatives(f, p, cfg)
+    d = d.reshape(len(d), -1)
+    n = len(d) // 2
+    return (0.5 * (d[:n] + 1j * d[n:])).T
 
 
 def _first_order(f, p, var, conjugated, step, richardson):

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hartogs import cli
 from hartogs.cli import _parse_h_list, main
 from hartogs.config import parse_config_text
 from hartogs.domains import DomainKind
 from hartogs.errors import ConfigError
+from hartogs.fixtures import AcceptanceSummary, CriterionResult
+from hartogs.reporting import to_json
 
 DISC_CONFIG = """\
 # the unit disc with the standard potential
@@ -184,6 +187,28 @@ class TestCli:
         assert "h > 1" in verdict["rule"]
         assert verdict["cross_check"]["agreement"] == "obstruction-found"
 
+    @pytest.mark.parametrize("h", ["1.0000000000000009", "1.0000000000000002"])
+    def test_immersion_scale_just_above_one_is_excluded(self, disc_config, tmp_path, h):
+        out = tmp_path / "imm.json"
+        code = main(
+            ["immersion", "--config", str(disc_config), "--target", "CH",
+             "--h", h, "--out", str(out)]
+        )
+        assert code == 2
+        assert json.loads(out.read_text())["verdicts"][0]["answer"] == "not_exists"
+
+    def test_immersion_exact_product_at_the_bound(self, tmp_path):
+        # h mu = 0.1 * 10 = 1 exactly: still an immersion into CH
+        cfg = tmp_path / "disc10.cfg"
+        cfg.write_text(DISC_CONFIG.replace("base.mu = 1", "base.mu = 10"))
+        out = tmp_path / "imm.json"
+        code = main(
+            ["immersion", "--config", str(cfg), "--target", "CH", "--h", "0.1",
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["verdicts"][0]["answer"] == "exists"
+
     def test_immersion_exists(self, disc_config, tmp_path):
         code = main(
             ["immersion", "--config", str(disc_config), "--target", "CH",
@@ -255,6 +280,29 @@ class TestCli:
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "NaN" not in out + err and "Infinity" not in out + err
+
+    def test_wide_fiber_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(DISC_CONFIG.replace("fiber.dim = 1", "fiber.dim = 1200"))
+        code = main(["diastasis", "--config", str(cfg), "--truncation", "2"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "multi-indices" in err and "Traceback" not in out + err
+
+    def test_fixtures_prints_elapsed_on_stderr(self, monkeypatch, tmp_path, capsys):
+        criteria = tuple(
+            CriterionResult(cid, f"check {cid}", True, {}, 0.25 * cid) for cid in (1, 2)
+        )
+        summary = AcceptanceSummary(criteria, {}, True, 0.75, 42)
+        monkeypatch.setattr(cli, "run_acceptance", lambda seed: summary)
+        out = tmp_path / "fixtures.json"
+        assert main(["fixtures", "--out", str(out)]) == 0
+        stdout, stderr = capsys.readouterr()
+        assert stdout.splitlines() == [c.line() for c in criteria]
+        assert "criterion 01 elapsed 0.250 s" in stderr.splitlines()
+        assert "criterion 02 elapsed 0.500 s" in stderr.splitlines()
+        assert out.read_text() == to_json(summary.payload())
 
     def test_immersion_nan_scale_is_an_error(self, disc_config, capsys):
         code = main(["immersion", "--config", str(disc_config), "--h", "nan"])

@@ -79,8 +79,13 @@ class TestMetric:
     @pytest.mark.parametrize("spec", SPEC_GRID)
     def test_matches_potential_hessian(self, spec):
         pts = sample_points(spec, 5, seed=21, margin_frac=0.15, min_margin=0.06)
+
+        def f(q):  # one potential value per row of the stencil stack
+            return np.array(
+                [hartogs_potential(spec, point_from_coords(spec, row)) for row in q]
+            )
+
         for p in pts:
-            f = lambda q: hartogs_potential(spec, point_from_coords(spec, q))
             fd = wirtinger_hessian(f, p.coords)
             assert np.max(np.abs(fd.array - metric_matrix(spec, p).array)) < 1e-5
 

@@ -15,8 +15,6 @@ from hartogs.domains import (
     factor_determinant_constants,
     hartogs_potential,
     interior_margin,
-    membership_margin,
-    minus_log_phi_gradient,
     phi,
     phi_with_derivatives,
     point,
@@ -129,9 +127,10 @@ class TestPhi:
         b = BaseDomainSpec.cartan_type_i(2, 2, 1.0)
         z = 0.4 * np.eye(2).reshape(-1)
         assert phi(b, z) == pytest.approx((1 - 0.16) ** 2, rel=1e-13)
-        assert membership_margin(b, z) == pytest.approx(1 - 0.16)
-        with pytest.raises(BoundaryViolationError):
+        # outside, the error names the least eigenvalue of I - z z*
+        with pytest.raises(BoundaryViolationError) as err:
             phi(b, np.eye(2).reshape(-1) * 1.1)
+        assert err.value.margin == pytest.approx(1 - 1.21)
 
 
 class TestHartogsPotential:
@@ -206,7 +205,8 @@ class TestClosedHessians:
             assert eigenvalues(h)[0] > 0
 
     def test_gradient_disc(self):
-        g = minus_log_phi_gradient(BaseDomainSpec.disc(1.0), [0.5])
+        value, grad, _ = phi_with_derivatives(BaseDomainSpec.disc(1.0), [0.5])
+        g = -grad / value  # gradient of -log phi
         assert g[0] == pytest.approx(0.5 / 0.75, rel=1e-13)
 
     def test_phi_derivatives_product_rule(self):

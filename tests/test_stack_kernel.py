@@ -1,0 +1,113 @@
+"""Row consistency of the point-stack kernels.
+
+Every finite-difference oracle evaluates its whole stencil as one stack, so a
+row of a stack must give the same floats as that point evaluated alone (the
+N = 1 case that ``metric_matrix`` and ``phi`` use). This pins the three
+arithmetic rules of the kernels: squared norms as stacked matmuls on
+C-contiguous rows, powers and exponentials on Python floats row by row, and
+stacked LAPACK calls.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hartogs.curvature import metric_matrix, metric_stack
+from hartogs.domains import (
+    BaseDomainSpec,
+    DomainKind,
+    HartogsSpec,
+    phi,
+    phi_stack,
+    sample_points,
+)
+from hartogs.errors import BoundaryViolationError
+
+SPECS = {
+    "ball": HartogsSpec(BaseDomainSpec.ball(2, 1.0), 2),
+    "polydisc": HartogsSpec(BaseDomainSpec.polydisc((0.5, 2.0)), 1),
+    "cartan_1x3": HartogsSpec(BaseDomainSpec.cartan_type_i(1, 3, 1.0), 1),
+    "cartan_2x2": HartogsSpec(BaseDomainSpec.cartan_type_i(2, 2, 1.5), 1),
+    "fock": HartogsSpec(BaseDomainSpec.fock(2, 1.0), 1),
+}
+
+
+def reference_phi(base, z):
+    """phi of one point in per-point arithmetic: np.vdot norms, libm powers."""
+    out = 1.0
+    for sl, mu in zip(base.factor_slices, base.exponents):
+        zf = z[sl]
+        if base.kind is DomainKind.FOCK:
+            out *= math.exp(-mu * float(np.real(np.vdot(zf, zf))))
+        elif base.kind is DomainKind.CARTAN_TYPE_I:
+            zmat = zf.reshape(base.shape)
+            y = np.eye(base.shape[0]) - zmat @ zmat.conj().T
+            out *= float(np.real(np.linalg.det(y))) ** mu
+        else:
+            out *= (1.0 - float(np.real(np.vdot(zf, zf)))) ** mu
+    return out
+
+
+def reference_fiber_block(spec, coords):
+    """(F I + z0bar z0^T) / F^2, F = phi - ||z0||^2, in per-point arithmetic."""
+    z0 = coords[: spec.fiber_dim]
+    margin = reference_phi(spec.base, coords[spec.fiber_dim :])
+    margin -= float(np.real(np.vdot(z0, z0)))
+    g = (margin * np.eye(len(z0)) + np.outer(np.conj(z0), z0)) / margin**2
+    return 0.5 * (g + g.conj().T)
+
+
+def interior_stack(spec, rows, seed):
+    pts = sample_points(spec, rows, seed=seed, margin_frac=0.1, min_margin=0.05)
+    return np.array([p.coords for p in pts])
+
+
+def layouts(coords):
+    """The stack itself, its rows reversed, and a strided column slice."""
+    wide = np.zeros((len(coords), coords.shape[1] + 3), dtype=np.complex128)
+    wide[:, 2 : 2 + coords.shape[1]] = coords
+    return [coords, coords[::-1], wide[:, 2 : 2 + coords.shape[1]]]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@settings(max_examples=8, deadline=None)
+@given(rows=st.integers(min_value=1, max_value=9), seed=st.integers(0, 10**6))
+def test_rows_match_single_point_evaluation(name, rows, seed):
+    spec = SPECS[name]
+    d0 = spec.fiber_dim
+    for stack in layouts(interior_stack(spec, rows, seed)):
+        metrics = metric_stack(spec, stack)
+        logdets = np.linalg.slogdet(metrics)[1]
+        phis = phi_stack(spec.base, stack[:, d0:])
+        for r, row in enumerate(stack):
+            alone = metric_stack(spec, row[None, :])
+            assert np.array_equal(metrics[r], alone[0])
+            assert np.array_equal(logdets[r], np.linalg.slogdet(alone)[1][0])
+            assert phis[r] == phi(spec.base, row[d0:]) == reference_phi(spec.base, row[d0:])
+            assert np.array_equal(metrics[r][:d0, :d0], reference_fiber_block(spec, row))
+    p = sample_points(spec, 1, seed=seed)[0]
+    assert np.array_equal(
+        metric_matrix(spec, p).array, metric_stack(spec, p.coords[None, :])[0]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("where", ["fiber", "base"])
+@settings(max_examples=5, deadline=None)
+@given(rows=st.integers(min_value=1, max_value=9), seed=st.integers(0, 10**6))
+def test_one_exterior_row_fails_the_stack(name, where, rows, seed):
+    spec = SPECS[name]
+    if where == "base" and not spec.base.bounded:
+        return  # the flat base has no boundary
+    stack = interior_stack(spec, rows, seed)
+    bad = seed % rows
+    if where == "fiber":
+        stack[bad, 0] = 1.5  # ||z0||^2 > 1 >= phi
+    else:
+        stack[bad, spec.fiber_dim :] = 0.0
+        stack[bad, spec.fiber_dim] = 1.2  # outside the first factor
+    with pytest.raises(BoundaryViolationError):
+        metric_stack(spec, stack)
