@@ -11,13 +11,9 @@ from .curvature import (
     CurvatureReport,
     CurvatureVerdicts,
     curvature_report,
-    det_closed,
     extremal_check,
-    extremal_residual,
     metric_matrix,
-    ricci_closed,
     ricci_numeric,
-    scalar_curvature,
     tau_exact,
     verdicts,
 )
@@ -34,7 +30,6 @@ from .domains import (
 )
 from .hermitian import (
     HermitianMatrix,
-    determinant,
     solve_hermitian,
 )
 from .immersion import (
@@ -85,22 +80,17 @@ __all__ = [
     "cross_coefficient_audit",
     "curvature_report",
     "decide",
-    "det_closed",
-    "determinant",
     "diastasis_value",
     "enumerate_indices",
     "extremal_check",
-    "extremal_residual",
     "hartogs_potential",
     "metric_matrix",
     "mixed_partial",
     "phi",
     "point",
     "resolvability",
-    "ricci_closed",
     "ricci_numeric",
     "sample_points",
-    "scalar_curvature",
     "series_partial_sum",
     "solve_hermitian",
     "table_one",

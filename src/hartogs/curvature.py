@@ -25,21 +25,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import domains
 from .domains import (
     BaseDomainSpec,
     EvaluationPoint,
     HartogsSpec,
     factor_determinant_constants,
-    factor_hessians,
     interior_margin,
+    phi,
     phi_derivatives_stack,
     require_interior,
     row_power,
     squared_norms,
 )
 from .errors import BoundaryViolationError, HartogsError
-from .hermitian import HermitianMatrix, determinant, eigenvalues, hermitian_part, solve_hermitian
+from .hermitian import HermitianMatrix, eigenvalues, hermitian_part, solve_hermitian
 from .wirtinger import DiffConfig, conjugate_jacobian, wirtinger_hessian
 
 #: Smallest interior margin accepted by the nested finite-difference oracles.
@@ -77,26 +76,24 @@ def _tau_is_zero(base: BaseDomainSpec) -> bool:
     return abs(tau_value(base)) <= 1e-12
 
 
-def _margin_or_raise(spec: HartogsSpec, p: EvaluationPoint) -> float:
-    return float(require_interior(np.array([interior_margin(spec, p)]))[0])
-
-
 def _metric_parts(spec: HartogsSpec, coords):
     """Block-formula metrics of an (N, n) stack, not yet symmetrised, with
-    the fiber rows, phi and its gradient they were built from."""
+    what they were built from: the margins, the per-factor
+    (phi_i, ddbar u_i), the fiber rows, phi and its gradient."""
     coords = np.asarray(coords, dtype=np.complex128)
     d0 = spec.fiber_dim
     z0 = np.ascontiguousarray(coords[:, :d0])
-    phi_val, phi_grad, phi_hess = phi_derivatives_stack(spec.base, coords[:, d0:])
-    margin = require_interior(phi_val - squared_norms(z0))[:, None, None]
+    phi_val, phi_grad, phi_hess, factors = phi_derivatives_stack(spec.base, coords[:, d0:])
+    margin = require_interior(phi_val - squared_norms(z0))
+    f = margin[:, None, None]
     g = np.empty((len(coords), spec.total_dim, spec.total_dim), dtype=np.complex128)
     z0bar = np.conj(z0)[:, :, None]
-    g[:, :d0, :d0] = margin * np.eye(d0) + z0bar * z0[:, None, :]
+    g[:, :d0, :d0] = f * np.eye(d0) + z0bar * z0[:, None, :]
     g[:, :d0, d0:] = -(z0bar * np.conj(phi_grad)[:, None, :])
     g[:, d0:, :d0] = -(phi_grad[:, :, None] * z0[:, None, :])
-    g[:, d0:, d0:] = phi_grad[:, :, None] * np.conj(phi_grad)[:, None, :] - margin * phi_hess
-    g /= row_power(margin[:, 0, 0], 2)[:, None, None]
-    return g, z0, phi_val, phi_grad
+    g[:, d0:, d0:] = phi_grad[:, :, None] * np.conj(phi_grad)[:, None, :] - f * phi_hess
+    g /= row_power(margin, 2)[:, None, None]
+    return g, margin, factors, z0, phi_val, phi_grad
 
 
 def _symmetrised(g: np.ndarray) -> np.ndarray:
@@ -122,35 +119,14 @@ def _require_constants(base: BaseDomainSpec):
         raise HartogsError("base factor is missing an Einstein constant")
 
 
-def det_closed(spec: HartogsSpec, p: EvaluationPoint) -> float:
-    """det g from the closed identity; positive at interior points."""
-    _require_constants(spec.base)
-    margin = _margin_or_raise(spec, p)
-    n = spec.total_dim
-    d = spec.base.dim
-    out = margin ** (-(n + 1))
-    consts = factor_determinant_constants(spec.base)
-    for idx, phi_i in enumerate(domains.factor_phis(spec.base, p.base)):
-        c = spec.base.einstein_constants[idx]
-        out *= phi_i ** (d + 1 + c) * consts[idx]
-    return out
-
-
-def ricci_closed(spec: HartogsSpec, p: EvaluationPoint) -> HermitianMatrix:
-    """Ric = blockdiag(0, lambda_i g^(D_i)) - (n+1) g, lambda_i = d+1+c_i."""
-    _require_constants(spec.base)
-    n = spec.total_dim
-    d = spec.base.dim
-    d0 = spec.fiber_dim
-    ric = -(n + 1) * metric_matrix(spec, p).array
-    blocks = factor_hessians(spec.base, p.base)
-    for sl, block, c in zip(
-        spec.base.factor_slices, blocks, spec.base.einstein_constants
-    ):
-        lam = d + 1 + c
-        rows = slice(d0 + sl.start, d0 + sl.stop)
-        ric[rows, rows] += lam * block
-    return HermitianMatrix(ric, atol=1e-11 * (1.0 + float(np.max(np.abs(ric)))))
+def _fd_margin(spec: HartogsSpec, p: EvaluationPoint, stencil: str) -> float:
+    """The interior margin at p, if it is wide enough for a nested stencil."""
+    margin = float(require_interior(np.array([interior_margin(spec, p)]))[0])
+    if margin < MIN_FD_MARGIN:
+        raise BoundaryViolationError(
+            f"margin {margin:.3e} too small for the {stencil} stencil", margin=margin
+        )
+    return margin
 
 
 def _nested_step(margin: float) -> float:
@@ -160,18 +136,14 @@ def _nested_step(margin: float) -> float:
 
 
 def ricci_numeric(spec: HartogsSpec, p: EvaluationPoint, cfg: DiffConfig | None = None) -> HermitianMatrix:
-    """-ddbar log det g by finite differences; oracle for :func:`ricci_closed`.
+    """-ddbar log det g by finite differences; oracle for the closed Ricci
+    tensor of :func:`curvature_report`.
 
     Agreement with the closed form is within 1e-3 entrywise for margins of
     0.05 and larger; the step is widened/narrowed with the margin to keep the
     nested-difference error inside that budget.
     """
-    margin = _margin_or_raise(spec, p)
-    if margin < MIN_FD_MARGIN:
-        raise BoundaryViolationError(
-            f"margin {margin:.3e} too small for the nested difference stencil",
-            margin=margin,
-        )
+    margin = _fd_margin(spec, p, "nested difference")
     if cfg is None:
         cfg = DiffConfig(step=_nested_step(margin), richardson=True)
 
@@ -180,44 +152,6 @@ def ricci_numeric(spec: HartogsSpec, p: EvaluationPoint, cfg: DiffConfig | None 
 
     hess = wirtinger_hessian(log_det, p.coords, cfg)
     return HermitianMatrix(-hess.array)
-
-
-@dataclass(frozen=True)
-class ScalarCurvature:
-    trace: float
-    closed: float
-    tau: float
-
-
-def scalar_curvature(spec: HartogsSpec, p: EvaluationPoint) -> ScalarCurvature:
-    """Scalar curvature via the trace pairing and via the closed formula."""
-    _require_constants(spec.base)
-    margin = _margin_or_raise(spec, p)
-    g = metric_matrix(spec, p)
-    ric = ricci_closed(spec, p)
-    trace = float(np.real(np.trace(np.linalg.solve(g.array, ric.array))))
-    n = spec.total_dim
-    tau = tau_value(spec.base)
-    phi_val = domains.phi(spec.base, p.base)
-    closed = tau * margin / phi_val - (n + 1) * n
-    return ScalarCurvature(trace=trace, closed=closed, tau=tau)
-
-
-def einstein_residual(spec: HartogsSpec, p: EvaluationPoint) -> float:
-    """Max-norm of Ric + (n+1) g = blockdiag(0, lambda_i g^(D_i)).
-
-    Uses the closed Ricci, so the Einstein verdict does not inherit
-    finite-difference noise; exact zero for lambda_i = 0.
-    """
-    _require_constants(spec.base)
-    d = spec.base.dim
-    out = 0.0
-    for block, c in zip(
-        factor_hessians(spec.base, p.base), spec.base.einstein_constants
-    ):
-        lam = d + 1 + c
-        out = max(out, abs(lam) * float(np.max(np.abs(block))))
-    return out
 
 
 def _scalar_gradient(spec: HartogsSpec, z0, phi_val, phi_grad) -> np.ndarray:
@@ -245,18 +179,12 @@ def extremal_check(spec: HartogsSpec, p: EvaluationPoint, cfg: DiffConfig | None
     closed witness -tau z01 (phi - ||z0||^2)^2 / phi^2 cross-checks the first
     fiber component of V, which is computed through the linear-solve path.
     """
-    margin = _margin_or_raise(spec, p)
-    if margin < MIN_FD_MARGIN:
-        raise BoundaryViolationError(
-            f"margin {margin:.3e} too small for the extremal stencil",
-            margin=margin,
-        )
-
+    margin = _fd_margin(spec, p, "extremal")
     at_p = []
 
     def v_field(q):
         # p rides along as row 0, so the whole check is one stack evaluation
-        g, *phi_data = _metric_parts(spec, np.concatenate([p.coords[None, :], q]))
+        g, _, _, *phi_data = _metric_parts(spec, np.concatenate([p.coords[None, :], q]))
         v = np.conj(solve_hermitian(_symmetrised(g), _scalar_gradient(spec, *phi_data)))
         at_p.append(v[0])
         return v[1:]
@@ -266,16 +194,12 @@ def extremal_check(spec: HartogsSpec, p: EvaluationPoint, cfg: DiffConfig | None
     jac = conjugate_jacobian(v_field, p.coords, cfg)
     residual = float(np.max(np.abs(jac)))
     tau = tau_value(spec.base)
-    phi_val = domains.phi(spec.base, p.base)
+    phi_val = phi(spec.base, p.base)
     witness = -tau * complex(p.fiber[0]) * margin**2 / phi_val**2
     fiber_component = complex(at_p[0][0])
     return ExtremalCheck(
         residual=residual, witness_closed=witness, fiber_component=fiber_component
     )
-
-
-def extremal_residual(spec: HartogsSpec, p: EvaluationPoint, cfg: DiffConfig | None = None) -> float:
-    return extremal_check(spec, p, cfg).residual
 
 
 @dataclass(frozen=True)
@@ -303,10 +227,10 @@ def verdicts(spec: HartogsSpec, sample, tol: float = VERDICT_TOLERANCE) -> Curva
     sample = list(sample)
     if len(sample) < 10:
         raise ValueError("verdicts need at least 10 sample points")
-    max_einstein = max(einstein_residual(spec, p) for p in sample)
-    max_extremal = max(extremal_residual(spec, p) for p in sample)
-    scalars = [scalar_curvature(spec, p).closed for p in sample]
-    variance = float(np.var(scalars))
+    rep = curvature_report(spec, sample)
+    max_einstein = float(rep.einstein_residual.max())
+    max_extremal = float(rep.extremal_residual.max())
+    variance = float(np.var(rep.scalar_closed))
     out = CurvatureVerdicts(
         is_einstein=max_einstein <= tol,
         is_extremal=max_extremal <= tol,
@@ -314,7 +238,7 @@ def verdicts(spec: HartogsSpec, sample, tol: float = VERDICT_TOLERANCE) -> Curva
         max_einstein_residual=max_einstein,
         max_extremal_residual=max_extremal,
         scalar_variance=variance,
-        tau=tau_value(spec.base),
+        tau=rep.tau,
         tolerance=tol,
     )
     einstein_base = len(set(spec.base.einstein_constants)) == 1
@@ -329,41 +253,74 @@ def verdicts(spec: HartogsSpec, sample, tol: float = VERDICT_TOLERANCE) -> Curva
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Everything computed at one point, closed forms next to their oracles."""
+    """The closed identities at a sample of points, next to their direct
+    evaluations: one entry (an n x n matrix for ``metric`` and
+    ``ricci_closed``) per point, in sample order."""
 
-    point: EvaluationPoint
-    metric: HermitianMatrix
-    det_closed: float
-    det_direct: float
-    ricci_closed: HermitianMatrix
-    ricci_numeric: HermitianMatrix | None
-    scalar_trace: float
-    scalar_closed: float
+    points: tuple[EvaluationPoint, ...]
+    metric: np.ndarray
+    det_closed: np.ndarray
+    det_direct: np.ndarray
+    ricci_closed: np.ndarray
+    scalar_trace: np.ndarray
+    scalar_closed: np.ndarray
+    einstein_residual: np.ndarray
+    extremal_residual: np.ndarray
     tau: float
-    einstein_residual: float
-    extremal_residual: float
 
 
-def curvature_report(
-    spec: HartogsSpec,
-    p: EvaluationPoint,
-    include_ricci_numeric: bool = False,
-    include_extremal: bool = True,
-) -> CurvatureReport:
-    g = metric_matrix(spec, p)
-    if eigenvalues(g)[0] <= 0:
+def curvature_report(spec: HartogsSpec, points, include_extremal: bool = True) -> CurvatureReport:
+    """det g, Ricci and scalar curvature at every point from one evaluation
+    of the point stack, closed forms next to direct ones.
+
+    ``det_direct`` is det g and ``scalar_trace`` the trace pairing
+    tr(g^-1 Ric) with the closed Ricci. ``einstein_residual`` is the
+    max-norm of Ric + (n+1) g = blockdiag(0, lambda_i g^(D_i)), from the
+    closed Ricci, so the Einstein verdict does not inherit finite-difference
+    noise. ``extremal_residual`` comes from one :func:`extremal_check` per
+    point, and is NaN without ``include_extremal``.
+    """
+    _require_constants(spec.base)
+    points = tuple(points)
+    if any(len(p.fiber) != spec.fiber_dim or len(p.base) != spec.base.dim for p in points):
+        raise ValueError(
+            f"expected points with {spec.fiber_dim} fiber and {spec.base.dim} base coordinates"
+        )
+    coords = np.array([p.coords for p in points]).reshape(len(points), spec.total_dim)
+    g, margin, factors, _, phi_val, _ = _metric_parts(spec, coords)
+    g = _symmetrised(g)
+    if np.count_nonzero(eigenvalues(g)[:, 0] <= 0):
         raise HartogsError("metric is not positive definite at an interior point")
-    scal = scalar_curvature(spec, p)
+    n, d, d0 = spec.total_dim, spec.base.dim, spec.fiber_dim
+    tau = tau_value(spec.base)
+    det_closed = row_power(margin, -(n + 1))
+    ric = -(n + 1) * g
+    einstein = np.zeros(len(points))
+    for sl, (phi_i, hess_i), c, const in zip(
+        spec.base.factor_slices,
+        factors,
+        spec.base.einstein_constants,
+        factor_determinant_constants(spec.base),
+    ):
+        lam = d + 1 + c
+        det_closed = det_closed * (row_power(phi_i, lam) * const)
+        rows = slice(d0 + sl.start, d0 + sl.stop)
+        ric[:, rows, rows] += lam * hess_i
+        einstein = np.maximum(einstein, abs(lam) * np.abs(hess_i).max(axis=(1, 2)))
+    ric = hermitian_part(ric, 1e-11 * (1.0 + np.abs(ric).max(axis=(1, 2))))
+    extremal = [
+        extremal_check(spec, p).residual if include_extremal else math.nan
+        for p in points
+    ]
     return CurvatureReport(
-        point=p,
+        points=points,
         metric=g,
-        det_closed=det_closed(spec, p),
-        det_direct=float(determinant(g).real),
-        ricci_closed=ricci_closed(spec, p),
-        ricci_numeric=ricci_numeric(spec, p) if include_ricci_numeric else None,
-        scalar_trace=scal.trace,
-        scalar_closed=scal.closed,
-        tau=scal.tau,
-        einstein_residual=einstein_residual(spec, p),
-        extremal_residual=extremal_residual(spec, p) if include_extremal else math.nan,
+        det_closed=det_closed,
+        det_direct=np.linalg.det(g).real,
+        ricci_closed=ric,
+        scalar_trace=np.trace(np.linalg.solve(g, ric), axis1=1, axis2=2).real,
+        scalar_closed=tau * margin / phi_val - (n + 1) * n,
+        einstein_residual=einstein,
+        extremal_residual=np.array(extremal),
+        tau=tau,
     )

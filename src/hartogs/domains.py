@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BoundaryViolationError
+from .errors import BoundaryViolationError, CapabilityError
 from .hermitian import HermitianMatrix
 
 #: Smallest admissible interior margin phi - ||z0||^2 for point evaluations.
@@ -399,9 +399,10 @@ def phi_stack(base: BaseDomainSpec, z) -> np.ndarray:
 
 
 def phi_derivatives_stack(base: BaseDomainSpec, z):
-    """phi, its holomorphic gradient and mixed Hessian per row of a stack.
+    """phi, its holomorphic gradient and mixed Hessian per row of a stack,
+    with the per-factor (phi_i, ddbar u_i) they are assembled from.
 
-    Assembled from the factor data for u = -log phi: with phi = exp(-U),
+    For u = -log phi: with phi = exp(-U),
 
         d phi = -phi dU,    ddbar phi = phi (dU odot conj(dU) - ddbar U).
     """
@@ -416,7 +417,7 @@ def phi_derivatives_stack(base: BaseDomainSpec, z):
         u_hess[:, sl, sl] = h
     grad = -value[:, None] * u_grad
     hess = value[:, None, None] * (_outer(u_grad, np.conj(u_grad)) - u_hess)
-    return value, grad, hess
+    return value, grad, hess, [(v, h) for v, _, h in factors]
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +428,6 @@ def phi_derivatives_stack(base: BaseDomainSpec, z):
 def phi(base: BaseDomainSpec, z) -> float:
     """Product potential phi(z) = prod phi_i; errors outside the domain."""
     return float(phi_stack(base, _one_row(z))[0])
-
-
-def factor_phis(base: BaseDomainSpec, z) -> list[float]:
-    """The factor potentials phi_i at z; errors outside the domain."""
-    return [float(v[0]) for v, _, _ in _factor_stacks(base, _one_row(z), False)]
 
 
 def factor_hessians(base: BaseDomainSpec, z) -> list[np.ndarray]:
@@ -450,7 +446,7 @@ def base_hessian_closed(base: BaseDomainSpec, z) -> HermitianMatrix:
 
 def phi_with_derivatives(base: BaseDomainSpec, z):
     """phi, its holomorphic gradient and mixed Hessian at z."""
-    value, grad, hess = phi_derivatives_stack(base, _one_row(z))
+    value, grad, hess, _ = phi_derivatives_stack(base, _one_row(z))
     return float(value[0]), grad[0], hess[0]
 
 
@@ -501,19 +497,26 @@ def sample_points(
     squared norm stays below ``radius_cap`` (bounded kinds), which keeps
     derivative magnitudes moderate; fibers are drawn in a box of half-width
     sqrt(phi) and kept when the membership margin phi - ||z0||^2 is at least
-    ``margin_frac * phi`` and ``min_margin``.
+    ``margin_frac * phi`` and ``min_margin``. Every draw counts against
+    ``max_tries``; running out raises :class:`CapabilityError`.
     """
     rng = np.random.default_rng(seed)
     base = spec.base
     pts: list[EvaluationPoint] = []
     tries = 0
 
-    def draw_factor(df: int) -> np.ndarray:
+    def count_try():
         nonlocal tries
+        tries += 1
+        if tries > max_tries:
+            raise CapabilityError(
+                f"interior sampling found {len(pts)} of {count} points within "
+                f"its draw budget of {max_tries} tries"
+            )
+
+    def draw_factor(df: int) -> np.ndarray:
         while True:
-            tries += 1
-            if tries > max_tries:
-                raise RuntimeError("interior sampling failed to converge")
+            count_try()
             if base.kind is DomainKind.FOCK:
                 u = rng.uniform(-0.8, 0.8, size=2 * df)
                 return u[:df] + 1j * u[df:]
@@ -523,9 +526,7 @@ def sample_points(
                 return zf
 
     while len(pts) < count:
-        tries += 1
-        if tries > max_tries:
-            raise RuntimeError("interior sampling failed to converge")
+        count_try()
         z = np.concatenate([draw_factor(df) for df in base.dims])
         phi_val = phi(base, z)
         if phi_val * (1.0 - margin_frac) <= min_margin:

@@ -15,16 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import (
+    curvature_report,
     extremal_check,
-    det_closed,
     metric_matrix,
-    ricci_closed,
     ricci_numeric,
-    scalar_curvature,
     verdicts,
 )
 from .domains import BaseDomainSpec, HartogsSpec, phi, point, sample_points
-from .hermitian import determinant
 from .immersion import table_one
 from .series import (
     Form,
@@ -119,12 +116,11 @@ def criterion_determinant_identity(seed=DEFAULT_SEED) -> CriterionResult:
         worst = 0.0
         worst_spec = None
         for name, spec in spec_grid():
-            for p in sample_points(spec, 100, seed=seed):
-                closed = det_closed(spec, p)
-                direct = determinant(metric_matrix(spec, p)).real
-                rel = abs(closed - direct) / direct
-                if rel > worst:
-                    worst, worst_spec = rel, name
+            pts = sample_points(spec, 100, seed=seed)
+            rep = curvature_report(spec, pts, include_extremal=False)
+            rel = float(np.max(np.abs(rep.det_closed - rep.det_direct) / rep.det_direct))
+            if rel > worst:
+                worst, worst_spec = rel, name
         return worst <= 1e-8, {
             "max_relative_error": worst,
             "worst_spec": worst_spec,
@@ -140,10 +136,10 @@ def criterion_ricci_identity(seed=DEFAULT_SEED) -> CriterionResult:
         worst = 0.0
         worst_spec = None
         for name, spec in spec_grid():
-            for p in sample_points(spec, 20, seed=seed, min_margin=0.05):
-                gap = float(
-                    np.max(np.abs(ricci_numeric(spec, p).array - ricci_closed(spec, p).array))
-                )
+            pts = sample_points(spec, 20, seed=seed, min_margin=0.05)
+            rep = curvature_report(spec, pts, include_extremal=False)
+            for p, ric in zip(pts, rep.ricci_closed):
+                gap = float(np.max(np.abs(ricci_numeric(spec, p).array - ric)))
                 if gap > worst:
                     worst, worst_spec = gap, name
         b2 = HartogsSpec(BaseDomainSpec.disc(1.0), 1)
@@ -165,23 +161,24 @@ def criterion_ricci_identity(seed=DEFAULT_SEED) -> CriterionResult:
 
 def criterion_scalar_identity(seed=DEFAULT_SEED) -> CriterionResult:
     def body():
+        def scalars(spec, pts):
+            rep = curvature_report(spec, pts, include_extremal=False)
+            return rep.scalar_trace, rep.scalar_closed
+
         worst = 0.0
         for _, spec in spec_grid():
-            for p in sample_points(spec, 25, seed=seed):
-                s = scalar_curvature(spec, p)
-                worst = max(worst, abs(s.trace - s.closed))
+            trace, closed = scalars(spec, sample_points(spec, 25, seed=seed))
+            worst = max(worst, float(np.max(np.abs(trace - closed))))
         b2 = HartogsSpec(BaseDomainSpec.disc(1.0), 1)
-        const_gap = max(
-            abs(scalar_curvature(b2, p).closed + 6.0)
-            for p in sample_points(b2, 25, seed=seed)
-        )
+        _, closed = scalars(b2, sample_points(b2, 25, seed=seed))
+        const_gap = float(np.max(np.abs(closed + 6.0)))
         disc2 = HartogsSpec(BaseDomainSpec.disc(2.0), 1)
         z = 0.3
-        s_zero = scalar_curvature(disc2, point([0.0], [z])).closed
         phi_val = phi(disc2.base, [z])
-        s_half = scalar_curvature(
-            disc2, point([math.sqrt(phi_val / 2.0)], [z])
-        ).closed
+        _, closed = scalars(
+            disc2, [point([0.0], [z]), point([math.sqrt(phi_val / 2.0)], [z])]
+        )
+        s_zero, s_half = closed.tolist()
         ok = (
             worst <= 1e-6
             and const_gap <= 1e-6
@@ -227,6 +224,17 @@ def criterion_equivalence_chain(seed=DEFAULT_SEED) -> CriterionResult:
             }
             ok = ok and not (v.is_einstein or v.is_extremal or v.is_constant_scalar)
             ok = ok and chk.residual > 1e-3 and witness_gap <= 1e-3
+        # tau = 0 without an Einstein base: constant scalar and extremal only
+        pd = HartogsSpec(BaseDomainSpec.polydisc((0.5, 1.0)), 1)
+        pts = sample_points(pd, 12, seed=seed, margin_frac=0.1, min_margin=0.05)
+        v = verdicts(pd, pts)
+        details["polydisc_mu_0.5_1"] = {
+            "is_einstein": v.is_einstein,
+            "is_extremal": v.is_extremal,
+            "is_constant_scalar": v.is_constant_scalar,
+            "einstein_residual": v.max_einstein_residual,
+        }
+        ok = ok and not v.is_einstein and v.is_extremal and v.is_constant_scalar
         return ok, details
 
     return _criterion(4, "Einstein / extremal / constant-scalar equivalence", None, body)

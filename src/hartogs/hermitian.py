@@ -1,4 +1,4 @@
-"""Dense Hermitian-matrix substrate: eigenvalues, determinants, solves.
+"""Dense Hermitian-matrix substrate: symmetrisation, eigenvalues, solves.
 
 Metric and Ricci tensors are stored as a :class:`HermitianMatrix`, so
 symmetry and realness of eigenvalues are guaranteed once at construction
@@ -92,10 +92,6 @@ def eigenvalues(m) -> np.ndarray:
             f"eigenvalue solver failed to converge on a {dim}x{dim} matrix",
             dim=dim,
         ) from exc
-
-
-def determinant(m: HermitianMatrix) -> complex:
-    return complex(np.linalg.det(m.array))
 
 
 def solve_hermitian(m, rhs) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Callable
 
 from .domains import BaseDomainSpec, DomainKind, HartogsSpec, _as_fraction
 from .errors import CapabilityError, HartogsError
-from .series import Form, resolvability
+from .series import Form, block, resolvability
 
 
 class Answer(str, Enum):
@@ -258,9 +258,11 @@ def cross_check(
 
     An existence verdict must see every block PSD; a sign-obstructed
     non-existence verdict (infinite targets) must see a failing block at
-    finite degree. Finite-target exclusions rest on rank growth and only
-    report the accumulated rank. Contradictions raise hard errors naming the
-    block.
+    finite degree. Just above h = 1 the scale-bound obstruction, the (2, 2)
+    entry h (1 - h) times positive weights, can lie inside the sweep's PSD
+    tolerance; then its exact sign is checked instead ("scale-bound-exact").
+    Finite-target exclusions rest on rank growth and only report the
+    accumulated rank. Contradictions raise hard errors naming the block.
     """
     target = ImmersionTarget(target)
     h = spec.scale if h is None else float(h)
@@ -284,13 +286,15 @@ def cross_check(
         agreement = "unknown-exempt"
     elif target.finite:
         agreement = "finite-rank-evidence"
-    else:
-        if res.all_psd:
-            raise HartogsError(
-                f"contradiction: {target.value} immersion excluded but every "
-                f"block through degree {truncation_degree} is PSD"
-            )
+    elif not res.all_psd:
         agreement = "obstruction-found"
+    elif v.rule == _RULE_SCALE_BOUND and block(target.form, spec, 2, 2, h=h).diagonal.min() < 0:
+        agreement = "scale-bound-exact"
+    else:
+        raise HartogsError(
+            f"contradiction: {target.value} immersion excluded but every "
+            f"block through degree {truncation_degree} is PSD"
+        )
     return CrossCheckReport(
         verdict=v,
         all_psd=res.all_psd,

@@ -45,19 +45,19 @@ def point_columns(spec: HartogsSpec, p: EvaluationPoint) -> dict:
     return cols
 
 
-def curvature_rows(spec: HartogsSpec, points, include_extremal=True) -> list[dict]:
+def curvature_rows(spec: HartogsSpec, points) -> list[dict]:
     """One row per sample point: coordinates plus closed/direct invariants."""
+    rep = curvature_report(spec, points)
     rows = []
-    for p in points:
-        rep = curvature_report(spec, p, include_extremal=include_extremal)
+    for r, p in enumerate(rep.points):
         row = point_columns(spec, p)
         row.update(
-            det_closed=rep.det_closed,
-            det_direct=rep.det_direct,
-            s_trace=rep.scalar_trace,
-            s_closed=rep.scalar_closed,
-            einstein_residual=rep.einstein_residual,
-            extremal_residual=rep.extremal_residual,
+            det_closed=float(rep.det_closed[r]),
+            det_direct=float(rep.det_direct[r]),
+            s_trace=float(rep.scalar_trace[r]),
+            s_closed=float(rep.scalar_closed[r]),
+            einstein_residual=float(rep.einstein_residual[r]),
+            extremal_residual=float(rep.extremal_residual[r]),
         )
         rows.append(row)
     return rows

@@ -197,6 +197,52 @@ class TestCli:
         assert code == 2
         assert json.loads(out.read_text())["verdicts"][0]["answer"] == "not_exists"
 
+    @pytest.mark.parametrize("truncation", ["2", "3", "4", "6"])
+    def test_immersion_scale_just_above_one_at_low_truncation(
+        self, disc_config, tmp_path, truncation
+    ):
+        out = tmp_path / "imm.json"
+        code = main(
+            ["immersion", "--config", str(disc_config), "--target", "CH",
+             "--h", "1.0000000000000002", "--truncation", truncation, "--out", str(out)]
+        )
+        assert code == 2
+        verdict = json.loads(out.read_text())["verdicts"][0]
+        assert verdict["answer"] == "not_exists"
+        assert verdict["cross_check"]["agreement"] == "scale-bound-exact"
+        at_one = ["immersion", "--config", str(disc_config), "--target", "CH",
+                  "--h", "1", "--truncation", truncation, "--out", str(out)]
+        assert main(at_one) == 0
+        assert json.loads(out.read_text())["verdicts"][0]["answer"] == "exists"
+
+    def test_immersion_obstruction_payload_at_truncation_two(self, disc_config, tmp_path):
+        out = tmp_path / "imm.json"
+        code = main(
+            ["immersion", "--config", str(disc_config), "--target", "CH",
+             "--h", "1.5", "--truncation", "2", "--out", str(out)]
+        )
+        assert code == 2
+        verdict = {
+            "answer": "not_exists",
+            "cross_check": {
+                "agreement": "obstruction-found",
+                "all_psd": False,
+                "first_failure": [2, 2, -1.5],
+                "rank_lower_bound": 2,
+                "truncation": 2,
+            },
+            "h": 1.5,
+            "provenance": "catalog",
+            "rule": "hyperbolic-scale-bound: degree-2 fiber block negative for h > 1",
+            "target": "CH_infinite",
+        }
+        spec = {
+            "dims": [1], "einstein_constants": [-2.0], "fiber_dim": 1, "genus": [2.0],
+            "kind": "ball", "mu": [1.0], "scale_h": 1.0, "shape": None,
+        }
+        expected = {"command": "immersion", "schema": "1", "spec": spec, "verdicts": [verdict]}
+        assert out.read_text() == to_json(expected)
+
     def test_immersion_exact_product_at_the_bound(self, tmp_path):
         # h mu = 0.1 * 10 = 1 exactly: still an immersion into CH
         cfg = tmp_path / "disc10.cfg"
@@ -303,6 +349,15 @@ class TestCli:
         assert "criterion 01 elapsed 0.250 s" in stderr.splitlines()
         assert "criterion 02 elapsed 0.500 s" in stderr.splitlines()
         assert out.read_text() == to_json(summary.payload())
+
+    def test_sampling_budget_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text(DISC_CONFIG.replace("base.mu = 1", "base.mu = 1000000"))
+        code = main(["check-einstein", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "draw budget" in err and "Traceback" not in out + err
 
     def test_immersion_nan_scale_is_an_error(self, disc_config, capsys):
         code = main(["immersion", "--config", str(disc_config), "--h", "nan"])

@@ -7,14 +7,9 @@ import pytest
 from hartogs.curvature import (
     CurvatureVerdicts,
     curvature_report,
-    det_closed,
-    einstein_residual,
     extremal_check,
-    extremal_residual,
     metric_matrix,
-    ricci_closed,
     ricci_numeric,
-    scalar_curvature,
     tau_exact,
     tau_value,
     verdicts,
@@ -29,7 +24,7 @@ from hartogs.domains import (
     point_from_coords,
     sample_points,
 )
-from hartogs.hermitian import determinant
+from hartogs.reporting import curvature_rows
 from hartogs.wirtinger import wirtinger_hessian
 
 B2 = HartogsSpec(BaseDomainSpec.disc(1.0), 1)  # the unit ball in C^2
@@ -43,6 +38,11 @@ SPEC_GRID = [
     HartogsSpec(BaseDomainSpec.polydisc((1.0, 2.0)), 2),
     HartogsSpec(BaseDomainSpec.fock(1, 1.0), 1),
 ]
+
+
+def closed(spec, pts):
+    """The closed identities at a sample, without the extremal stencil."""
+    return curvature_report(spec, pts, include_extremal=False)
 
 
 class TestTau:
@@ -93,48 +93,45 @@ class TestMetric:
 class TestDeterminant:
     def test_disc_closed_value(self):
         # c = -2 kills the phi power, so det = margin^-3 with constant 1
-        p = point([0.5], [0.0])
-        assert det_closed(B2, p) == pytest.approx(0.75**-3, rel=1e-13)
-        assert det_closed(B2, p) == pytest.approx(2.3703703703703702, rel=1e-12)
+        det = closed(B2, [point([0.5], [0.0])]).det_closed[0]
+        assert det == pytest.approx(0.75**-3, rel=1e-13)
+        assert det == pytest.approx(2.3703703703703702, rel=1e-12)
 
     def test_fock_closed_value(self):
         # c = 0, exponent d+1 = 2, constant 1: (e^-1)^-3 (e^-1)^2 = e
         p = point([0.0], [1.0])
-        assert det_closed(FOCK, p) == pytest.approx(math.e, rel=1e-13)
+        assert closed(FOCK, [p]).det_closed[0] == pytest.approx(math.e, rel=1e-13)
 
     def test_origin_gives_constant(self):
         spec = HartogsSpec(BaseDomainSpec.polydisc((1.0, 2.0)), 1)
         p = point([0.0], [0.0, 0.0])
-        assert det_closed(spec, p) == pytest.approx(2.0, rel=1e-13)
+        assert closed(spec, [p]).det_closed[0] == pytest.approx(2.0, rel=1e-13)
 
     @pytest.mark.parametrize("spec", SPEC_GRID)
     def test_identity_against_direct_determinant(self, spec):
-        for p in sample_points(spec, 25, seed=3):
-            direct = determinant(metric_matrix(spec, p)).real
-            assert det_closed(spec, p) == pytest.approx(direct, rel=1e-8)
+        rep = closed(spec, sample_points(spec, 25, seed=3))
+        for p, det, direct in zip(rep.points, rep.det_closed, rep.det_direct):
+            assert direct == np.linalg.det(metric_matrix(spec, p).array).real
+            assert det == pytest.approx(direct, rel=1e-8)
 
 
 class TestRicci:
     def test_b2_is_einstein(self):
-        for p in sample_points(B2, 10, seed=1):
-            ric = ricci_closed(B2, p)
-            g = metric_matrix(B2, p)
-            assert np.max(np.abs(ric.array + 3 * g.array)) < 1e-12
+        rep = closed(B2, sample_points(B2, 10, seed=1))
+        for ric, g in zip(rep.ricci_closed, rep.metric):
+            assert np.max(np.abs(ric + 3 * g)) < 1e-12
 
     def test_disc2_origin_assembly(self):
         p = point([0.0], [0.0])
-        ric = ricci_closed(DISC2, p)
-        g = metric_matrix(DISC2, p)
+        rep = closed(DISC2, [p])
         gd = base_hessian_closed(DISC2.base, p.base)
-        expected = -3 * g.array
+        expected = -3 * rep.metric[0]
         expected[1:, 1:] += 1.0 * gd.array  # lambda = d + 1 + c = 1
-        assert np.allclose(ric.array, expected)
+        assert np.allclose(rep.ricci_closed[0], expected)
 
     def test_fock_fiber_block_vanishes(self):
-        p = point([0.2], [0.4])
-        ric = ricci_closed(FOCK, p)
-        g = metric_matrix(FOCK, p)
-        shifted = ric.array + 3 * g.array
+        rep = closed(FOCK, [point([0.2], [0.4])])
+        shifted = rep.ricci_closed[0] + 3 * rep.metric[0]
         assert np.max(np.abs(shifted[:1, :1])) < 1e-13
 
     def test_numeric_oracle_b2_origin(self):
@@ -145,44 +142,42 @@ class TestRicci:
         "spec", [B2, DISC2, FOCK, HartogsSpec(BaseDomainSpec.polydisc((1.0, 2.0)), 1)]
     )
     def test_numeric_matches_closed(self, spec):
-        for p in sample_points(spec, 3, seed=17, margin_frac=0.15, min_margin=0.06):
+        pts = sample_points(spec, 3, seed=17, margin_frac=0.15, min_margin=0.06)
+        for p, clo in zip(pts, closed(spec, pts).ricci_closed):
             num = ricci_numeric(spec, p)
-            clo = ricci_closed(spec, p)
-            assert np.max(np.abs(num.array - clo.array)) < 1e-3
+            assert np.max(np.abs(num.array - clo)) < 1e-3
 
 
 class TestScalar:
     def test_disc_mu_one_constant(self):
-        for p in sample_points(B2, 10, seed=2):
-            s = scalar_curvature(B2, p)
-            assert s.closed == pytest.approx(-6.0, abs=1e-12)
-            assert s.trace == pytest.approx(-6.0, abs=1e-9)
+        rep = closed(B2, sample_points(B2, 10, seed=2))
+        for trace, value in zip(rep.scalar_trace, rep.scalar_closed):
+            assert value == pytest.approx(-6.0, abs=1e-12)
+            assert trace == pytest.approx(-6.0, abs=1e-9)
 
     def test_disc_mu_two_values(self):
         # tau = 1: s = -5 at z0 = 0 and -5.5 at ||z0||^2 = phi/2
         z = 0.3
         p0 = point([0.0], [z])
-        s0 = scalar_curvature(DISC2, p0)
-        assert s0.closed == pytest.approx(-5.0, abs=1e-12)
         phi_val = phi(DISC2.base, [z])
         p_half = point([math.sqrt(phi_val / 2)], [z])
-        s_half = scalar_curvature(DISC2, p_half)
-        assert s_half.closed == pytest.approx(-5.5, abs=1e-12)
+        s0, s_half = closed(DISC2, [p0, p_half]).scalar_closed
+        assert s0 == pytest.approx(-5.0, abs=1e-12)
+        assert s_half == pytest.approx(-5.5, abs=1e-12)
 
     @pytest.mark.parametrize("spec", SPEC_GRID)
     def test_trace_pairing_matches_closed(self, spec):
-        for p in sample_points(spec, 10, seed=4):
-            s = scalar_curvature(spec, p)
-            assert abs(s.trace - s.closed) < 1e-6
+        rep = closed(spec, sample_points(spec, 10, seed=4))
+        assert np.max(np.abs(rep.scalar_trace - rep.scalar_closed)) < 1e-6
 
 
 class TestExtremal:
     def test_einstein_case_residual_zero(self):
-        for p in sample_points(B2, 5, seed=6, margin_frac=0.1, min_margin=0.05):
-            assert extremal_residual(B2, p) <= 1e-4
+        pts = sample_points(B2, 5, seed=6, margin_frac=0.1, min_margin=0.05)
+        assert np.max(curvature_report(B2, pts).extremal_residual) <= 1e-4
 
     def test_fock_not_extremal(self):
-        res = extremal_residual(FOCK, point([0.4], [0.3]))
+        res = curvature_report(FOCK, [point([0.4], [0.3])]).extremal_residual[0]
         assert res > 1e-3
 
     def test_witness_vanishes_at_zero_fiber(self):
@@ -199,8 +194,7 @@ class TestExtremal:
     def test_einstein_residual_fiber_rotation_invariant(self):
         p = point([0.3 + 0.1j], [0.2])
         rot = np.exp(0.7j)
-        a = einstein_residual(DISC2, p)
-        b = einstein_residual(DISC2, point(rot * p.fiber, p.base))
+        a, b = closed(DISC2, [p, point(rot * p.fiber, p.base)]).einstein_residual
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -240,10 +234,20 @@ class TestVerdicts:
         assert v.is_einstein == (tau_exact(spec.base) == 0)
 
 
+def test_report_checks_its_points():
+    assert curvature_rows(B2, []) == []
+    assert curvature_report(B2, []).det_closed.shape == (0,)
+    with pytest.raises(ValueError, match="1 fiber and 1 base"):
+        curvature_report(B2, [point([0.1, 0.0], [])])
+
+
 def test_report_fields_consistent():
     p = point([0.2], [0.3])
-    rep = curvature_report(B2, p, include_ricci_numeric=True)
-    assert rep.det_closed == pytest.approx(rep.det_direct, rel=1e-10)
-    assert rep.scalar_trace == pytest.approx(rep.scalar_closed, abs=1e-7)
-    assert rep.ricci_numeric is not None
+    rep = curvature_report(B2, [p])
+    assert rep.points == (p,)
+    assert rep.det_closed[0] == pytest.approx(rep.det_direct[0], rel=1e-10)
+    assert rep.scalar_trace[0] == pytest.approx(rep.scalar_closed[0], abs=1e-7)
+    assert np.max(np.abs(ricci_numeric(B2, p).array - rep.ricci_closed[0])) < 1e-3
+    assert rep.extremal_residual[0] == extremal_check(B2, p).residual
+    assert np.isnan(closed(B2, [p]).extremal_residual[0])
     assert rep.tau == pytest.approx(0.0)

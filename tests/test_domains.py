@@ -20,7 +20,7 @@ from hartogs.domains import (
     point,
     sample_points,
 )
-from hartogs.errors import BoundaryViolationError
+from hartogs.errors import BoundaryViolationError, CapabilityError
 from hartogs.hermitian import eigenvalues
 
 
@@ -258,6 +258,12 @@ class TestSampling:
             m = interior_margin(spec, p)
             assert m >= 0.05
             assert m >= 0.1 * phi(base, p.base) - 1e-12
+
+    def test_draw_budget_exhaustion_is_a_capability_error(self):
+        # phi = (1 - |z|^2)^1e6 is below the margin floor almost everywhere
+        spec = HartogsSpec(BaseDomainSpec.disc(1e6), 1)
+        with pytest.raises(CapabilityError, match="draw budget of 500 tries"):
+            sample_points(spec, 3, seed=1, max_tries=500)
 
     def test_point_coords_roundtrip(self):
         p = EvaluationPoint(np.array([0.1j]), np.array([0.2, 0.3]))

@@ -3,19 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hartogs.curvature import curvature_report
+from hartogs.domains import BaseDomainSpec, HartogsSpec, point, sample_points
 from hartogs.errors import EigenSolverError, NotPositiveDefiniteError
 from hartogs.hermitian import (
     HermitianMatrix,
-    determinant,
     eigenvalues,
     solve_hermitian,
 )
 from hartogs.series import _diagonal_verdict
 
 
-def random_hermitian(rng, dim, scale=1.0):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianMatrix(scale * 0.5 * (a + a.conj().T))
+B2 = HartogsSpec(BaseDomainSpec.disc(1.0), 1)  # the unit ball in C^2
+
+
+def metric_report(spec, points):
+    """Metrics and their determinants (det_direct) at a sample."""
+    return curvature_report(spec, points, include_extremal=False)
 
 
 class TestConstruction:
@@ -44,19 +48,24 @@ class TestConstruction:
 
 
 class TestDeterminant:
+    """det_direct, the determinant of each metric of a curvature report."""
+
     def test_identity(self):
-        assert determinant(HermitianMatrix.identity(2)) == pytest.approx(1.0)
+        # the metric of the unit ball at the origin is the identity
+        rep = metric_report(B2, [point([0.0], [0.0])])
+        assert rep.det_direct[0] == pytest.approx(1.0)
 
     def test_diagonal_product(self):
-        # diag(0.75^-2, 0.75^-1) -> 0.75^-3
-        m = HermitianMatrix.diagonal([0.75**-2, 0.75**-1])
-        assert determinant(m).real == pytest.approx(0.75**-3, rel=1e-12)
+        # at (1/2, 0) the metric is diag(0.75^-2, 0.75^-1) -> 0.75^-3
+        rep = metric_report(B2, [point([0.5], [0.0])])
+        assert rep.det_direct[0] == pytest.approx(0.75**-3, rel=1e-12)
 
     def test_imaginary_part_negligible(self):
-        rng = np.random.default_rng(0)
-        m = random_hermitian(rng, 5)
-        det = determinant(m)
-        assert abs(det.imag) <= 1e-12 * max(abs(det), 1.0)
+        spec = HartogsSpec(BaseDomainSpec.ball(3, 1.0), 2)  # 5 x 5 metrics
+        rep = metric_report(spec, sample_points(spec, 5, seed=0))
+        det = np.linalg.det(rep.metric)
+        assert np.array_equal(det.real, rep.det_direct)
+        assert np.all(np.abs(det.imag) <= 1e-12 * np.maximum(np.abs(det), 1.0))
 
 
 class TestPsdCheck:
@@ -122,8 +131,8 @@ class TestSolve:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31))
 def test_determinant_matches_eigenvalue_product(dim, seed):
-    rng = np.random.default_rng(seed)
-    m = random_hermitian(rng, dim)
-    det = determinant(m).real
-    prod = float(np.prod(eigenvalues(m)))
-    assert det == pytest.approx(prod, rel=1e-9, abs=1e-12)
+    # metrics of dimension 2..7: one fiber over a polydisc of `dim` factors
+    spec = HartogsSpec(BaseDomainSpec.polydisc(((1.0, 2.0, 0.5) * 2)[:dim]), 1)
+    rep = metric_report(spec, sample_points(spec, 1, seed=seed))
+    prod = float(np.prod(eigenvalues(rep.metric)[0]))
+    assert rep.det_direct[0] == pytest.approx(prod, rel=1e-9, abs=1e-12)

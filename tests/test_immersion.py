@@ -189,6 +189,31 @@ class TestCrossCheck:
         rep = cross_check(spec, ImmersionTarget.CH_INFINITE, h=0.5)
         assert rep.agreement == "obstruction-found"
 
+    @pytest.mark.parametrize("truncation", [2, 3, 4, 6])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DISC,
+            HartogsSpec(BaseDomainSpec.disc(1.0), 2),
+            HartogsSpec(BaseDomainSpec.ball(3, 1.0), 2),
+        ],
+    )
+    def test_scale_bound_inside_the_sweep_tolerance(self, spec, truncation):
+        # just above h = 1 the (2, 2) entry h (1 - h) w is about -4.4e-16 w,
+        # inside the sweep's PSD tolerance: only its exact sign shows it
+        rep = cross_check(
+            spec, ImmersionTarget.CH_INFINITE, h=1.0000000000000002,
+            truncation_degree=truncation,
+        )
+        assert rep.verdict.answer is Answer.NOT_EXISTS
+        assert rep.all_psd
+        assert rep.agreement == "scale-bound-exact"
+
+    def test_psd_sweep_still_contradicts_other_exclusions(self):
+        facts = constant_facts(YES, YES, NO)  # a false fact: the disc does immerse
+        with pytest.raises(HartogsError, match="contradiction"):
+            cross_check(DISC, ImmersionTarget.CH_INFINITE, h=0.5, facts=facts)
+
     @pytest.mark.parametrize("h", [0.3, 0.5, 1.0, 1.5, 2.7])
     @pytest.mark.parametrize(
         "spec",

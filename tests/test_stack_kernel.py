@@ -2,10 +2,11 @@
 
 Every finite-difference oracle evaluates its whole stencil as one stack, so a
 row of a stack must give the same floats as that point evaluated alone (the
-N = 1 case that ``metric_matrix`` and ``phi`` use). This pins the three
-arithmetic rules of the kernels: squared norms as stacked matmuls on
-C-contiguous rows, powers and exponentials on Python floats row by row, and
-stacked LAPACK calls.
+N = 1 case that ``metric_matrix`` and ``phi`` use), and a row of a
+``curvature_report`` the same values as the report of that point alone. This
+pins the three arithmetic rules of the kernels: squared norms as stacked
+matmuls on C-contiguous rows, powers and exponentials on Python floats row by
+row, and stacked LAPACK calls.
 """
 
 import math
@@ -15,13 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs.curvature import metric_matrix, metric_stack
+from hartogs import domains
+from hartogs.curvature import curvature_report, metric_matrix, metric_stack
 from hartogs.domains import (
     BaseDomainSpec,
     DomainKind,
     HartogsSpec,
     phi,
     phi_stack,
+    point_from_coords,
     sample_points,
 )
 from hartogs.errors import BoundaryViolationError
@@ -33,6 +36,16 @@ SPECS = {
     "cartan_2x2": HartogsSpec(BaseDomainSpec.cartan_type_i(2, 2, 1.5), 1),
     "fock": HartogsSpec(BaseDomainSpec.fock(2, 1.0), 1),
 }
+
+REPORT_FIELDS = (
+    "metric",
+    "det_closed",
+    "det_direct",
+    "ricci_closed",
+    "scalar_trace",
+    "scalar_closed",
+    "einstein_residual",
+)
 
 
 def reference_phi(base, z):
@@ -82,9 +95,15 @@ def test_rows_match_single_point_evaluation(name, rows, seed):
         metrics = metric_stack(spec, stack)
         logdets = np.linalg.slogdet(metrics)[1]
         phis = phi_stack(spec.base, stack[:, d0:])
+        points = [point_from_coords(spec, row) for row in stack]
+        report = curvature_report(spec, points, include_extremal=False)
+        assert np.array_equal(report.metric, metrics)
         for r, row in enumerate(stack):
             alone = metric_stack(spec, row[None, :])
             assert np.array_equal(metrics[r], alone[0])
+            single = curvature_report(spec, points[r : r + 1], include_extremal=False)
+            for field in REPORT_FIELDS:
+                assert np.array_equal(getattr(report, field)[r], getattr(single, field)[0])
             assert np.array_equal(logdets[r], np.linalg.slogdet(alone)[1][0])
             assert phis[r] == phi(spec.base, row[d0:]) == reference_phi(spec.base, row[d0:])
             assert np.array_equal(metrics[r][:d0, :d0], reference_fiber_block(spec, row))
@@ -111,3 +130,22 @@ def test_one_exterior_row_fails_the_stack(name, where, rows, seed):
         stack[bad, spec.fiber_dim] = 1.2  # outside the first factor
     with pytest.raises(BoundaryViolationError):
         metric_stack(spec, stack)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_report_evaluates_the_factors_once(name, monkeypatch):
+    spec = SPECS[name]
+    points = sample_points(spec, 17, seed=3)
+    curvature_report(spec, points[:1], include_extremal=False)  # caches the constants
+    calls = []
+    factor_stacks = domains._factor_stacks
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return factor_stacks(*args, **kwargs)
+
+    monkeypatch.setattr(domains, "_factor_stacks", counted)
+    for rows in (1, 5, 17):
+        calls.clear()
+        curvature_report(spec, points[:rows], include_extremal=False)
+        assert calls == [rows]
