@@ -266,7 +266,7 @@ def cmd_report(args) -> int:
             },
             "diastasis": diastasis,
             "immersion": immersions,
-            "rows": reporting.curvature_rows(spec, pts[: min(len(pts), 10)]),
+            "rows": reporting.report_rows(spec, v.report, 10),
         }
     )
     reporting.write_text(reporting.to_json(payload), args.out)
@@ -304,11 +304,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except HartogsError as exc:
+    except (HartogsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:  # configs are read through ConfigError, so this is output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -30,9 +30,8 @@ from .domains import (
     EvaluationPoint,
     HartogsSpec,
     factor_determinant_constants,
-    interior_margin,
-    phi,
     phi_derivatives_stack,
+    phi_stack,
     require_interior,
     row_power,
     squared_norms,
@@ -43,6 +42,15 @@ from .wirtinger import DiffConfig, conjugate_jacobian, wirtinger_hessian
 
 #: Smallest interior margin accepted by the nested finite-difference oracles.
 MIN_FD_MARGIN = 0.01
+
+#: Extremal stencil: Richardson steps 1e-3 / 2 and 1e-3, below margin / 8
+#: at every point that keeps MIN_FD_MARGIN.
+_EXTREMAL_CONFIG = DiffConfig(step=1e-3, richardson=True)
+
+#: Most stencil rows the extremal oracle evaluates as one stack. A sample is
+#: split into consecutive groups of points (8n rows each) that stay under
+#: it, so peak memory does not grow with the sample size.
+EXTREMAL_STACK_ROWS = 256
 
 #: Default residual tolerance for the Einstein / extremal / scalar verdicts.
 VERDICT_TOLERANCE = 1e-6
@@ -119,14 +127,28 @@ def _require_constants(base: BaseDomainSpec):
         raise HartogsError("base factor is missing an Einstein constant")
 
 
-def _fd_margin(spec: HartogsSpec, p: EvaluationPoint, stencil: str) -> float:
-    """The interior margin at p, if it is wide enough for a nested stencil."""
-    margin = float(require_interior(np.array([interior_margin(spec, p)]))[0])
-    if margin < MIN_FD_MARGIN:
+def _point_stack(spec: HartogsSpec, points) -> np.ndarray:
+    """The (N, n) coordinate stack of a sequence of points."""
+    if any(len(p.fiber) != spec.fiber_dim or len(p.base) != spec.base.dim for p in points):
+        raise ValueError(
+            f"expected points with {spec.fiber_dim} fiber and {spec.base.dim} base coordinates"
+        )
+    return np.array([p.coords for p in points]).reshape(len(points), spec.total_dim)
+
+
+def _fd_margins(spec: HartogsSpec, coords, stencil: str) -> np.ndarray:
+    """The interior margins at an (N, n) stack of points, if every one is
+    wide enough for a nested stencil; else the first row that is not raises."""
+    d0 = spec.fiber_dim
+    margins = phi_stack(spec.base, coords[:, d0:]) - squared_norms(coords[:, :d0])
+    narrow = margins[margins < MIN_FD_MARGIN][:1]
+    require_interior(narrow)
+    if len(narrow):
+        margin = float(narrow[0])
         raise BoundaryViolationError(
             f"margin {margin:.3e} too small for the {stencil} stencil", margin=margin
         )
-    return margin
+    return margins
 
 
 def _nested_step(margin: float) -> float:
@@ -143,7 +165,7 @@ def ricci_numeric(spec: HartogsSpec, p: EvaluationPoint, cfg: DiffConfig | None 
     0.05 and larger; the step is widened/narrowed with the margin to keep the
     nested-difference error inside that budget.
     """
-    margin = _fd_margin(spec, p, "nested difference")
+    margin = float(_fd_margins(spec, _point_stack(spec, [p]), "nested difference")[0])
     if cfg is None:
         cfg = DiffConfig(step=_nested_step(margin), richardson=True)
 
@@ -162,43 +184,57 @@ def _scalar_gradient(spec: HartogsSpec, z0, phi_val, phi_grad) -> np.ndarray:
     return np.concatenate([grad_fiber, grad_base], axis=1)
 
 
+def _v_field(spec: HartogsSpec, coords):
+    """V^a = sum_b g^(b abar) ds/dzbar_b at every row of an (N, n) stack,
+    with the margins and phi it is built from."""
+    g, margin, _, z0, phi_val, phi_grad = _metric_parts(spec, coords)
+    v = np.conj(solve_hermitian(_symmetrised(g), _scalar_gradient(spec, z0, phi_val, phi_grad)))
+    return v, margin, phi_val
+
+
+def _extremal_residuals(spec: HartogsSpec, coords) -> np.ndarray:
+    """max |dV/dzbar| at every row of an (N, n) stack of points.
+
+    The metric is extremal exactly when dV/dzbar vanishes. The conjugate
+    Jacobian comes from finite differences; the stencils of consecutive
+    points run as one stack of at most ``EXTREMAL_STACK_ROWS`` rows.
+    """
+    _fd_margins(spec, coords, "extremal")
+    per_group = max(1, EXTREMAL_STACK_ROWS // (8 * spec.total_dim))
+    residual = np.empty(len(coords))
+    for start in range(0, len(coords), per_group):
+        group = slice(start, start + per_group)
+        jac = conjugate_jacobian(lambda q: _v_field(spec, q)[0], coords[group], _EXTREMAL_CONFIG)
+        residual[group] = np.abs(jac).max(axis=(1, 2))
+    return residual
+
+
 @dataclass(frozen=True)
 class ExtremalCheck:
-    """Residual of the extremal condition plus the closed fiber witness."""
+    """Per point: the residual of the extremal condition, and the first
+    fiber component of V next to its closed witness."""
 
-    residual: float
-    witness_closed: complex
-    fiber_component: complex
+    residual: np.ndarray
+    witness_closed: np.ndarray
+    fiber_component: np.ndarray
 
 
-def extremal_check(spec: HartogsSpec, p: EvaluationPoint, cfg: DiffConfig | None = None) -> ExtremalCheck:
-    """Holomorphy defect of V^a = sum_b g^(b abar) ds/dzbar_b.
-
-    The metric is extremal exactly when dV/dzbar vanishes; the residual is
-    the max entry of that conjugate Jacobian by finite differences. The
-    closed witness -tau z01 (phi - ||z0||^2)^2 / phi^2 cross-checks the first
-    fiber component of V, which is computed through the linear-solve path.
-    """
-    margin = _fd_margin(spec, p, "extremal")
-    at_p = []
-
-    def v_field(q):
-        # p rides along as row 0, so the whole check is one stack evaluation
-        g, _, _, *phi_data = _metric_parts(spec, np.concatenate([p.coords[None, :], q]))
-        v = np.conj(solve_hermitian(_symmetrised(g), _scalar_gradient(spec, *phi_data)))
-        at_p.append(v[0])
-        return v[1:]
-
-    if cfg is None:
-        cfg = DiffConfig(step=min(1e-3, margin / 8.0), richardson=True)
-    jac = conjugate_jacobian(v_field, p.coords, cfg)
-    residual = float(np.max(np.abs(jac)))
+def extremal_check(spec: HartogsSpec, points) -> ExtremalCheck:
+    """The extremal residual of :func:`curvature_report` at every point, with
+    the closed witness -tau z01 (phi - ||z0||^2)^2 / phi^2 for the first
+    fiber component of V, which is computed through the linear-solve path."""
+    coords = _point_stack(spec, tuple(points))
+    residual = _extremal_residuals(spec, coords)
+    v, margin, phi_val = _v_field(spec, coords)
     tau = tau_value(spec.base)
-    phi_val = phi(spec.base, p.base)
-    witness = -tau * complex(p.fiber[0]) * margin**2 / phi_val**2
-    fiber_component = complex(at_p[0][0])
+    witness = [  # in Python complex arithmetic, like row_power
+        -tau * z01 * m**2 / f**2
+        for z01, m, f in zip(coords[:, 0].tolist(), margin.tolist(), phi_val.tolist())
+    ]
     return ExtremalCheck(
-        residual=residual, witness_closed=witness, fiber_component=fiber_component
+        residual=residual,
+        witness_closed=np.array(witness, dtype=np.complex128),
+        fiber_component=v[:, 0],
     )
 
 
@@ -212,6 +248,7 @@ class CurvatureVerdicts:
     scalar_variance: float
     tau: float
     tolerance: float
+    report: CurvatureReport = field(repr=False, compare=False)
 
 
 def verdicts(spec: HartogsSpec, sample, tol: float = VERDICT_TOLERANCE) -> CurvatureVerdicts:
@@ -222,7 +259,8 @@ def verdicts(spec: HartogsSpec, sample, tol: float = VERDICT_TOLERANCE) -> Curva
     For Einstein bases (all factor constants c_i equal) the three verdicts
     coincide; this is asserted. Otherwise they are reported as measured:
     polydisc(1/2, 1) has tau = 0, so its metric is of constant scalar
-    curvature but not Einstein.
+    curvature but not Einstein. The sample's :class:`CurvatureReport` rides
+    along as ``report``.
     """
     sample = list(sample)
     if len(sample) < 10:
@@ -240,6 +278,7 @@ def verdicts(spec: HartogsSpec, sample, tol: float = VERDICT_TOLERANCE) -> Curva
         scalar_variance=variance,
         tau=rep.tau,
         tolerance=tol,
+        report=rep,
     )
     einstein_base = len(set(spec.base.einstein_constants)) == 1
     agree = len({out.is_einstein, out.is_extremal, out.is_constant_scalar}) == 1
@@ -277,16 +316,14 @@ def curvature_report(spec: HartogsSpec, points, include_extremal: bool = True) -
     tr(g^-1 Ric) with the closed Ricci. ``einstein_residual`` is the
     max-norm of Ric + (n+1) g = blockdiag(0, lambda_i g^(D_i)), from the
     closed Ricci, so the Einstein verdict does not inherit finite-difference
-    noise. ``extremal_residual`` comes from one :func:`extremal_check` per
-    point, and is NaN without ``include_extremal``.
+    noise. ``extremal_residual`` is max |dV/dzbar| by finite differences,
+    with V the holomorphic gradient field of the scalar curvature (the
+    metric is extremal exactly when V is holomorphic), and is NaN without
+    ``include_extremal``.
     """
     _require_constants(spec.base)
     points = tuple(points)
-    if any(len(p.fiber) != spec.fiber_dim or len(p.base) != spec.base.dim for p in points):
-        raise ValueError(
-            f"expected points with {spec.fiber_dim} fiber and {spec.base.dim} base coordinates"
-        )
-    coords = np.array([p.coords for p in points]).reshape(len(points), spec.total_dim)
+    coords = _point_stack(spec, points)
     g, margin, factors, _, phi_val, _ = _metric_parts(spec, coords)
     g = _symmetrised(g)
     if np.count_nonzero(eigenvalues(g)[:, 0] <= 0):
@@ -308,10 +345,10 @@ def curvature_report(spec: HartogsSpec, points, include_extremal: bool = True) -
         ric[:, rows, rows] += lam * hess_i
         einstein = np.maximum(einstein, abs(lam) * np.abs(hess_i).max(axis=(1, 2)))
     ric = hermitian_part(ric, 1e-11 * (1.0 + np.abs(ric).max(axis=(1, 2))))
-    extremal = [
-        extremal_check(spec, p).residual if include_extremal else math.nan
-        for p in points
-    ]
+    extremal = (
+        _extremal_residuals(spec, coords) if include_extremal
+        else np.full(len(points), math.nan)
+    )
     return CurvatureReport(
         points=points,
         metric=g,
@@ -321,6 +358,6 @@ def curvature_report(spec: HartogsSpec, points, include_extremal: bool = True) -
         scalar_trace=np.trace(np.linalg.solve(g, ric), axis1=1, axis2=2).real,
         scalar_closed=tau * margin / phi_val - (n + 1) * n,
         einstein_residual=einstein,
-        extremal_residual=np.array(extremal),
+        extremal_residual=extremal,
         tau=tau,
     )

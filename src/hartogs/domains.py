@@ -482,6 +482,40 @@ def factor_determinant_constants(base: BaseDomainSpec) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
+#: Factor draws tested at once by the sampler, as one (K, 2 df) block.
+_DRAW_BLOCK = 128
+
+
+class _UniformStream:
+    """The doubles of ``rng.random``, read in stream order through a cursor.
+
+    ``rng.uniform(low, high, k)`` is ``low + (high - low) * u`` for the next
+    k doubles u of the stream, so scaling them as :func:`_uniform` does
+    reproduces the per-call draws bit for bit.
+    """
+
+    def __init__(self, rng: np.random.Generator, size: int = 4096):
+        self._rng = rng
+        self._size = size
+        self._buffer = np.empty(0)
+        self._cursor = 0
+
+    def peek(self, k: int) -> np.ndarray:
+        """The next k doubles, left unread."""
+        if self._cursor + k > len(self._buffer):
+            fresh = self._rng.random(max(k, self._size))
+            self._buffer = np.concatenate([self._buffer[self._cursor :], fresh])
+            self._cursor = 0
+        return self._buffer[self._cursor : self._cursor + k]
+
+    def skip(self, k: int) -> None:
+        self._cursor += k
+
+
+def _uniform(low, high, u):
+    return low + (high - low) * u
+
+
 def sample_points(
     spec: HartogsSpec,
     count: int,
@@ -493,48 +527,99 @@ def sample_points(
 ) -> list[EvaluationPoint]:
     """Seeded rejection sampling of interior points.
 
-    Base factors are drawn uniformly in a bounding box and kept when their
-    squared norm stays below ``radius_cap`` (bounded kinds), which keeps
-    derivative magnitudes moderate; fibers are drawn in a box of half-width
-    sqrt(phi) and kept when the membership margin phi - ||z0||^2 is at least
-    ``margin_frac * phi`` and ``min_margin``. Every draw counts against
-    ``max_tries``; running out raises :class:`CapabilityError`.
+    A candidate base point draws each factor uniformly in a bounding box
+    until its squared norm stays below ``radius_cap`` (bounded kinds; it
+    must lie in (0, 1), so every candidate is inside the base), which keeps
+    derivative magnitudes moderate, and is kept when
+    ``phi * (1 - margin_frac)`` exceeds ``min_margin``. Its fiber is drawn in
+    a box of half-width sqrt(phi) and kept when the membership margin
+    phi - ||z0||^2 is at least ``margin_frac * phi`` and ``min_margin``.
+    Every candidate and every factor draw counts against ``max_tries``;
+    running out raises :class:`CapabilityError`.
+
+    The draws come from one uniform stream, and the factor draws are tested
+    ``_DRAW_BLOCK`` at a time. Only the phi test moves the stream between
+    candidates (a fiber draw follows a pass), so the candidates of a block
+    are laid out predicting the outcome of the last test, and phi and the
+    fiber test run once on all of them. The first mispredicted candidate
+    ends the block.
     """
-    rng = np.random.default_rng(seed)
+    if not 0.0 < radius_cap < 1.0:
+        raise ValueError("radius_cap must lie in (0, 1)")
     base = spec.base
+    d0, df, factors = spec.fiber_dim, base.dims[0], base.factor_count
+    # every factor has df coordinates: bases have one factor or are polydiscs
+    half_box, cap = (0.8, math.inf) if base.kind is DomainKind.FOCK else (0.9, radius_cap)
+    draw, fiber = 2 * df, 2 * d0  # doubles per factor draw and per fiber draw
+    # block rows a fiber draw spans, if the next candidate stays on the rows
+    fiber_rows = fiber // draw if fiber % draw == 0 else None
+    stream = _UniformStream(np.random.default_rng(seed))
     pts: list[EvaluationPoint] = []
     tries = 0
+    opened = 0  # 1 once the try of a candidate still drawing its factors is spent
+    carry = np.empty((0, df), dtype=np.complex128)  # its factors drawn so far
+    phi_passes = True  # the predicted outcome of the next phi test
 
-    def count_try():
+    def spend(n: int):
         nonlocal tries
-        tries += 1
+        tries += n
         if tries > max_tries:
             raise CapabilityError(
                 f"interior sampling found {len(pts)} of {count} points within "
                 f"its draw budget of {max_tries} tries"
             )
 
-    def draw_factor(df: int) -> np.ndarray:
-        while True:
-            count_try()
-            if base.kind is DomainKind.FOCK:
-                u = rng.uniform(-0.8, 0.8, size=2 * df)
-                return u[:df] + 1j * u[df:]
-            u = rng.uniform(-0.9, 0.9, size=2 * df)
-            zf = u[:df] + 1j * u[df:]
-            if float(np.real(np.vdot(zf, zf))) <= radius_cap:
-                return zf
-
     while len(pts) < count:
-        count_try()
-        z = np.concatenate([draw_factor(df) for df in base.dims])
-        phi_val = phi(base, z)
-        if phi_val * (1.0 - margin_frac) <= min_margin:
+        window = stream.peek(_DRAW_BLOCK * draw + fiber)
+        u = _uniform(-half_box, half_box, window[: _DRAW_BLOCK * draw]).reshape(-1, draw)
+        z = u[:, :df] + 1j * u[:, df:]
+        inside = (squared_norms(z) <= cap).tolist()
+        # (first row, end row) of the factor draws of each complete candidate,
+        # the next one starting after the fiber draw of a predicted pass
+        gap = fiber_rows if phi_passes else 0
+        chain, rows, first, taken, r = [], [], 0, len(carry), 0
+        while r < _DRAW_BLOCK:
+            if inside[r]:
+                rows.append(r)
+                taken += 1
+                if taken == factors:
+                    chain.append((first, r + 1))
+                    if gap is None:
+                        break
+                    first = r = r + 1 + gap
+                    taken = 0
+                    continue
+            r += 1
+        if not chain:
+            spend(1 - opened + _DRAW_BLOCK)
+            stream.skip(_DRAW_BLOCK * draw)
+            opened, carry = 1, np.concatenate([carry, z[rows]])
             continue
-        half = math.sqrt(phi_val)
-        u = rng.uniform(-half, half, size=2 * spec.fiber_dim)
-        z0 = u[: spec.fiber_dim] + 1j * u[spec.fiber_dim :]
-        margin = phi_val - float(np.real(np.vdot(z0, z0)))
-        if margin >= max(margin_frac * phi_val, min_margin):
-            pts.append(EvaluationPoint(z0, z))
+        candidates = np.concatenate([carry, z[rows[: len(chain) * factors - len(carry)]]])
+        candidates = candidates.reshape(len(chain), factors * df)
+        phis = phi_stack(base, candidates).tolist()
+        passes = [f * (1.0 - margin_frac) > min_margin for f in phis]
+        # the layout holds up to the first mispredicted candidate
+        held = next((k + 1 for k, p in enumerate(passes) if p != phi_passes), len(chain))
+        # the fiber draws, each right after the factor draws of a pass
+        fibered = [k for k in range(held) if passes[k]]
+        half = np.sqrt([phis[k] for k in fibered])[:, None]
+        at = np.array([chain[k][1] * draw for k in fibered], dtype=int)[:, None]
+        v = _uniform(-half, half, window[at + np.arange(fiber)])
+        z0 = v[:, :d0] + 1j * v[:, d0:]
+        fiber_norms = iter(zip(z0, squared_norms(z0).tolist()))
+        for k in range(held):
+            first, end = chain[k]
+            spend(1 - opened + end - first)
+            opened = 0
+            if not passes[k]:
+                continue
+            z0_k, norm = next(fiber_norms)
+            if phis[k] - norm >= max(margin_frac * phis[k], min_margin):
+                pts.append(EvaluationPoint(z0_k, candidates[k]))
+                if len(pts) == count:
+                    return pts
+        phi_passes = passes[held - 1]
+        stream.skip(chain[held - 1][1] * draw + (fiber if phi_passes else 0))
+        carry = carry[:0]
     return pts

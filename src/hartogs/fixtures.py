@@ -213,17 +213,18 @@ def criterion_equivalence_chain(seed=DEFAULT_SEED) -> CriterionResult:
             spec = HartogsSpec(base, 1)
             pts = sample_points(spec, 12, seed=seed, margin_frac=0.1, min_margin=0.05)
             v = verdicts(spec, pts)
-            chk = extremal_check(spec, witness_point)
-            witness_gap = abs(chk.fiber_component - chk.witness_closed)
+            chk = extremal_check(spec, [witness_point])
+            residual = float(chk.residual[0])
+            witness_gap = float(abs(chk.fiber_component[0] - chk.witness_closed[0]))
             details[name] = {
                 "is_einstein": v.is_einstein,
                 "is_extremal": v.is_extremal,
                 "is_constant_scalar": v.is_constant_scalar,
-                "extremal_residual": chk.residual,
+                "extremal_residual": residual,
                 "witness_gap": witness_gap,
             }
             ok = ok and not (v.is_einstein or v.is_extremal or v.is_constant_scalar)
-            ok = ok and chk.residual > 1e-3 and witness_gap <= 1e-3
+            ok = ok and residual > 1e-3 and witness_gap <= 1e-3
         # tau = 0 without an Einstein base: constant scalar and extremal only
         pd = HartogsSpec(BaseDomainSpec.polydisc((0.5, 1.0)), 1)
         pts = sample_points(pd, 12, seed=seed, margin_frac=0.1, min_margin=0.05)

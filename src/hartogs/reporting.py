@@ -11,7 +11,7 @@ import io
 import json
 from pathlib import Path
 
-from .curvature import curvature_report
+from .curvature import CurvatureReport, curvature_report
 from .domains import EvaluationPoint, HartogsSpec
 
 SCHEMA_VERSION = "1"
@@ -47,9 +47,13 @@ def point_columns(spec: HartogsSpec, p: EvaluationPoint) -> dict:
 
 def curvature_rows(spec: HartogsSpec, points) -> list[dict]:
     """One row per sample point: coordinates plus closed/direct invariants."""
-    rep = curvature_report(spec, points)
+    return report_rows(spec, curvature_report(spec, points))
+
+
+def report_rows(spec: HartogsSpec, rep: CurvatureReport, count: int | None = None) -> list[dict]:
+    """The rows of a curvature report, or of its first ``count`` points."""
     rows = []
-    for r, p in enumerate(rep.points):
+    for r, p in enumerate(rep.points[:count]):
         row = point_columns(spec, p)
         row.update(
             det_closed=float(rep.det_closed[r]),

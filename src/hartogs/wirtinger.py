@@ -13,8 +13,11 @@ Conventions, for z_a = x_a + i y_a:
 Each stencil is laid out first, both Richardson levels included, and ``f``
 is called once on the whole stack: ``f`` takes an (N, n) array of complex
 points, one per row, and returns one value per row, an (N,) array for a
-real-valued f or (N, m) for a vector-valued F. ``mixed_partial`` alone keeps
-per-point callables, because its iterated stencils nest functions of a point.
+real-valued f or (N, m) for a vector-valued F. ``conjugate_jacobian`` lays
+out the stencils of a whole (P, n) stack of centre points, point after point,
+in that one call; a single point is the P = 1 case. ``mixed_partial`` alone
+keeps per-point callables, because its iterated stencils nest functions of a
+point.
 
 Functions raise :class:`BoundaryViolationError` from inside the stencil when
 an evaluation point leaves the domain; callers that know a margin are
@@ -55,8 +58,9 @@ DEFAULT_CONFIG = DiffConfig()
 
 
 def _split_real(p: np.ndarray) -> np.ndarray:
+    """Real coordinates (x, y) of a point, or of every row of a point stack."""
     p = np.atleast_1d(np.asarray(p, dtype=np.complex128))
-    return np.concatenate([p.real, p.imag])
+    return np.concatenate([p.real, p.imag], axis=-1)
 
 
 def _levels(cfg: DiffConfig) -> tuple[float, ...]:
@@ -71,18 +75,21 @@ def _richardson(per_level: list) -> np.ndarray:
 
 
 def _displaced(u: np.ndarray, axes, deltas) -> np.ndarray:
-    """Row r is u plus deltas[r][k] at coordinate axes[r][k], for every k."""
+    """Rows of the (P, m) stack u, point after point: row r of point i is
+    u_i plus deltas[r][k] at coordinate axes[r][k], for every k."""
     axes, deltas = np.asarray(axes), np.asarray(deltas)
-    rows = np.tile(u, (len(axes), 1))
+    rows = np.repeat(u[:, None, :], len(axes), axis=1)
     for k in range(axes.shape[1]):
-        rows[np.arange(len(axes)), axes[:, k]] += deltas[:, k]
-    return rows
+        rows[:, np.arange(len(axes)), axes[:, k]] += deltas[:, k]
+    return rows.reshape(-1, u.shape[1])
 
 
 def _plus_minus(u: np.ndarray, levels) -> np.ndarray:
-    """Rows u + h e_a, u - h e_a for every real axis a, then level h."""
+    """Rows u_i + h e_a, u_i - h e_a for every real axis a, then level h,
+    for every row u_i of the (P, m) stack u."""
+    m = u.shape[1]
     signed = [[sign * h] for h in levels for sign in (1.0, -1.0)]
-    return _displaced(u, [[a] for a in range(len(u)) for _ in signed], signed * len(u))
+    return _displaced(u, [[a] for a in range(m) for _ in signed], signed * m)
 
 
 def _evaluate(f: Callable, rows: np.ndarray) -> np.ndarray:
@@ -91,20 +98,23 @@ def _evaluate(f: Callable, rows: np.ndarray) -> np.ndarray:
     return np.asarray(f(rows[:, :n] + 1j * rows[:, n:]))
 
 
-def _first_derivatives(f: Callable, p, cfg: DiffConfig) -> np.ndarray:
-    """df/du_a along every real coordinate u_a of p, from one call of f."""
-    u = _split_real(p)
+def _first_derivatives(f: Callable, points, cfg: DiffConfig) -> np.ndarray:
+    """df/du_a along every real coordinate u_a of every row of a (P, n)
+    stack of points, from one call of f; shape (P, 2n) + value shape."""
+    u = _split_real(points)
+    if u.ndim != 2:
+        raise ValueError("expected a (P, n) stack of points")
     levels = _levels(cfg)
     vals = _evaluate(f, _plus_minus(u, levels))
-    vals = vals.reshape((len(u), len(levels), 2) + vals.shape[1:])
+    vals = vals.reshape(u.shape + (len(levels), 2) + vals.shape[1:])
     return _richardson(
-        [(vals[:, l, 0] - vals[:, l, 1]) / (2.0 * h) for l, h in enumerate(levels)]
+        [(vals[:, :, l, 0] - vals[:, :, l, 1]) / (2.0 * h) for l, h in enumerate(levels)]
     )
 
 
 def wirtinger_gradient(f, p, cfg: DiffConfig = DEFAULT_CONFIG) -> np.ndarray:
     """(df/dz_a)_a of a real-valued f at the complex vector p."""
-    d = _first_derivatives(f, p, cfg)
+    d = _first_derivatives(f, np.atleast_1d(np.asarray(p))[None, :], cfg)[0]
     n = len(d) // 2
     return 0.5 * (d[:n] - 1j * d[n:])
 
@@ -119,14 +129,14 @@ def wirtinger_hessian(f, p, cfg: DiffConfig = DEFAULT_CONFIG) -> HermitianMatrix
     which is exactly Hermitian once H is assembled symmetrically. One stack
     holds p, the diagonal stencils and the four corners of every pair a < b.
     """
-    u = _split_real(p)
-    n = len(u) // 2
+    u = _split_real(p)[None, :]
+    n = u.shape[1] // 2
     levels = _levels(cfg)
     pairs = list(zip(*np.triu_indices(2 * n, 1)))
     corners = [(si * h, sj * h) for h in levels for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     diag_rows = _plus_minus(u, levels)
     cross_rows = _displaced(u, [ab for ab in pairs for _ in corners], corners * len(pairs))
-    vals = _evaluate(f, np.vstack([u[None, :], diag_rows, cross_rows]))
+    vals = _evaluate(f, np.vstack([u, diag_rows, cross_rows]))
     dv = vals[1 : 1 + len(diag_rows)].reshape(2 * n, len(levels), 2)
     cv = vals[1 + len(diag_rows) :].reshape(len(pairs), len(levels), 4)
     h = np.diag(_richardson(
@@ -141,12 +151,13 @@ def wirtinger_hessian(f, p, cfg: DiffConfig = DEFAULT_CONFIG) -> HermitianMatrix
     return HermitianMatrix(0.25 * ((xx + yy) + 1j * (xy - xy.T)))
 
 
-def conjugate_jacobian(f, p, cfg: DiffConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Matrix (dF_a / dzbar_b) for a complex-vector-valued F at p."""
-    d = _first_derivatives(f, p, cfg)
-    d = d.reshape(len(d), -1)
-    n = len(d) // 2
-    return (0.5 * (d[:n] + 1j * d[n:])).T
+def conjugate_jacobian(f, points, cfg: DiffConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Matrices (dF_a / dzbar_b) of a complex-vector-valued F, one per row
+    of a (P, n) stack of points: shape (P, m, n), from one call of F."""
+    d = _first_derivatives(f, points, cfg)
+    d = d.reshape(d.shape[:2] + (-1,))
+    n = d.shape[1] // 2
+    return (0.5 * (d[:, :n] + 1j * d[:, n:])).swapaxes(1, 2)
 
 
 def _first_order(f, p, var, conjugated, step, richardson):

@@ -336,6 +336,29 @@ class TestCli:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "multi-indices" in err and "Traceback" not in out + err
 
+    def test_csv_dump_onto_an_existing_file_fails_cleanly(self, disc_config, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        code = main(
+            ["diastasis", "--config", str(disc_config), "--truncation", "2",
+             "--format", "csv", "--out", str(taken)]
+        )
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: cannot write output: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in out + err
+        assert taken.read_text() == "not a directory\n"
+
+    def test_output_into_a_missing_directory_fails_cleanly(self, disc_config, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "x.json"
+        code = main(
+            ["curvature", "--config", str(disc_config), "--samples", "2", "--out", str(out_path)]
+        )
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: cannot write output: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in out + err and not out_path.parent.exists()
+
     def test_fixtures_prints_elapsed_on_stderr(self, monkeypatch, tmp_path, capsys):
         criteria = tuple(
             CriterionResult(cid, f"check {cid}", True, {}, 0.25 * cid) for cid in (1, 2)

@@ -181,15 +181,15 @@ class TestExtremal:
         assert res > 1e-3
 
     def test_witness_vanishes_at_zero_fiber(self):
-        chk = extremal_check(DISC2, point([0.0], [0.3]))
-        assert chk.witness_closed == 0
+        chk = extremal_check(DISC2, [point([0.0], [0.3])])
+        assert chk.witness_closed[0] == 0
 
     @pytest.mark.parametrize("spec", [DISC2, FOCK])
     def test_witness_matches_solve_path(self, spec):
         p = point([0.3 + 0.2j], [0.25 - 0.1j])
-        chk = extremal_check(spec, p)
-        assert abs(chk.fiber_component - chk.witness_closed) < 1e-3
-        assert abs(chk.witness_closed) > 1e-3  # non-degenerate control
+        chk = extremal_check(spec, [p])
+        assert abs(chk.fiber_component[0] - chk.witness_closed[0]) < 1e-3
+        assert abs(chk.witness_closed[0]) > 1e-3  # non-degenerate control
 
     def test_einstein_residual_fiber_rotation_invariant(self):
         p = point([0.3 + 0.1j], [0.2])
@@ -248,6 +248,6 @@ def test_report_fields_consistent():
     assert rep.det_closed[0] == pytest.approx(rep.det_direct[0], rel=1e-10)
     assert rep.scalar_trace[0] == pytest.approx(rep.scalar_closed[0], abs=1e-7)
     assert np.max(np.abs(ricci_numeric(B2, p).array - rep.ricci_closed[0])) < 1e-3
-    assert rep.extremal_residual[0] == extremal_check(B2, p).residual
+    assert rep.extremal_residual[0] == extremal_check(B2, [p]).residual[0]
     assert np.isnan(closed(B2, [p]).extremal_residual[0])
     assert rep.tau == pytest.approx(0.0)

@@ -265,6 +265,12 @@ class TestSampling:
         with pytest.raises(CapabilityError, match="draw budget of 500 tries"):
             sample_points(spec, 3, seed=1, max_tries=500)
 
+    @pytest.mark.parametrize("cap", [0.0, 1.0, 1.5, math.nan])
+    def test_radius_cap_keeps_candidates_inside(self, cap):
+        spec = HartogsSpec(BaseDomainSpec.ball(2, 1.0), 1)
+        with pytest.raises(ValueError, match="radius_cap"):
+            sample_points(spec, 3, seed=1, radius_cap=cap)
+
     def test_point_coords_roundtrip(self):
         p = EvaluationPoint(np.array([0.1j]), np.array([0.2, 0.3]))
         assert np.array_equal(p.coords, np.array([0.1j, 0.2, 0.3]))

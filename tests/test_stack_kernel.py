@@ -3,10 +3,11 @@
 Every finite-difference oracle evaluates its whole stencil as one stack, so a
 row of a stack must give the same floats as that point evaluated alone (the
 N = 1 case that ``metric_matrix`` and ``phi`` use), and a row of a
-``curvature_report`` the same values as the report of that point alone. This
-pins the three arithmetic rules of the kernels: squared norms as stacked
-matmuls on C-contiguous rows, powers and exponentials on Python floats row by
-row, and stacked LAPACK calls.
+``curvature_report`` the same values as the report of that point alone,
+extremal residuals included, however the sample splits into extremal row
+groups. This pins the three arithmetic rules of the kernels: squared norms as
+stacked matmuls on C-contiguous rows, powers and exponentials on Python
+floats row by row, and stacked LAPACK calls.
 """
 
 import math
@@ -16,8 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs import domains
-from hartogs.curvature import curvature_report, metric_matrix, metric_stack
+from hartogs import cli, curvature, domains, reporting
+from hartogs.curvature import (
+    EXTREMAL_STACK_ROWS,
+    curvature_report,
+    metric_matrix,
+    metric_stack,
+)
 from hartogs.domains import (
     BaseDomainSpec,
     DomainKind,
@@ -28,6 +34,7 @@ from hartogs.domains import (
     sample_points,
 )
 from hartogs.errors import BoundaryViolationError
+from hartogs.wirtinger import conjugate_jacobian
 
 SPECS = {
     "ball": HartogsSpec(BaseDomainSpec.ball(2, 1.0), 2),
@@ -45,6 +52,7 @@ REPORT_FIELDS = (
     "scalar_trace",
     "scalar_closed",
     "einstein_residual",
+    "extremal_residual",
 )
 
 
@@ -96,12 +104,12 @@ def test_rows_match_single_point_evaluation(name, rows, seed):
         logdets = np.linalg.slogdet(metrics)[1]
         phis = phi_stack(spec.base, stack[:, d0:])
         points = [point_from_coords(spec, row) for row in stack]
-        report = curvature_report(spec, points, include_extremal=False)
+        report = curvature_report(spec, points)
         assert np.array_equal(report.metric, metrics)
         for r, row in enumerate(stack):
             alone = metric_stack(spec, row[None, :])
             assert np.array_equal(metrics[r], alone[0])
-            single = curvature_report(spec, points[r : r + 1], include_extremal=False)
+            single = curvature_report(spec, points[r : r + 1])
             for field in REPORT_FIELDS:
                 assert np.array_equal(getattr(report, field)[r], getattr(single, field)[0])
             assert np.array_equal(logdets[r], np.linalg.slogdet(alone)[1][0])
@@ -149,3 +157,73 @@ def test_report_evaluates_the_factors_once(name, monkeypatch):
         calls.clear()
         curvature_report(spec, points[:rows], include_extremal=False)
         assert calls == [rows]
+
+
+def points_per_group(spec):
+    """Points of one extremal row group: 8n stencil rows each."""
+    return EXTREMAL_STACK_ROWS // (8 * spec.total_dim)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_extremal_rows_across_row_groups(name):
+    spec = SPECS[name]
+    points = sample_points(spec, 2 * points_per_group(spec) + 3, seed=5, min_margin=0.05)
+    report = curvature_report(spec, points)
+    for r, p in enumerate(points):
+        single = curvature_report(spec, [p])
+        for field in REPORT_FIELDS:
+            assert np.array_equal(getattr(report, field)[r], getattr(single, field)[0])
+
+
+def test_extremal_groups_stay_under_the_row_cap(monkeypatch):
+    spec = SPECS["cartan_2x2"]
+    points = sample_points(spec, 20, seed=2, min_margin=0.05)
+    stacks = []
+
+    def recorded(f, centres, cfg):
+        stacks.append(len(centres))
+        return conjugate_jacobian(f, centres, cfg)
+
+    monkeypatch.setattr(curvature, "conjugate_jacobian", recorded)
+    curvature_report(spec, points)
+    assert sum(stacks) == len(points) and len(stacks) == 4
+    assert all(8 * spec.total_dim * rows <= EXTREMAL_STACK_ROWS for rows in stacks)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_stacked_conjugate_jacobian_matches_single_points(name):
+    spec = SPECS[name]
+    coords = interior_stack(spec, 7, seed=11)
+
+    def field(q):
+        # a vector field of the metric stack, one row per point
+        return metric_stack(spec, q)[:, 0, :] / np.arange(1, spec.total_dim + 1)
+
+    stacked = conjugate_jacobian(field, coords)
+    assert stacked.shape == (7, spec.total_dim, spec.total_dim)
+    for r, row in enumerate(coords):
+        assert np.array_equal(stacked[r], conjugate_jacobian(field, row[None, :])[0])
+
+
+def test_report_command_builds_one_report(monkeypatch, tmp_path):
+    config = tmp_path / "ball.cfg"
+    config.write_text("base.kind = ball\nbase.dims = 2\nbase.mu = 1\nfiber.dim = 1\n")
+    reports, centres = [], []
+    build, stencil = curvature.curvature_report, curvature.conjugate_jacobian
+
+    def counted_report(spec, points, *args, **kwargs):
+        reports.append(len(points))
+        return build(spec, points, *args, **kwargs)
+
+    def counted_stencil(f, points, cfg):
+        centres.append(len(points))
+        return stencil(f, points, cfg)
+
+    for module in (curvature, reporting):
+        monkeypatch.setattr(module, "curvature_report", counted_report)
+    monkeypatch.setattr(curvature, "conjugate_jacobian", counted_stencil)
+    out = tmp_path / "report.json"
+    argv = ["report", "--config", str(config), "--samples", "12", "--truncation", "3"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert reports == [12]
+    assert sum(centres) == 12

@@ -170,5 +170,6 @@ class TestBoundaryPropagation:
 
 def test_conjugate_jacobian_of_conjugate():
     # F(z) = conj(z) has dF/dzbar = 1
-    jac = conjugate_jacobian(np.conj, [0.2 + 0.1j])
-    assert jac[0, 0] == pytest.approx(1.0, abs=1e-9)
+    jac = conjugate_jacobian(np.conj, [[0.2 + 0.1j]])
+    assert jac.shape == (1, 1, 1)
+    assert jac[0, 0, 0] == pytest.approx(1.0, abs=1e-9)
