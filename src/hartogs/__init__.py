@@ -54,7 +54,7 @@ from .series import (
     resolvability,
     series_partial_sum,
 )
-from .wirtinger import DiffConfig, mixed_partial, wirtinger_gradient, wirtinger_hessian
+from .wirtinger import wirtinger_gradient, wirtinger_hessian
 
 __all__ = [
     "Answer",
@@ -63,7 +63,6 @@ __all__ = [
     "CoefficientBlock",
     "CurvatureReport",
     "CurvatureVerdicts",
-    "DiffConfig",
     "DomainKind",
     "EvaluationPoint",
     "Form",
@@ -85,7 +84,6 @@ __all__ = [
     "extremal_check",
     "hartogs_potential",
     "metric_matrix",
-    "mixed_partial",
     "phi",
     "point",
     "resolvability",

@@ -4,12 +4,14 @@ Commands: curvature, check-einstein, check-extremal, immersion, diastasis,
 report, fixtures. Exit status convention: 0 means the run succeeded and any
 mathematical question was answered yes; 2 means the run succeeded but the
 answer is no (not Einstein, not extremal, no immersion, criterion failed);
-1 means the run itself failed (bad config, unsupported capability).
+1 means the run itself failed (bad usage, bad config, unsupported
+capability).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -22,6 +24,16 @@ from .errors import HartogsError
 from .fixtures import run_acceptance
 from .immersion import Answer, ImmersionTarget, cross_check, decide, table_one
 from .series import Form, block, resolvability
+
+
+class _UsageError(Exception):
+    """A command line argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, which here means "the answer is no"
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def _add_common(parser, config_required=True):
@@ -39,7 +51,7 @@ def _add_common(parser, config_required=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hartogs",
         description="curvature checks and immersion decisions for Hartogs domains",
     )
@@ -299,9 +311,19 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # argparse keeps no state between parse_args calls, so one parser serves
+    # every main call of the process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         return _COMMANDS[args.command](args)
     except (HartogsError, ValueError) as exc:

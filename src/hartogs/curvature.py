@@ -38,14 +38,14 @@ from .domains import (
 )
 from .errors import BoundaryViolationError, HartogsError
 from .hermitian import HermitianMatrix, eigenvalues, hermitian_part, solve_hermitian
-from .wirtinger import DiffConfig, conjugate_jacobian, wirtinger_hessian
+from .wirtinger import conjugate_jacobian, wirtinger_hessian
 
 #: Smallest interior margin accepted by the nested finite-difference oracles.
 MIN_FD_MARGIN = 0.01
 
-#: Extremal stencil: Richardson steps 1e-3 / 2 and 1e-3, below margin / 8
-#: at every point that keeps MIN_FD_MARGIN.
-_EXTREMAL_CONFIG = DiffConfig(step=1e-3, richardson=True)
+#: Extremal stencil step: Richardson steps 1e-3 / 2 and 1e-3, below
+#: margin / 8 at every point that keeps MIN_FD_MARGIN.
+_EXTREMAL_STEP = 1e-3
 
 #: Most stencil rows the extremal oracle evaluates as one stack. A sample is
 #: split into consecutive groups of points (8n rows each) that stay under
@@ -157,7 +157,7 @@ def _nested_step(margin: float) -> float:
     return min(1e-3, margin / 8.0, 0.08 * margin**1.5)
 
 
-def ricci_numeric(spec: HartogsSpec, p: EvaluationPoint, cfg: DiffConfig | None = None) -> HermitianMatrix:
+def ricci_numeric(spec: HartogsSpec, p: EvaluationPoint) -> HermitianMatrix:
     """-ddbar log det g by finite differences; oracle for the closed Ricci
     tensor of :func:`curvature_report`.
 
@@ -166,13 +166,11 @@ def ricci_numeric(spec: HartogsSpec, p: EvaluationPoint, cfg: DiffConfig | None 
     nested-difference error inside that budget.
     """
     margin = float(_fd_margins(spec, _point_stack(spec, [p]), "nested difference")[0])
-    if cfg is None:
-        cfg = DiffConfig(step=_nested_step(margin), richardson=True)
 
     def log_det(q):
         return np.linalg.slogdet(metric_stack(spec, q))[1]
 
-    hess = wirtinger_hessian(log_det, p.coords, cfg)
+    hess = wirtinger_hessian(log_det, p.coords, _nested_step(margin))
     return HermitianMatrix(-hess.array)
 
 
@@ -204,7 +202,7 @@ def _extremal_residuals(spec: HartogsSpec, coords) -> np.ndarray:
     residual = np.empty(len(coords))
     for start in range(0, len(coords), per_group):
         group = slice(start, start + per_group)
-        jac = conjugate_jacobian(lambda q: _v_field(spec, q)[0], coords[group], _EXTREMAL_CONFIG)
+        jac = conjugate_jacobian(lambda q: _v_field(spec, q)[0], coords[group], _EXTREMAL_STEP)
         residual[group] = np.abs(jac).max(axis=(1, 2))
     return residual
 

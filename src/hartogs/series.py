@@ -18,7 +18,8 @@ entries, so a block is stored as its diagonal, in derivative normalization
 Entries are assembled in double precision; a block with an entry outside
 that range raises :class:`CapabilityError`. The Hyperbolic entries come from
 this direct Taylor expansion, and only their signs are compared against
-external claims.
+external claims. ``torus_coefficients`` recomputes the low-degree entries of
+all three forms from the polarized potential, without these tables.
 """
 
 from __future__ import annotations
@@ -29,14 +30,12 @@ from enum import Enum
 
 import numpy as np
 
-from . import wirtinger
 from .domains import (
     BaseDomainSpec,
     DomainKind,
     EvaluationPoint,
     HartogsSpec,
     hartogs_potential,
-    point_from_coords,
 )
 from .errors import CapabilityError
 
@@ -389,7 +388,7 @@ def resolvability(
 
 
 # ---------------------------------------------------------------------------
-# Series evaluation and the finite-difference audit
+# Series evaluation, the torus coefficient oracle and the audit
 # ---------------------------------------------------------------------------
 
 
@@ -437,70 +436,131 @@ def series_partial_sum(spec: HartogsSpec, p: EvaluationPoint, truncation_degree:
     return total
 
 
+def _pairing(z, w):
+    """<z, w> = sum z_k w_k, without conjugation, over broadcastable arrays."""
+    return sum(a * b for a, b in zip(z, w))
+
+
+def _polarized_potential(spec: HartogsSpec, z, w, h: float) -> np.ndarray:
+    """F(z, w) = -h log(phi(z, w) - <z0, w0>), with <a, b> = sum a_k b_k.
+
+    ``z`` and ``w`` are sequences of n broadcastable coordinate arrays,
+    fiber coordinates first; F(z, zbar) is the scaled potential. phi(z, w)
+    is prod (1 - <z_i, w_i>)^mu_i over ball, polydisc and rank-one Cartan
+    factors and exp(-mu <z, w>) for fock; the base must be radial. This
+    restates the potential without the factor kernels of
+    :mod:`hartogs.domains`, so it checks them independently. F is evaluated
+    as -h (log phi + log1p(-<z0, w0> / phi)), which is the analytic branch
+    wherever |<z0, w0> / phi| < 1; elsewhere it raises
+    :class:`CapabilityError`.
+    """
+    d0 = spec.fiber_dim
+    base_z, base_w = z[d0:], w[d0:]
+    log_phi = 0.0
+    for sl, mu in zip(spec.base.factor_slices, spec.base.exponents):
+        s = _pairing(base_z[sl], base_w[sl])
+        log_phi = log_phi + (-mu * s if spec.base.kind is DomainKind.FOCK else mu * np.log1p(-s))
+    ratio = _pairing(z[:d0], w[:d0]) * np.exp(-log_phi)
+    if not np.all(np.abs(ratio) < 1.0):
+        raise CapabilityError(
+            "the polarized potential leaves its principal branch on the torus; "
+            "the base exponents are too large for the coefficient oracle"
+        )
+    return -h * (log_phi + np.log1p(-ratio))
+
+
+#: Largest side degree |j|, |k| the coefficient oracle resolves; the audit
+#: covers every pair of total degree |j| + |k| at most this.
+ORACLE_DEGREE = 4
+
+#: Torus of the coefficient oracle: radius r and M points per axis.
+TORUS_RADIUS = 0.25
+TORUS_POINTS = 2 * ORACLE_DEGREE + 1
+
+#: Most torus points M^(2n) evaluated as one stack (n <= 3 at M = 9).
+MAX_TORUS_POINTS = 2**20
+
+
+def torus_coefficients(form: Form, spec: HartogsSpec, h: float | None = None) -> dict:
+    """Derivative-normalized coefficients {(j, k): a_jk} of a form's series,
+    for every pair of multi-indices with |j|, |k| <= ORACLE_DEGREE.
+
+    F, ``expm1(F)`` and ``-expm1(-F)`` of the polarized potential expand as
+    sum c_jk z^j w^k, with a_jk = j! k! c_jk the Euclidean, projective and
+    hyperbolic matrix entries (Calabi). One stack evaluation on the 2n-torus
+    |z_a| = |w_a| = r with M points per axis and one ``fftn`` give every
+    c_jk r^(|j|+|k|) at once (Lyness-Moler; r chosen as in Bornemann, Found.
+    Comput. Math. 11, 2011). Circular symmetry leaves only pairs with equal
+    per-variable degrees nonzero, so the nearest alias of c_jk is
+    c_(j+Me_a, k+Me_a) r^(2M): aliasing is of relative order r^(2M), about
+    1e-11 at r = 1/4, M = 9, times the coefficient growth. Round-off is
+    amplified to about j! k! eps / r^(|j|+|k|) times max |F| on the torus,
+    below 1e-8 for |j|, |k| <= 4. A torus past ``MAX_TORUS_POINTS`` points
+    (n >= 4) raises :class:`CapabilityError`.
+    """
+    _require_radial(spec.base)
+    form = Form(form)
+    h = _scale(spec, h)
+    n, m = spec.total_dim, TORUS_POINTS
+    size = m ** (2 * n)
+    if size > MAX_TORUS_POINTS:
+        raise CapabilityError(
+            f"the coefficient torus would hold {size} points for {n} variables, "
+            f"more than the limit of {MAX_TORUS_POINTS}"
+        )
+    circle = TORUS_RADIUS * np.exp(2j * np.pi * np.arange(m) / m)
+    axes = [circle.reshape([m if b == a else 1 for b in range(2 * n)]) for a in range(2 * n)]
+    f = _polarized_potential(spec, axes[:n], axes[n:], h)
+    if form is Form.PROJECTIVE:
+        f = np.expm1(f)
+    elif form is Form.HYPERBOLIC:
+        f = -np.expm1(-f)
+    taylor = np.fft.fftn(f) / size
+    indices = enumerate_indices(n, ORACLE_DEGREE)
+    return {
+        (j, k): complex(taylor[j + k]) * multi_factorial(j) * multi_factorial(k)
+        / TORUS_RADIUS ** (sum(j) + sum(k))
+        for j in indices
+        for k in indices
+    }
+
+
 @dataclass(frozen=True)
 class CrossCoefficientAudit:
-    """Finite-difference audit of the rotation-forced zero coefficients."""
+    """Torus-oracle audit of the rotation-forced zero coefficients."""
 
     max_off_structure: float
     pair_values: tuple
     control_pair: tuple
-    control_fd: float
+    control_value: float
     control_expected: float
 
 
-def _violating_pairs(spec: HartogsSpec, max_degree: int, count: int):
-    """Deterministic list of index pairs whose coefficients must vanish."""
-    n = spec.total_dim
-    d0 = spec.fiber_dim
-    indices = enumerate_indices(n, max_degree)
-    pairs = []
-    for a_pos, mj in enumerate(indices):
-        for mk in indices[a_pos:]:
-            if sum(mj) + sum(mk) > max_degree or sum(mj) + sum(mk) < 2:
-                continue
-            fiber_mismatch = sum(mj[:d0]) != sum(mk[:d0])
-            base_mismatch = sum(mj[d0:]) != sum(mk[d0:])
-            if fiber_mismatch or base_mismatch:
-                pairs.append((mj, mk))
-    pairs.sort(key=lambda jk: (sum(jk[0]) + sum(jk[1]), jk))
-    return pairs[:count]
+def cross_coefficient_audit(spec: HartogsSpec) -> CrossCoefficientAudit:
+    """Euclidean coefficients of every ordered pair (j, k) with
+    |j| + |k| <= ORACLE_DEGREE whose fiber or base degrees differ.
 
-
-def cross_coefficient_audit(
-    spec: HartogsSpec,
-    max_degree: int = 4,
-    pair_count: int = 12,
-    cfg: wirtinger.DiffConfig | None = None,
-) -> CrossCoefficientAudit:
-    """Compute off-structure coefficients by finite differences.
-
-    Every selected pair violates one of the rotation-invariance conditions
-    (fiber degrees differ, or base degrees differ), so its coefficient must
-    vanish; the returned maximum magnitude is the audit value. A diagonal
-    control pair is evaluated alongside and compared with its analytic block
-    entry.
+    Circular symmetry forces each of them to vanish; the returned maximum
+    magnitude is the audit value. The diagonal control pair (first fiber
+    variable, degree 1) is read from the same oracle and compared with its
+    analytic block entry.
     """
-    _require_radial(spec.base)
-    if max_degree > 4:
-        raise CapabilityError("audit is a low-order oracle; max_degree <= 4")
-    cfg = cfg or wirtinger.DiffConfig()
-    origin = np.zeros(spec.total_dim, dtype=np.complex128)
+    coefficients = torus_coefficients(Form.EUCLIDEAN, spec)
+    d0 = spec.fiber_dim
 
-    def f(q):
-        return hartogs_potential(spec, point_from_coords(spec, q))
+    def degrees(m):
+        return sum(m[:d0]), sum(m[d0:])
 
-    values = []
-    for mj, mk in _violating_pairs(spec, max_degree, pair_count):
-        fd = wirtinger.mixed_partial(f, origin, mj, mk, cfg)
-        values.append(((mj, mk), abs(fd)))
-
+    values = tuple(
+        ((j, k), abs(a))
+        for (j, k), a in coefficients.items()
+        if sum(j) + sum(k) <= ORACLE_DEGREE and degrees(j) != degrees(k)
+    )
     control = ((1,) + (0,) * (spec.total_dim - 1),) * 2
-    control_fd = wirtinger.mixed_partial(f, origin, control[0], control[1], cfg)
-    control_expected = float(block(Form.EUCLIDEAN, spec, 1, 1).diagonal[0])
     return CrossCoefficientAudit(
         max_off_structure=max(v for _, v in values),
-        pair_values=tuple(values),
+        pair_values=values,
         control_pair=control,
-        control_fd=float(np.real(control_fd)),
-        control_expected=control_expected,
+        control_value=coefficients[control].real,
+        control_expected=float(block(Form.EUCLIDEAN, spec, 1, 1).diagonal[0]),
     )

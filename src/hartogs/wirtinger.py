@@ -2,8 +2,8 @@
 
 The targets are non-holomorphic (they depend on both z and zbar), so
 complex-step differentiation is invalid; everything runs as central
-differences on the 2n underlying real coordinates, with optional Richardson
-extrapolation (O(step^4)).
+differences on the 2n underlying real coordinates, with Richardson
+extrapolation over the steps step / 2 and step (O(step^4)).
 
 Conventions, for z_a = x_a + i y_a:
 
@@ -15,9 +15,7 @@ is called once on the whole stack: ``f`` takes an (N, n) array of complex
 points, one per row, and returns one value per row, an (N,) array for a
 real-valued f or (N, m) for a vector-valued F. ``conjugate_jacobian`` lays
 out the stencils of a whole (P, n) stack of centre points, point after point,
-in that one call; a single point is the P = 1 case. ``mixed_partial`` alone
-keeps per-point callables, because its iterated stencils nest functions of a
-point.
+in that one call; a single point is the P = 1 case.
 
 Functions raise :class:`BoundaryViolationError` from inside the stencil when
 an evaluation point leaves the domain; callers that know a margin are
@@ -26,35 +24,15 @@ expected to keep ``step <= margin / 8``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import CapabilityError
 from .hermitian import HermitianMatrix
 
-# Step schedule for iterated (order > 2) Wirtinger stencils: level l uses
-# _ITERATED_BASE_STEP * _ITERATED_SHRINK**l, decreasing inward so stencil
-# levels never collide and roundoff stays far below the truncation budget.
-_ITERATED_BASE_STEP = 0.02
-_ITERATED_SHRINK = 0.7
-
-
-@dataclass(frozen=True)
-class DiffConfig:
-    step: float = 1e-4
-    richardson: bool = True
-    max_order: int = 4
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if not 1 <= self.max_order <= 4:
-            raise ValueError("max_order must lie in 1..4")
-
-
-DEFAULT_CONFIG = DiffConfig()
+#: Default stencil step.
+DEFAULT_STEP = 1e-4
 
 
 def _split_real(p: np.ndarray) -> np.ndarray:
@@ -63,15 +41,16 @@ def _split_real(p: np.ndarray) -> np.ndarray:
     return np.concatenate([p.real, p.imag], axis=-1)
 
 
-def _levels(cfg: DiffConfig) -> tuple[float, ...]:
-    """Stencil steps, finest first: (step / 2, step) with Richardson."""
-    return (cfg.step / 2.0, cfg.step) if cfg.richardson else (cfg.step,)
+def _levels(step: float) -> tuple[float, float]:
+    """Stencil steps, finest first: (step / 2, step)."""
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError("step must be positive and finite")
+    return (step / 2.0, step)
 
 
 def _richardson(per_level: list) -> np.ndarray:
-    if len(per_level) == 1:
-        return per_level[0]
-    return (4.0 * per_level[0] - per_level[1]) / 3.0
+    fine, coarse = per_level
+    return (4.0 * fine - coarse) / 3.0
 
 
 def _displaced(u: np.ndarray, axes, deltas) -> np.ndarray:
@@ -98,13 +77,13 @@ def _evaluate(f: Callable, rows: np.ndarray) -> np.ndarray:
     return np.asarray(f(rows[:, :n] + 1j * rows[:, n:]))
 
 
-def _first_derivatives(f: Callable, points, cfg: DiffConfig) -> np.ndarray:
+def _first_derivatives(f: Callable, points, step: float) -> np.ndarray:
     """df/du_a along every real coordinate u_a of every row of a (P, n)
     stack of points, from one call of f; shape (P, 2n) + value shape."""
     u = _split_real(points)
     if u.ndim != 2:
         raise ValueError("expected a (P, n) stack of points")
-    levels = _levels(cfg)
+    levels = _levels(step)
     vals = _evaluate(f, _plus_minus(u, levels))
     vals = vals.reshape(u.shape + (len(levels), 2) + vals.shape[1:])
     return _richardson(
@@ -112,14 +91,14 @@ def _first_derivatives(f: Callable, points, cfg: DiffConfig) -> np.ndarray:
     )
 
 
-def wirtinger_gradient(f, p, cfg: DiffConfig = DEFAULT_CONFIG) -> np.ndarray:
+def wirtinger_gradient(f, p, step: float = DEFAULT_STEP) -> np.ndarray:
     """(df/dz_a)_a of a real-valued f at the complex vector p."""
-    d = _first_derivatives(f, np.atleast_1d(np.asarray(p))[None, :], cfg)[0]
+    d = _first_derivatives(f, np.atleast_1d(np.asarray(p))[None, :], step)[0]
     n = len(d) // 2
     return 0.5 * (d[:n] - 1j * d[n:])
 
 
-def wirtinger_hessian(f, p, cfg: DiffConfig = DEFAULT_CONFIG) -> HermitianMatrix:
+def wirtinger_hessian(f, p, step: float = DEFAULT_STEP) -> HermitianMatrix:
     """Mixed Hessian (d^2 f / dz_a dzbar_b) of a real-valued f at p.
 
     Built from the full real Hessian H over (x, y):
@@ -131,7 +110,7 @@ def wirtinger_hessian(f, p, cfg: DiffConfig = DEFAULT_CONFIG) -> HermitianMatrix
     """
     u = _split_real(p)[None, :]
     n = u.shape[1] // 2
-    levels = _levels(cfg)
+    levels = _levels(step)
     pairs = list(zip(*np.triu_indices(2 * n, 1)))
     corners = [(si * h, sj * h) for h in levels for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     diag_rows = _plus_minus(u, levels)
@@ -151,80 +130,10 @@ def wirtinger_hessian(f, p, cfg: DiffConfig = DEFAULT_CONFIG) -> HermitianMatrix
     return HermitianMatrix(0.25 * ((xx + yy) + 1j * (xy - xy.T)))
 
 
-def conjugate_jacobian(f, points, cfg: DiffConfig = DEFAULT_CONFIG) -> np.ndarray:
+def conjugate_jacobian(f, points, step: float = DEFAULT_STEP) -> np.ndarray:
     """Matrices (dF_a / dzbar_b) of a complex-vector-valued F, one per row
     of a (P, n) stack of points: shape (P, m, n), from one call of F."""
-    d = _first_derivatives(f, points, cfg)
+    d = _first_derivatives(f, points, step)
     d = d.reshape(d.shape[:2] + (-1,))
     n = d.shape[1] // 2
     return (0.5 * (d[:, :n] + 1j * d[:, n:])).swapaxes(1, 2)
-
-
-def _first_order(f, p, var, conjugated, step, richardson):
-    """One Wirtinger derivative of a complex-valued f, as a new function value."""
-    sign = 1j if conjugated else -1j
-
-    def stencil(h):
-        def shifted(re, im):
-            q = p.copy()
-            q[var] += re + 1j * im
-            return f(q)
-
-        dx = (shifted(h, 0.0) - shifted(-h, 0.0)) / (2.0 * h)
-        dy = (shifted(0.0, h) - shifted(0.0, -h)) / (2.0 * h)
-        return 0.5 * (dx + sign * dy)
-
-    if not richardson:
-        return stencil(step)
-    return (4.0 * stencil(step / 2.0) - stencil(step)) / 3.0
-
-
-def mixed_partial(f, p, holo, anti, cfg: DiffConfig = DEFAULT_CONFIG) -> complex:
-    """High-order mixed Wirtinger derivative d^holo d-bar^anti f at p.
-
-    Implemented as iterated first-order stencils with geometrically
-    decreasing steps per level; intended as a low-order oracle (total order
-    at most ``2 * cfg.max_order``) for analytic series coefficients.
-    """
-    p = np.atleast_1d(np.asarray(p, dtype=np.complex128))
-    holo = tuple(int(k) for k in holo)
-    anti = tuple(int(k) for k in anti)
-    if len(holo) != len(p) or len(anti) != len(p):
-        raise ValueError("order tuples must match the number of variables")
-    if any(k < 0 for k in holo + anti):
-        raise ValueError("derivative orders must be nonnegative")
-    total = sum(holo) + sum(anti)
-    if total > 2 * cfg.max_order:
-        raise CapabilityError(
-            f"total derivative order {total} exceeds the finite-difference "
-            f"budget {2 * cfg.max_order}; use analytic coefficients instead"
-        )
-
-    def rec(q, h_rem, a_rem, level):
-        for var, k in enumerate(h_rem):
-            if k:
-                reduced = h_rem[:var] + (k - 1,) + h_rem[var + 1 :]
-                step = _ITERATED_BASE_STEP * _ITERATED_SHRINK**level
-                return _first_order(
-                    lambda w: rec(w, reduced, a_rem, level + 1),
-                    q,
-                    var,
-                    False,
-                    step,
-                    cfg.richardson,
-                )
-        for var, k in enumerate(a_rem):
-            if k:
-                reduced = a_rem[:var] + (k - 1,) + a_rem[var + 1 :]
-                step = _ITERATED_BASE_STEP * _ITERATED_SHRINK**level
-                return _first_order(
-                    lambda w: rec(w, h_rem, reduced, level + 1),
-                    q,
-                    var,
-                    True,
-                    step,
-                    cfg.richardson,
-                )
-        return f(q)
-
-    return complex(rec(p, holo, anti, 0))

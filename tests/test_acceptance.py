@@ -88,10 +88,10 @@ def test_criterion_07_euclidean_rank_growth(summary):
 
 def test_criterion_08_block_structure_audit(summary):
     c = _criterion(summary, 8)
-    assert c.details["pair_count"] == 12, c.details
+    assert c.details["pair_count"] == 64, c.details
     assert c.details["max_off_structure"] <= 1e-5, c.details
     assert (
-        abs(c.details["control_fd"] - c.details["control_expected"]) <= 1e-5
+        abs(c.details["control_value"] - c.details["control_expected"]) <= 1e-5
     ), c.details
     assert c.passed
 

@@ -420,6 +420,45 @@ class TestCli:
         assert code == 1
         assert "unsupported" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curvature", "--config", "disc.cfg", "--samples", "abc"],
+            ["nonsense"],
+            ["check-einstein"],
+        ],
+    )
+    def test_usage_error_exits_one(self, argv, capsys):
+        # exit 2 would read as "the answer is no"
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: hartogs" in capsys.readouterr().out
+
+    def test_parser_is_built_once(self, monkeypatch, disc_config, tmp_path):
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert main(["diastasis", "--config", str(disc_config), "--truncation", "2",
+                             "--out", str(tmp_path / "d.json")]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) <= 1
+
 
 _NEVER_RAISE_CONFIGS = [
     DISC_CONFIG,

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs.domains import BaseDomainSpec, HartogsSpec, point
+from hartogs.domains import BaseDomainSpec, HartogsSpec, hartogs_potential, point, sample_points
 from hartogs.errors import CapabilityError
 from hartogs.series import (
+    ORACLE_DEGREE,
     Form,
     _diagonal_verdict,
+    _polarized_potential,
     base_power_coefficients,
     block,
     cross_coefficient_audit,
@@ -20,6 +22,7 @@ from hartogs.series import (
     power_deriv,
     resolvability,
     series_partial_sum,
+    torus_coefficients,
 )
 
 DISC = HartogsSpec(BaseDomainSpec.disc(1.0), 1)
@@ -302,29 +305,93 @@ class TestSeries:
 class TestAudit:
     def test_disc_off_structure_vanishes(self):
         audit = cross_coefficient_audit(DISC)
-        assert len(audit.pair_values) == 12
+        assert len(audit.pair_values) == 64  # every violating pair of degree <= 4
         assert audit.max_off_structure <= 1e-5
 
     def test_control_pair_matches_analytic(self):
         audit = cross_coefficient_audit(DISC)
         assert audit.control_expected == pytest.approx(1.0)  # Gamma(1)Gamma(2)
-        assert audit.control_fd == pytest.approx(audit.control_expected, abs=1e-5)
+        assert audit.control_value == pytest.approx(audit.control_expected, abs=1e-5)
 
     def test_multifiber_block_matches_fd(self):
-        # d0 = 2: multinomial fiber expansion against the full FD coefficient
+        # d0 = 2: multinomial fiber expansion against the torus coefficients
         spec = HartogsSpec(BaseDomainSpec.disc(1.0), 2)
         b = block(Form.EUCLIDEAN, spec, 2, 2)
         idx = {nu: k for k, nu in enumerate(b.fiber_indices)}
-        origin = np.zeros(3, dtype=np.complex128)
+        coefficients = torus_coefficients(Form.EUCLIDEAN, spec)
+        for nu in ((2, 0), (1, 1)):
+            m = nu + (0,)
+            assert b.diagonal[idx[nu]] == pytest.approx(coefficients[(m, m)].real, abs=1e-5)
 
-        def f(q):
-            from hartogs.domains import point_from_coords
 
-            return diastasis_value(spec, point_from_coords(spec, q))
+def _oracle_gaps(form, spec, h):
+    """Largest |a_jk| over j != k, and the largest relative gap between the
+    diagonal a_jj and its block() entry, through side degree ORACLE_DEGREE."""
+    coefficients = torus_coefficients(form, spec, h)
+    cross = max(abs(a) for (j, k), a in coefficients.items() if j != k)
+    gaps = []
+    for i in range(ORACLE_DEGREE + 1):
+        for sigma in range(i + 1):
+            b = block(form, spec, i, sigma, h=h)
+            rows = [nu + alpha for nu in b.fiber_indices for alpha in b.base_indices]
+            gaps += [
+                abs(coefficients[(m, m)] - entry) / max(1.0, abs(entry))
+                for m, entry in zip(rows, b.diagonal)
+            ]
+    return cross, max(gaps)
 
-        from hartogs.wirtinger import mixed_partial
 
-        fd_20 = mixed_partial(f, origin, (2, 0, 0), (2, 0, 0))
-        fd_11 = mixed_partial(f, origin, (1, 1, 0), (1, 1, 0))
-        assert b.diagonal[idx[(2, 0)]] == pytest.approx(fd_20.real, abs=1e-5)
-        assert b.diagonal[idx[(1, 1)]] == pytest.approx(fd_11.real, abs=1e-5)
+class TestTorusOracle:
+    # round-off bound j! k! eps / r^(|j|+|k|) at side degree 4, times max |F|
+    CROSS_TOL = 1e-8
+
+    @pytest.mark.parametrize("form", list(Form))
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+    def test_disc_coefficients_match_blocks(self, form, mu):
+        spec = HartogsSpec(BaseDomainSpec.disc(mu), 1)
+        for h in (0.5, 1.0, 1.5, 2.7):
+            cross, gap = _oracle_gaps(form, spec, h)
+            assert cross <= self.CROSS_TOL, (h, cross)
+            assert gap <= 1e-5, (h, gap)
+
+    @pytest.mark.parametrize(
+        "base",
+        [BaseDomainSpec.polydisc((1.0, 2.0)), BaseDomainSpec.fock(1, 1.0)],
+        ids=["polydisc_1_2", "fock1"],
+    )
+    def test_other_factor_kinds_match_blocks(self, base):
+        spec = HartogsSpec(base, 1)
+        for form in Form:
+            cross, gap = _oracle_gaps(form, spec, 1.5)
+            assert cross <= self.CROSS_TOL and gap <= 1e-5, (form, cross, gap)
+
+    def test_known_entries(self):
+        fiber = ((2, 0), (2, 0))
+        euclidean = torus_coefficients(Form.EUCLIDEAN, DISC)
+        assert euclidean[fiber] == pytest.approx(2.0, abs=1e-8)
+        # criterion 5's obstruction: 1 - (1 - t)^(3/2) has t^2 entry -1.5
+        hyperbolic = torus_coefficients(Form.HYPERBOLIC, DISC, h=1.5)
+        assert hyperbolic[fiber] == pytest.approx(-1.5, abs=1e-8)
+
+    def test_polarized_potential_restates_the_potential(self):
+        for spec in (DISC, HartogsSpec(BaseDomainSpec.polydisc((0.5, 2.0)), 2, scale=1.5), FOCK):
+            for p in sample_points(spec, 5, seed=3):
+                z = list(p.coords)
+                value = _polarized_potential(spec, z, list(np.conj(z)), spec.scale)
+                assert value == pytest.approx(hartogs_potential(spec, p), rel=1e-12)
+
+    def test_torus_cap(self):
+        spec = HartogsSpec(BaseDomainSpec.ball(3, 1.0), 2)
+        with pytest.raises(CapabilityError, match="3486784401 points"):
+            torus_coefficients(Form.EUCLIDEAN, spec)
+
+    def test_rank_two_cartan_raises(self):
+        spec = HartogsSpec(BaseDomainSpec.cartan_type_i(2, 2, 1.0), 1)
+        with pytest.raises(CapabilityError, match="rank >= 2"):
+            torus_coefficients(Form.PROJECTIVE, spec)
+
+    def test_branch_guard(self):
+        # |<z0, w0> / phi| reaches 1 on the r = 1/4 torus once mu is large
+        spec = HartogsSpec(BaseDomainSpec.disc(60.0), 1)
+        with pytest.raises(CapabilityError, match="principal branch"):
+            torus_coefficients(Form.EUCLIDEAN, spec)

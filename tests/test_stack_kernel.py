@@ -180,9 +180,9 @@ def test_extremal_groups_stay_under_the_row_cap(monkeypatch):
     points = sample_points(spec, 20, seed=2, min_margin=0.05)
     stacks = []
 
-    def recorded(f, centres, cfg):
+    def recorded(f, centres, step):
         stacks.append(len(centres))
-        return conjugate_jacobian(f, centres, cfg)
+        return conjugate_jacobian(f, centres, step)
 
     monkeypatch.setattr(curvature, "conjugate_jacobian", recorded)
     curvature_report(spec, points)
@@ -215,9 +215,9 @@ def test_report_command_builds_one_report(monkeypatch, tmp_path):
         reports.append(len(points))
         return build(spec, points, *args, **kwargs)
 
-    def counted_stencil(f, points, cfg):
+    def counted_stencil(f, points, step):
         centres.append(len(points))
-        return stencil(f, points, cfg)
+        return stencil(f, points, step)
 
     for module in (curvature, reporting):
         monkeypatch.setattr(module, "curvature_report", counted_report)

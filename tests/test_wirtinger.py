@@ -13,16 +13,12 @@ from hartogs.domains import (
     point_from_coords,
     sample_points,
 )
-from hartogs.errors import BoundaryViolationError, CapabilityError
+from hartogs.errors import BoundaryViolationError
 from hartogs.wirtinger import (
-    DiffConfig,
     conjugate_jacobian,
-    mixed_partial,
     wirtinger_gradient,
     wirtinger_hessian,
 )
-
-CFG = DiffConfig()
 
 
 def norm2(z):
@@ -130,42 +126,22 @@ class TestAgainstClosedForms:
             assert np.linalg.eigvalsh(h.array)[0] > -1e-8
 
 
-class TestMixedPartial:
-    def test_monomial(self):
-        # d^2 dbar^2 |z|^4 = (2!)^2
-        f = lambda z: norm2(z) ** 2
-        val = mixed_partial(f, [0.0], (2,), (2,))
-        assert val.real == pytest.approx(4.0, abs=1e-5)
-
-    def test_log_disc_fiber_block(self):
-        val = mixed_partial(log_disc, [0.0], (2,), (2,))
-        assert val.real == pytest.approx(2.0, abs=1e-5)
-
-    def test_hyperbolic_taylor_coefficient(self):
-        # 1 - (1 - t)^{3/2}: t^2 coefficient -0.375, derivative value -1.5
-        f = lambda z: 1.0 - (1.0 - norm2(z)) ** 1.5
-        val = mixed_partial(f, [0.0], (2,), (2,))
-        assert val.real == pytest.approx(-1.5, abs=1e-5)
-
-    def test_matches_first_order_gradient(self):
-        val = mixed_partial(log_disc, [0.4], (1,), (0,))
-        assert val == pytest.approx(0.4 / (1 - 0.16), abs=1e-6)
-
-    def test_order_budget(self):
-        with pytest.raises(CapabilityError):
-            mixed_partial(norm2, [0.0], (5,), (4,))
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            mixed_partial(norm2, [0.0], (1, 1), (0,))
-
-
 class TestBoundaryPropagation:
     def test_stencil_exit_raises(self):
         spec = HartogsSpec(BaseDomainSpec.disc(1.0), 1)
         p = point_from_coords(spec, [0.999, 0.0])
         with pytest.raises(BoundaryViolationError):
-            wirtinger_hessian(potential_rows(spec), p.coords, DiffConfig(step=0.01))
+            wirtinger_hessian(potential_rows(spec), p.coords, step=0.01)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
+def test_step_must_be_positive_and_finite(step):
+    with pytest.raises(ValueError, match="positive and finite"):
+        wirtinger_gradient(norm2, [0.3], step)
+    with pytest.raises(ValueError, match="positive and finite"):
+        wirtinger_hessian(norm2, [0.3], step)
+    with pytest.raises(ValueError, match="positive and finite"):
+        conjugate_jacobian(np.conj, [[0.3]], step)
 
 
 def test_conjugate_jacobian_of_conjugate():
