@@ -48,6 +48,7 @@ from .series import (
     ResolvabilityVerdict,
     base_power_coefficients,
     block,
+    blocks,
     cross_coefficient_audit,
     diastasis_value,
     enumerate_indices,
@@ -74,6 +75,7 @@ __all__ = [
     "base_hessian_closed",
     "base_power_coefficients",
     "block",
+    "blocks",
     "catalog_facts",
     "cross_check",
     "cross_coefficient_audit",

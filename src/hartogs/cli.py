@@ -23,7 +23,7 @@ from .domains import sample_points
 from .errors import HartogsError
 from .fixtures import run_acceptance
 from .immersion import Answer, ImmersionTarget, cross_check, decide, table_one
-from .series import Form, block, resolvability
+from .series import Form, blocks, resolvability
 
 
 class _UsageError(Exception):
@@ -219,11 +219,9 @@ def cmd_diastasis(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         h = _parse_h_list(args.h)[0]
         for form in Form:
-            for i in range(args.truncation + 1):
-                for sigma in range(i, -1, -1):
-                    b = block(form, parsed.spec, i, sigma, h=h)
-                    name = f"{form.value}_i{i}_sigma{sigma}.csv"
-                    reporting.write_text(reporting.block_csv(b), outdir / name)
+            for b in blocks(form, parsed.spec, args.truncation, h):
+                name = f"{form.value}_i{b.total_degree}_sigma{b.fiber_degree}.csv"
+                reporting.write_text(reporting.block_csv(b), outdir / name)
         reporting.write_text(
             reporting.to_json(payload), outdir / "verdicts.json"
         )

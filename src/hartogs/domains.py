@@ -54,6 +54,11 @@ def _as_fraction(x) -> Fraction | None:
     return frac if float(frac) == float(x) else None
 
 
+def _exact(x: float) -> Fraction:
+    """x as its short fraction where that reproduces it (0.1 is 1/10), else exactly."""
+    return _as_fraction(x) or Fraction(x)
+
+
 @dataclass(frozen=True)
 class BaseDomainSpec:
     """A base domain D with its defining potential metadata.

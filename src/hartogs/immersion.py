@@ -25,12 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Callable
 
-from .domains import BaseDomainSpec, DomainKind, HartogsSpec, _as_fraction
+from .domains import BaseDomainSpec, DomainKind, HartogsSpec, _exact
 from .errors import CapabilityError, HartogsError
-from .series import Form, block, resolvability
+from .series import Form, resolvability
 
 
 class Answer(str, Enum):
@@ -118,11 +117,6 @@ class BaseImmersionFacts:
 def _check_fact(value: str):
     if value not in _FACT_VALUES:
         raise ValueError(f"fact values must be one of {_FACT_VALUES}")
-
-
-def _exact(x: float) -> Fraction:
-    """x as its short fraction where that reproduces it (0.1 is 1/10), else exactly."""
-    return _as_fraction(x) or Fraction(x)
 
 
 def constant_facts(euclidean: str, projective: str, hyperbolic: str, provenance="user_supplied") -> BaseImmersionFacts:
@@ -258,11 +252,11 @@ def cross_check(
 
     An existence verdict must see every block PSD; a sign-obstructed
     non-existence verdict (infinite targets) must see a failing block at
-    finite degree. Just above h = 1 the scale-bound obstruction, the (2, 2)
-    entry h (1 - h) times positive weights, can lie inside the sweep's PSD
-    tolerance; then its exact sign is checked instead ("scale-bound-exact").
-    Finite-target exclusions rest on rank growth and only report the
-    accumulated rank. Contradictions raise hard errors naming the block.
+    finite degree. The sweep decides signs exactly, so even just above h = 1
+    it sees the scale-bound obstruction, the (2, 2) entry h (1 - h) times
+    positive weights, as a failing block. Finite-target exclusions rest on
+    rank growth and only report the accumulated rank. Contradictions raise
+    hard errors naming the block.
     """
     target = ImmersionTarget(target)
     h = spec.scale if h is None else float(h)
@@ -288,8 +282,6 @@ def cross_check(
         agreement = "finite-rank-evidence"
     elif not res.all_psd:
         agreement = "obstruction-found"
-    elif v.rule == _RULE_SCALE_BOUND and block(target.form, spec, 2, 2, h=h).diagonal.min() < 0:
-        agreement = "scale-bound-exact"
     else:
         raise HartogsError(
             f"contradiction: {target.value} immersion excluded but every "

@@ -15,11 +15,17 @@ disagree, so the infinite coefficient matrix is block diagonal over the pairs
 itself diagonal in the monomial basis, with closed Pochhammer-product
 entries, so a block is stored as its diagonal, in derivative normalization
 (Taylor coefficient times m_j! m_k!), and its eigenvalues are its entries.
-Entries are assembled in double precision; a block with an entry outside
-that range raises :class:`CapabilityError`. The Hyperbolic entries come from
-this direct Taylor expansion, and only their signs are compared against
-external claims. ``torus_coefficients`` recomputes the low-degree entries of
-all three forms from the polarized potential, without these tables.
+
+Resolvability is decided exactly on rationals, with no tolerance: an entry's
+sign is the product of exact prefactor and Pochhammer signs, and a block's
+rank is the number of its positive entries, counted by multi-index degree
+rather than enumerated. Only :func:`block`, :func:`blocks` and a first
+failure's least entry assemble entries in double precision; a block with an
+entry outside that range raises :class:`CapabilityError`. The Hyperbolic
+entries come from this direct Taylor expansion, and only their signs are
+compared against external claims. ``torus_coefficients`` recomputes the
+low-degree entries of all three forms from the polarized potential, without
+these tables.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -35,6 +42,7 @@ from .domains import (
     DomainKind,
     EvaluationPoint,
     HartogsSpec,
+    _exact,
     hartogs_potential,
 )
 from .errors import CapabilityError
@@ -308,6 +316,17 @@ def block(form: Form, spec: HartogsSpec, i: int, sigma: int, h: float | None = N
     return _block(Form(form), spec, i, sigma, _scale(spec, h), table)
 
 
+def blocks(form: Form, spec: HartogsSpec, truncation_degree: int, h: float | None = None):
+    """Every block with i <= truncation_degree, as :func:`block` gives it, in
+    the canonical traversal (i ascending, sigma descending). One base table
+    serves them all, so each factor value is computed once."""
+    table = _BaseTable(spec.base)
+    form, h = Form(form), _scale(spec, h)
+    for i in range(truncation_degree + 1):
+        for sigma in range(i, -1, -1):
+            yield _block(form, spec, i, sigma, h, table)
+
+
 # ---------------------------------------------------------------------------
 # Resolvability
 # ---------------------------------------------------------------------------
@@ -326,7 +345,9 @@ class ResolvabilityVerdict:
 
     ``first_failure`` is the first failing block in the canonical traversal:
     total degree ascending, fiber degree descending within a degree (the
-    layout of the block-diagonal display).
+    layout of the block-diagonal display). ``rank_lower_bound`` is the exact
+    number of positive entries over all blocks (the name is kept for the
+    report schema).
     """
 
     form: Form
@@ -337,16 +358,94 @@ class ResolvabilityVerdict:
     first_failure: BlockFailure | None
 
 
-def _diagonal_verdict(diagonal: np.ndarray) -> tuple[bool, float, int]:
-    """(is PSD, min eigenvalue, numeric rank) of a diagonal block.
+def _pochhammer_signs(a: Fraction, k_max: int) -> np.ndarray:
+    """Signs of pochhammer(a, k) for k = 0..k_max, from the exact rational a.
 
-    The eigenvalues are the entries. The threshold 1e-10 (1 + max |d|) is
-    relative, robust against large Gamma-factor entries; the rank counts
-    entries above it and is numeric, never claimed exact.
+    The product is 0 iff a is an integer in (-k, 0]; otherwise its sign is
+    (-1)^min(k, c), c = max(0, ceil(-a)) being the number of negative terms.
     """
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(diagonal))))
-    min_value = float(np.min(diagonal))
-    return min_value >= -tol, min_value, int(np.count_nonzero(diagonal > tol))
+    k = np.arange(k_max + 1)
+    negatives = min(k_max, max(0, math.ceil(-a)))
+    signs = np.where(np.minimum(k, negatives) % 2, -1, 1)
+    if a.denominator == 1 and a <= 0:
+        signs[k > -a] = 0
+    return signs
+
+
+def _power_signs(fock: bool, a: Fraction, k_max: int) -> np.ndarray:
+    """Signs of one factor's table values at degrees k = 0..k_max, a = mu s:
+    pochhammer(a, k) for ball-like factors, a^k for fock ones."""
+    if not fock:
+        return _pochhammer_signs(a, k_max)
+    signs = np.ones(k_max + 1, dtype=int)
+    if a < 0:
+        signs[1::2] = -1
+    elif a == 0:
+        signs[1:] = 0
+    return signs
+
+
+def _sign_counts(form: Form, spec: HartogsSpec, h: float, truncation_degree: int):
+    """Exact (positive, negative) entry counts of every block through degree T.
+
+    Yields (sigma, pos, neg) for sigma = 0..T, where pos[m] and neg[m] count
+    the entries of block (sigma + m, sigma), m = 0..T - sigma. An entry is the
+    prefactor P_sigma times positive factorial weights times one table value
+    per base factor, so its sign is the product of their exact signs, taken
+    on the rationals _exact(h) and _exact(mu). A factor of dimension d has
+    C(d + k - 1, k) base indices of degree k; the per-factor (nonzero,
+    signed) counts are convolved across factors, and each block is repeated
+    over the C(d0 + sigma - 1, sigma) fiber indices of degree sigma. Counts
+    are int64 when the number of all multi-indices of degree <= T fits in it
+    (no count can exceed that), Python ints otherwise.
+    """
+    big = math.comb(spec.total_dim + truncation_degree, truncation_degree) >= 2**63
+    dtype = object if big else np.int64
+    base = spec.base
+    fock = base.kind is DomainKind.FOCK
+    mus = [_exact(mu) for mu in base.exponents]
+    h = _exact(h)
+    degree_counts = [
+        np.array([math.comb(d + k - 1, k) for k in range(truncation_degree + 1)], dtype=dtype)
+        for d in base.dims
+    ]
+    # prefactor signs and the base-table power s = sigma + shift
+    if form is Form.EUCLIDEAN:
+        prefactor, shift = np.ones(truncation_degree + 1, dtype=int), 0
+    elif form is Form.PROJECTIVE:
+        prefactor, shift = _pochhammer_signs(h, truncation_degree), h
+    else:
+        prefactor, shift = -_pochhammer_signs(-h, truncation_degree), -h
+    for sigma in range(truncation_degree + 1):
+        k_max = truncation_degree - sigma
+        fibers = math.comb(spec.fiber_dim + sigma - 1, sigma)
+        if form is Form.EUCLIDEAN and sigma == 0:
+            # -log phi is a sum over factors: one positive entry per base index
+            # supported on a single factor (degree 1 only for fock factors)
+            pos = sum(c[: k_max + 1] for c in degree_counts)
+            if fock:
+                pos[2:] = 0
+            neg = np.zeros_like(pos)
+        else:
+            nonzero = signed = None
+            for mu, counts in zip(mus, degree_counts):
+                signs = _power_signs(fock, mu * (sigma + shift), k_max)
+                a, b = counts[: k_max + 1] * (signs != 0), counts[: k_max + 1] * signs
+                if nonzero is None:
+                    nonzero, signed = a, b
+                else:
+                    nonzero = np.convolve(nonzero, a)[: k_max + 1]
+                    signed = np.convolve(signed, b)[: k_max + 1]
+            pos, neg = (nonzero + signed) // 2, (nonzero - signed) // 2
+        if prefactor[sigma] < 0:
+            pos, neg = neg, pos
+        elif prefactor[sigma] == 0:
+            pos, neg = np.zeros_like(pos), np.zeros_like(neg)
+        pos, neg = pos * fibers, neg * fibers
+        if sigma == 0:
+            # the constant term of all three expansions vanishes: phi(0) = 1
+            pos[0] = neg[0] = 0
+        yield sigma, pos, neg
 
 
 def resolvability(
@@ -357,33 +456,40 @@ def resolvability(
 ) -> ResolvabilityVerdict:
     """Decide PSD-ness of every coefficient block with i <= truncation_degree.
 
-    ``rank_lower_bound`` sums numeric ranks over all blocks and is
-    nondecreasing in the truncation degree.
+    Blocks are diagonal, so a block is PSD iff it has no negative entry, and
+    its rank is its number of positive entries. Both are decided exactly from
+    the entry signs (:func:`_sign_counts`), without a tolerance and without
+    assembling the blocks; ``rank_lower_bound`` is nondecreasing in the
+    truncation degree. Only the first failing block is assembled in floats,
+    for its ``min_eigenvalue``; if that block leaves the double range, the
+    sweep raises :class:`CapabilityError`.
     """
     if truncation_degree < 2:
         raise ValueError("truncation degree must be at least 2")
-    table = _BaseTable(spec.base)
+    _require_radial(spec.base)
     form = Form(form)
     h = _scale(spec, h)
-    all_psd = True
     rank = 0
-    first: BlockFailure | None = None
-    for i in range(truncation_degree + 1):
-        for sigma in range(i, -1, -1):
-            b = _block(form, spec, i, sigma, h, table)
-            is_psd, min_value, block_rank = _diagonal_verdict(b.diagonal)
-            rank += block_rank
-            if not is_psd:
-                all_psd = False
-                if first is None:
-                    first = BlockFailure(i, sigma, min_value)
+    first = None  # (i, sigma) of the first failing block in traversal order
+    for sigma, pos, neg in _sign_counts(form, spec, h, truncation_degree):
+        rank += int(pos.sum())
+        failing = np.flatnonzero(neg)
+        if failing.size:
+            i = sigma + int(failing[0])
+            # ascending sigma: an equal i at a larger sigma comes first
+            if first is None or i <= first[0]:
+                first = (i, sigma)
+    failure = None
+    if first is not None:
+        b = _block(form, spec, *first, h, _BaseTable(spec.base))
+        failure = BlockFailure(*first, float(np.min(b.diagonal)))
     return ResolvabilityVerdict(
         form=form,
         h=h,
         truncation_degree=truncation_degree,
-        all_psd=all_psd,
+        all_psd=first is None,
         rank_lower_bound=rank,
-        first_failure=first,
+        first_failure=failure,
     )
 
 

@@ -209,7 +209,9 @@ class TestCli:
         assert code == 2
         verdict = json.loads(out.read_text())["verdicts"][0]
         assert verdict["answer"] == "not_exists"
-        assert verdict["cross_check"]["agreement"] == "scale-bound-exact"
+        assert verdict["cross_check"]["agreement"] == "obstruction-found"
+        assert verdict["cross_check"]["all_psd"] is False
+        assert verdict["cross_check"]["first_failure"][:2] == [2, 2]
         at_one = ["immersion", "--config", str(disc_config), "--target", "CH",
                   "--h", "1", "--truncation", truncation, "--out", str(out)]
         assert main(at_one) == 0
@@ -318,19 +320,35 @@ class TestCli:
         assert len(payload["immersion"]) == 12  # 6 targets x 2 scales
 
     @pytest.mark.parametrize(
-        "args", [["--truncation", "200"], ["--h", "nan"], ["--h", "inf"], ["--h=-inf"]]
+        "args", [["--h", "1e300"], ["--h", "nan"], ["--h", "inf"], ["--h=-inf"]]
     )
     def test_diastasis_out_of_range_fails_cleanly(self, disc_config, capsys, args):
+        # at h = 1e300 the first failing block, hyperbolic (2, 2), holds
+        # -h (h - 1), past the double range of its min_eig
         code = main(["diastasis", "--config", str(disc_config), *args])
         out, err = capsys.readouterr()
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "NaN" not in out + err and "Infinity" not in out + err
 
+    def test_diastasis_past_the_double_range(self, disc_config, tmp_path):
+        # entries pass 1e308 near degree 100, but the sweep only counts signs
+        out = tmp_path / "v.json"
+        code = main(["diastasis", "--config", str(disc_config), "--truncation", "200",
+                     "--out", str(out)])
+        assert code == 0
+        verdicts = json.loads(out.read_text())["verdicts"]
+        assert [v["all_psd"] for v in verdicts] == [True] * 3
+        assert verdicts[0]["rank_lower_bound"] == math.comb(202, 2) - 1
+
     def test_wide_fiber_fails_cleanly(self, tmp_path, capsys):
+        # the sweep only counts the 720,600 fiber indices of degree 2; the
+        # CSV dump enumerates them, past the index limit
         cfg = tmp_path / "wide.cfg"
         cfg.write_text(DISC_CONFIG.replace("fiber.dim = 1", "fiber.dim = 1200"))
-        code = main(["diastasis", "--config", str(cfg), "--truncation", "2"])
+        sweep = ["diastasis", "--config", str(cfg), "--truncation", "2"]
+        assert main(sweep + ["--out", str(tmp_path / "v.json")]) == 0
+        code = main(sweep + ["--format", "csv", "--out", str(tmp_path / "dump")])
         out, err = capsys.readouterr()
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -11,8 +11,6 @@ from hartogs.hermitian import (
     eigenvalues,
     solve_hermitian,
 )
-from hartogs.series import _diagonal_verdict
-
 
 B2 = HartogsSpec(BaseDomainSpec.disc(1.0), 1)  # the unit ball in C^2
 
@@ -69,31 +67,8 @@ class TestDeterminant:
 
 
 class TestPsdCheck:
-    """The PSD / rank rule for diagonal coefficient blocks: (is_psd, min, rank)."""
-
-    def test_diagonal_psd_rank_one(self):
-        is_psd, _, rank = _diagonal_verdict(np.array([1.5, 0.0]))
-        assert is_psd and rank == 1
-
-    def test_indefinite(self):
-        is_psd, min_value, _ = _diagonal_verdict(np.array([1.5, -1.5]))
-        assert not is_psd
-        assert min_value == -1.5
-
-    def test_zero_matrix(self):
-        assert _diagonal_verdict(np.zeros(3)) == (True, 0.0, 0)
-
-    def test_default_tolerance_relative(self):
-        # threshold 1e-10 (1 + 1e6) ~ 1e-4: entries of size 1e-5 are numerically zero
-        assert _diagonal_verdict(np.array([1e6, 1e-5])) == (True, 1e-5, 1)
-        assert _diagonal_verdict(np.array([1e6, -1e-5]))[0]
-        assert not _diagonal_verdict(np.array([1.0, -1e-5]))[0]
-
-    def test_rank_scale_covariant(self):
-        rng = np.random.default_rng(3)
-        d = rng.normal(size=6)
-        alpha = 37.5
-        assert _diagonal_verdict(alpha * d)[::2] == _diagonal_verdict(d)[::2]
+    """Eigen-solver failures; diagonal coefficient blocks are decided exactly
+    in ``hartogs.series``."""
 
     def test_solver_failure_names_dimension(self, monkeypatch):
         def boom(_):

@@ -200,14 +200,16 @@ class TestCrossCheck:
     )
     def test_scale_bound_inside_the_sweep_tolerance(self, spec, truncation):
         # just above h = 1 the (2, 2) entry h (1 - h) w is about -4.4e-16 w,
-        # inside the sweep's PSD tolerance: only its exact sign shows it
+        # far below any float tolerance; the exact sweep still sees its sign
         rep = cross_check(
             spec, ImmersionTarget.CH_INFINITE, h=1.0000000000000002,
             truncation_degree=truncation,
         )
         assert rep.verdict.answer is Answer.NOT_EXISTS
-        assert rep.all_psd
-        assert rep.agreement == "scale-bound-exact"
+        assert not rep.all_psd
+        assert rep.first_failure[:2] == (2, 2)
+        assert rep.first_failure[2] < 0
+        assert rep.agreement == "obstruction-found"
 
     def test_psd_sweep_still_contradicts_other_exclusions(self):
         facts = constant_facts(YES, YES, NO)  # a false fact: the disc does immerse

@@ -1,17 +1,27 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs.domains import BaseDomainSpec, HartogsSpec, hartogs_potential, point, sample_points
+from hartogs.domains import (
+    BaseDomainSpec,
+    DomainKind,
+    HartogsSpec,
+    _exact,
+    hartogs_potential,
+    point,
+    sample_points,
+)
 from hartogs.errors import CapabilityError
 from hartogs.series import (
     ORACLE_DEGREE,
     Form,
-    _diagonal_verdict,
     _polarized_potential,
+    _pochhammer_signs,
+    _sign_counts,
     base_power_coefficients,
     block,
     cross_coefficient_audit,
@@ -156,7 +166,8 @@ class TestBlocks:
 
     def test_normalization_invariance_of_verdicts(self):
         # coefficient vs derivative normalization differ by a positive
-        # diagonal congruence, so PSD verdicts and ranks agree
+        # diagonal congruence, so entry signs, and with them PSD verdicts and
+        # ranks, agree; both match the exact sign counts of the block
         for i, sigma, h in [(3, 1, 0.5), (2, 2, 1.5), (4, 2, 2.0)]:
             b = block(Form.HYPERBOLIC, DISC, i, sigma, h=h)
             scale = np.array(
@@ -166,10 +177,12 @@ class TestBlocks:
                     for a in b.base_indices
                 ]
             )
-            v1 = _diagonal_verdict(b.diagonal)
-            v2 = _diagonal_verdict(scale * b.diagonal * scale)
-            assert v1[0] == v2[0]  # is_psd
-            assert v1[2] == v2[2]  # numeric rank
+            signs = np.sign(b.diagonal)
+            assert np.array_equal(np.sign(scale * b.diagonal * scale), signs)
+            pos, neg = next(
+                (p, n) for s, p, n in _sign_counts(Form.HYPERBOLIC, DISC, h, i) if s == sigma
+            )
+            assert (pos[i - sigma], neg[i - sigma]) == (np.sum(signs > 0), np.sum(signs < 0))
 
 
 class TestResolvability:
@@ -233,14 +246,18 @@ class TestDoubleRange:
             block(Form.HYPERBOLIC, DISC, 171, 171, h=1.0)
 
     def test_non_finite_entry_is_not_an_obstruction(self):
-        # (101, 3) holds inf * 0 = NaN; it must not read as a failing block
-        with pytest.raises(CapabilityError, match=r"hyperbolic .*\(i=101, sigma=3\)"):
-            resolvability(Form.HYPERBOLIC, DISC, h=1.0, truncation_degree=120)
+        # in floats (101, 3) holds inf * 0 = NaN; its exact entry is 0
+        v = resolvability(Form.HYPERBOLIC, DISC, h=1.0, truncation_degree=120)
+        assert v.all_psd
+        assert v.rank_lower_bound == 2
 
     def test_rank_is_not_capped_by_infinite_entries(self):
+        # every block of the disc past degree 0 holds one positive entry,
+        # though past degree ~100 it leaves the double range
         for t in (120, 150):
-            with pytest.raises(CapabilityError):
-                resolvability(Form.EUCLIDEAN, DISC, truncation_degree=t)
+            v = resolvability(Form.EUCLIDEAN, DISC, truncation_degree=t)
+            assert v.all_psd
+            assert v.rank_lower_bound == math.comb(t + 2, 2) - 1
 
     def test_partial_sum_past_double_range(self):
         with pytest.raises(CapabilityError, match="euclidean series"):
@@ -252,6 +269,115 @@ class TestDoubleRange:
             resolvability(Form.PROJECTIVE, DISC, h=h)
         with pytest.raises(ValueError, match="positive and finite"):
             block(Form.PROJECTIVE, DISC, 2, 1, h=h)
+
+
+# The benchmark catalog: every factor kind, one and two fibers, two factors.
+CATALOG = [
+    HartogsSpec(BaseDomainSpec.disc(0.5), 1),
+    HartogsSpec(BaseDomainSpec.disc(1.0), 1),
+    HartogsSpec(BaseDomainSpec.disc(2.0), 1),
+    HartogsSpec(BaseDomainSpec.ball(2, 1.0), 2),
+    HartogsSpec(BaseDomainSpec.ball(3, 1.0), 2),
+    HartogsSpec(BaseDomainSpec.polydisc((1.0, 2.0)), 1),
+    HartogsSpec(BaseDomainSpec.polydisc((0.5, 1.0)), 1),
+    HartogsSpec(BaseDomainSpec.cartan_type_i(1, 3, 1.0), 1),
+    HartogsSpec(BaseDomainSpec.fock(2, 1.0), 2),
+]
+
+
+def _exact_entry_signs(form, spec, h, i, sigma, base_indices):
+    """Sign of each exact block entry, by multiplying out the rational
+    Pochhammer terms (or fock powers) one by one."""
+    base = spec.base
+    h = _exact(h)
+    fock = base.kind is DomainKind.FOCK
+    if form is Form.EUCLIDEAN and sigma == 0:
+        out = []
+        for alpha in base_indices:
+            degrees = [sum(alpha[sl]) for sl in base.factor_slices]
+            support = [k for k in degrees if k]
+            out.append(int(len(support) == 1 and (not fock or support[0] == 1)))
+        return out
+    if form is Form.EUCLIDEAN:
+        prefactor, s = Fraction(1), Fraction(sigma)
+    elif form is Form.PROJECTIVE:
+        prefactor, s = math.prod(h + t for t in range(sigma)), h + sigma
+    else:
+        prefactor, s = -math.prod(-h + t for t in range(sigma)), sigma - h
+    out = []
+    for alpha in base_indices:
+        value = prefactor
+        for sl, mu in zip(base.factor_slices, base.exponents):
+            a, k = _exact(mu) * s, sum(alpha[sl])
+            value *= a**k if fock else math.prod(a + t for t in range(k))
+        out.append((value > 0) - (value < 0))
+    return out
+
+
+class TestExactSweep:
+    def test_pochhammer_signs_match_products(self):
+        for a in [Fraction(n, 6) for n in range(-60, 61)]:
+            want = [
+                (p > 0) - (p < 0)
+                for p in (math.prod(a + t for t in range(k)) for k in range(13))
+            ]
+            assert _pochhammer_signs(a, 12).tolist() == want, a
+
+    def test_disc_rank_is_closed_form_at_truncation_1000(self):
+        v = resolvability(Form.EUCLIDEAN, DISC, truncation_degree=1000)
+        assert v.all_psd and v.rank_lower_bound == math.comb(1002, 2) - 1
+        assert resolvability(Form.PROJECTIVE, DISC, truncation_degree=1000).all_psd
+        v = resolvability(Form.HYPERBOLIC, DISC, h=1.0, truncation_degree=1000)
+        assert v.all_psd and v.rank_lower_bound == 2
+
+    def test_ball3_rank_is_closed_form_at_truncation_200(self):
+        spec = HartogsSpec(BaseDomainSpec.ball(3, 1.0), 2)
+        v = resolvability(Form.EUCLIDEAN, spec, truncation_degree=200)
+        assert v.all_psd and v.rank_lower_bound == math.comb(205, 5) - 1 == 2_872_408_790
+
+    def test_huge_counts_stay_exact(self):
+        # C(n + T, T) past 2^63 switches the counts to Python integers
+        spec = HartogsSpec(BaseDomainSpec.ball(10, 1.0), 10)
+        v = resolvability(Form.EUCLIDEAN, spec, truncation_degree=80)
+        assert v.rank_lower_bound == math.comb(100, 20) - 1 > 2**64
+
+    def test_first_failure_is_assembled_in_floats(self):
+        v = resolvability(Form.HYPERBOLIC, HartogsSpec(BaseDomainSpec.polydisc((1.0, 2.0)), 1),
+                          h=0.5, truncation_degree=8)
+        b = block(Form.HYPERBOLIC, HartogsSpec(BaseDomainSpec.polydisc((1.0, 2.0)), 1),
+                  v.first_failure.total_degree, v.first_failure.fiber_degree, h=0.5)
+        assert v.first_failure.min_eigenvalue == float(b.diagonal.min()) < 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(range(len(CATALOG))),
+        st.sampled_from(list(Form)),
+        st.one_of(
+            st.sampled_from([0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.7]),
+            st.floats(min_value=0.05, max_value=4.0),
+        ),
+        st.integers(min_value=2, max_value=12),
+    )
+    def test_exact_signs_agree_with_float_blocks(self, which, form, h, t):
+        spec = CATALOG[which]
+        exact_rank = old_rank = 0
+        for sigma, pos, neg in _sign_counts(form, spec, h, t):
+            for m in range(len(pos)):
+                i = sigma + m
+                b = block(form, spec, i, sigma, h=h)
+                fibers = len(b.fiber_indices)
+                signs = np.tile(
+                    _exact_entry_signs(form, spec, h, i, sigma, b.base_indices), fibers
+                ) if i else np.zeros(1)
+                assert (pos[m], neg[m]) == (np.sum(signs > 0), np.sum(signs < 0)), (i, sigma)
+                # the former float rule: entries beyond 1e-10 (1 + max |d|) count
+                tol = 1e-10 * (1.0 + float(np.max(np.abs(b.diagonal))))
+                beyond = np.abs(b.diagonal) > tol
+                assert np.array_equal(np.sign(b.diagonal[beyond]), signs[beyond]), (i, sigma)
+                exact_rank += int(pos[m])
+                old_rank += int(np.count_nonzero(b.diagonal > tol))
+        assert resolvability(form, spec, h=h, truncation_degree=t).rank_lower_bound == exact_rank
+        assert exact_rank >= old_rank
 
 
 class TestSeries:
