@@ -12,7 +12,7 @@ from .curvature import (
     CurvatureVerdicts,
     curvature_report,
     extremal_check,
-    metric_matrix,
+    metric_stack,
     ricci_numeric,
     tau_exact,
     verdicts,
@@ -20,18 +20,11 @@ from .curvature import (
 from .domains import (
     BaseDomainSpec,
     DomainKind,
-    EvaluationPoint,
     HartogsSpec,
-    base_hessian_closed,
     hartogs_potential,
-    phi,
-    point,
     sample_points,
 )
-from .hermitian import (
-    HermitianMatrix,
-    solve_hermitian,
-)
+from .hermitian import solve_hermitian
 from .immersion import (
     Answer,
     BaseImmersionFacts,
@@ -50,12 +43,11 @@ from .series import (
     block,
     blocks,
     cross_coefficient_audit,
-    diastasis_value,
     enumerate_indices,
     resolvability,
     series_partial_sum,
 )
-from .wirtinger import wirtinger_gradient, wirtinger_hessian
+from .wirtinger import wirtinger_hessian
 
 __all__ = [
     "Answer",
@@ -65,14 +57,11 @@ __all__ = [
     "CurvatureReport",
     "CurvatureVerdicts",
     "DomainKind",
-    "EvaluationPoint",
     "Form",
     "HartogsSpec",
-    "HermitianMatrix",
     "ImmersionTarget",
     "ImmersionVerdict",
     "ResolvabilityVerdict",
-    "base_hessian_closed",
     "base_power_coefficients",
     "block",
     "blocks",
@@ -81,13 +70,10 @@ __all__ = [
     "cross_coefficient_audit",
     "curvature_report",
     "decide",
-    "diastasis_value",
     "enumerate_indices",
     "extremal_check",
     "hartogs_potential",
-    "metric_matrix",
-    "phi",
-    "point",
+    "metric_stack",
     "resolvability",
     "ricci_numeric",
     "sample_points",
@@ -96,7 +82,6 @@ __all__ = [
     "table_one",
     "tau_exact",
     "verdicts",
-    "wirtinger_gradient",
     "wirtinger_hessian",
 ]
 

@@ -14,6 +14,8 @@ margin F = phi - ||z0||^2 and per-factor Einstein constants c_i:
 
 The numeric Ricci (mixed Hessian of log det g by finite differences) and the
 extremal-condition residual act as independent oracles for the closed forms.
+Every entry takes an (N, n) stack of points, fiber coordinates first, and
+gives one value, or one n x n matrix, per row.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 
 from .domains import (
     BaseDomainSpec,
-    EvaluationPoint,
     HartogsSpec,
+    coordinate_stack,
     factor_determinant_constants,
     phi_derivatives_stack,
     phi_stack,
@@ -37,7 +39,7 @@ from .domains import (
     squared_norms,
 )
 from .errors import BoundaryViolationError, HartogsError
-from .hermitian import HermitianMatrix, eigenvalues, hermitian_part, solve_hermitian
+from .hermitian import eigenvalues, hermitian_part, solve_hermitian
 from .wirtinger import conjugate_jacobian, wirtinger_hessian
 
 #: Smallest interior margin accepted by the nested finite-difference oracles.
@@ -84,11 +86,10 @@ def _tau_is_zero(base: BaseDomainSpec) -> bool:
     return abs(tau_value(base)) <= 1e-12
 
 
-def _metric_parts(spec: HartogsSpec, coords):
-    """Block-formula metrics of an (N, n) stack, not yet symmetrised, with
-    what they were built from: the margins, the per-factor
+def _metric_parts(spec: HartogsSpec, coords: np.ndarray):
+    """Block-formula metrics of an (N, n) coordinate stack, not yet
+    symmetrised, with what they were built from: the margins, the per-factor
     (phi_i, ddbar u_i), the fiber rows, phi and its gradient."""
-    coords = np.asarray(coords, dtype=np.complex128)
     d0 = spec.fiber_dim
     z0 = np.ascontiguousarray(coords[:, :d0])
     phi_val, phi_grad, phi_hess, factors = phi_derivatives_stack(spec.base, coords[:, d0:])
@@ -108,32 +109,18 @@ def _symmetrised(g: np.ndarray) -> np.ndarray:
     return hermitian_part(g, 1e-12 * (1.0 + np.abs(g).max(axis=(1, 2))))
 
 
-def metric_stack(spec: HartogsSpec, coords) -> np.ndarray:
+def metric_stack(spec: HartogsSpec, points) -> np.ndarray:
     """The metrics of -log(phi - ||z0||^2) at an (N, n) stack of points.
 
     One exactly Hermitian n x n matrix per row, from the closed block
     formula; raises :class:`BoundaryViolationError` if a row is not interior.
     """
-    return _symmetrised(_metric_parts(spec, coords)[0])
-
-
-def metric_matrix(spec: HartogsSpec, p: EvaluationPoint) -> HermitianMatrix:
-    """The n x n metric of -log(phi - ||z0||^2) from the closed block formula."""
-    return HermitianMatrix(metric_stack(spec, p.coords[None, :])[0])
+    return _symmetrised(_metric_parts(spec, coordinate_stack(spec, points))[0])
 
 
 def _require_constants(base: BaseDomainSpec):
     if any(c is None for c in base.einstein_constants):
         raise HartogsError("base factor is missing an Einstein constant")
-
-
-def _point_stack(spec: HartogsSpec, points) -> np.ndarray:
-    """The (N, n) coordinate stack of a sequence of points."""
-    if any(len(p.fiber) != spec.fiber_dim or len(p.base) != spec.base.dim for p in points):
-        raise ValueError(
-            f"expected points with {spec.fiber_dim} fiber and {spec.base.dim} base coordinates"
-        )
-    return np.array([p.coords for p in points]).reshape(len(points), spec.total_dim)
 
 
 def _fd_margins(spec: HartogsSpec, coords, stencil: str) -> np.ndarray:
@@ -157,21 +144,26 @@ def _nested_step(margin: float) -> float:
     return min(1e-3, margin / 8.0, 0.08 * margin**1.5)
 
 
-def ricci_numeric(spec: HartogsSpec, p: EvaluationPoint) -> HermitianMatrix:
-    """-ddbar log det g by finite differences; oracle for the closed Ricci
-    tensor of :func:`curvature_report`.
+def ricci_numeric(spec: HartogsSpec, points) -> np.ndarray:
+    """-ddbar log det g by finite differences at every row of an (N, n)
+    stack of points; oracle for the closed Ricci tensor of
+    :func:`curvature_report`.
 
     Agreement with the closed form is within 1e-3 entrywise for margins of
-    0.05 and larger; the step is widened/narrowed with the margin to keep the
-    nested-difference error inside that budget.
+    0.05 and larger; each point's stencil step is widened/narrowed with its
+    margin to keep the nested-difference error inside that budget.
     """
-    margin = float(_fd_margins(spec, _point_stack(spec, [p]), "nested difference")[0])
+    coords = coordinate_stack(spec, points)
+    margins = _fd_margins(spec, coords, "nested difference")
 
     def log_det(q):
-        return np.linalg.slogdet(metric_stack(spec, q))[1]
+        return np.linalg.slogdet(_symmetrised(_metric_parts(spec, q)[0]))[1]
 
-    hess = wirtinger_hessian(log_det, p.coords, _nested_step(margin))
-    return HermitianMatrix(-hess.array)
+    n = spec.total_dim
+    ric = np.empty((len(coords), n, n), dtype=np.complex128)
+    for r, margin in enumerate(margins.tolist()):
+        ric[r] = -wirtinger_hessian(log_det, coords[r], _nested_step(margin))
+    return ric
 
 
 def _scalar_gradient(spec: HartogsSpec, z0, phi_val, phi_grad) -> np.ndarray:
@@ -221,7 +213,7 @@ def extremal_check(spec: HartogsSpec, points) -> ExtremalCheck:
     """The extremal residual of :func:`curvature_report` at every point, with
     the closed witness -tau z01 (phi - ||z0||^2)^2 / phi^2 for the first
     fiber component of V, which is computed through the linear-solve path."""
-    coords = _point_stack(spec, tuple(points))
+    coords = coordinate_stack(spec, points)
     residual = _extremal_residuals(spec, coords)
     v, margin, phi_val = _v_field(spec, coords)
     tau = tau_value(spec.base)
@@ -260,10 +252,10 @@ def verdicts(spec: HartogsSpec, sample, tol: float = VERDICT_TOLERANCE) -> Curva
     curvature but not Einstein. The sample's :class:`CurvatureReport` rides
     along as ``report``.
     """
-    sample = list(sample)
-    if len(sample) < 10:
+    coords = coordinate_stack(spec, sample)
+    if len(coords) < 10:
         raise ValueError("verdicts need at least 10 sample points")
-    rep = curvature_report(spec, sample)
+    rep = curvature_report(spec, coords)
     max_einstein = float(rep.einstein_residual.max())
     max_extremal = float(rep.extremal_residual.max())
     variance = float(np.var(rep.scalar_closed))
@@ -292,9 +284,9 @@ def verdicts(spec: HartogsSpec, sample, tol: float = VERDICT_TOLERANCE) -> Curva
 class CurvatureReport:
     """The closed identities at a sample of points, next to their direct
     evaluations: one entry (an n x n matrix for ``metric`` and
-    ``ricci_closed``) per point, in sample order."""
+    ``ricci_closed``) per row of the (N, n) stack ``coords``."""
 
-    points: tuple[EvaluationPoint, ...]
+    coords: np.ndarray
     metric: np.ndarray
     det_closed: np.ndarray
     det_direct: np.ndarray
@@ -320,8 +312,7 @@ def curvature_report(spec: HartogsSpec, points, include_extremal: bool = True) -
     ``include_extremal``.
     """
     _require_constants(spec.base)
-    points = tuple(points)
-    coords = _point_stack(spec, points)
+    coords = coordinate_stack(spec, points)
     g, margin, factors, _, phi_val, _ = _metric_parts(spec, coords)
     g = _symmetrised(g)
     if np.count_nonzero(eigenvalues(g)[:, 0] <= 0):
@@ -330,7 +321,7 @@ def curvature_report(spec: HartogsSpec, points, include_extremal: bool = True) -
     tau = tau_value(spec.base)
     det_closed = row_power(margin, -(n + 1))
     ric = -(n + 1) * g
-    einstein = np.zeros(len(points))
+    einstein = np.zeros(len(coords))
     for sl, (phi_i, hess_i), c, const in zip(
         spec.base.factor_slices,
         factors,
@@ -345,10 +336,10 @@ def curvature_report(spec: HartogsSpec, points, include_extremal: bool = True) -
     ric = hermitian_part(ric, 1e-11 * (1.0 + np.abs(ric).max(axis=(1, 2))))
     extremal = (
         _extremal_residuals(spec, coords) if include_extremal
-        else np.full(len(points), math.nan)
+        else np.full(len(coords), math.nan)
     )
     return CurvatureReport(
-        points=points,
+        coords=coords,
         metric=g,
         det_closed=det_closed,
         det_direct=np.linalg.det(g).real,

@@ -17,6 +17,10 @@ Supported factor shapes:
 
 Genus and curvature constants are derived, not free: each factor's metric
 (from -log phi_i) is Einstein with constant -genus/mu (0 for ``fock``).
+
+A sample of points is an (N, n) complex128 stack, one point (z0, z) per
+row, fiber coordinates first; ``coordinate_stack`` checks one wherever it
+enters the package, and ``sample_points`` draws one.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import BoundaryViolationError, CapabilityError
-from .hermitian import HermitianMatrix
 
 #: Smallest admissible interior margin phi - ||z0||^2 for point evaluations.
 MIN_INTERIOR_MARGIN = 1e-8
@@ -253,43 +257,33 @@ class HartogsSpec:
         return self.base.dim + self.fiber_dim
 
 
-@dataclass(frozen=True, eq=False)
-class EvaluationPoint:
-    """A point (z0, z) of the Hartogs domain; base coords are flattened."""
+def coordinate_stack(spec: HartogsSpec, points) -> np.ndarray:
+    """A sample as an (N, n) complex128 stack, one point (z0, z) per row,
+    fiber coordinates first and base coordinates flattened.
 
-    fiber: np.ndarray
-    base: np.ndarray
-
-    def __post_init__(self):
-        for name in ("fiber", "base"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=np.complex128))
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.concatenate([self.fiber, self.base])
-
-
-def point(fiber, base) -> EvaluationPoint:
-    return EvaluationPoint(np.asarray(fiber), np.asarray(base))
-
-
-def point_from_coords(spec: HartogsSpec, coords) -> EvaluationPoint:
-    coords = np.asarray(coords, dtype=np.complex128)
-    d0 = spec.fiber_dim
-    return EvaluationPoint(coords[:d0], coords[d0:])
+    The entry check of every public evaluation: raises ``ValueError`` unless
+    the sample is two-dimensional, n = d0 + d wide and finite.
+    """
+    coords = np.asarray(points, dtype=np.complex128)
+    if coords.ndim != 2 or coords.shape[1] != spec.total_dim:
+        raise ValueError(
+            f"expected an (N, {spec.total_dim}) stack of points with "
+            f"{spec.fiber_dim} fiber and {spec.base.dim} base coordinates per row, "
+            f"got shape {coords.shape}"
+        )
+    if not np.isfinite(coords).all():
+        raise ValueError("point coordinates must be finite")
+    return coords
 
 
 # ---------------------------------------------------------------------------
 # Stack kernels
 # ---------------------------------------------------------------------------
 #
-# Evaluations run over (N, k) stacks, one point per row; a single point is
-# the N = 1 case. A row gives the same floats as the point alone, because
-# squared norms are stacked matmuls on C-contiguous rows (bit for bit
-# np.vdot) and powers and exponentials run on Python floats (libm) row by row.
+# Evaluations run over (N, k) stacks, one point per row. A row gives the same
+# floats as the one-row stack of that point, because squared norms are
+# stacked matmuls on C-contiguous rows (bit for bit np.vdot) and powers and
+# exponentials run on Python floats (libm) row by row.
 
 
 def squared_norms(z) -> np.ndarray:
@@ -391,10 +385,6 @@ def _factor_stacks(base: BaseDomainSpec, z, derivatives: bool) -> list[tuple]:
     ]
 
 
-def _one_row(z) -> np.ndarray:
-    return np.asarray(z, dtype=np.complex128)[None]
-
-
 def phi_stack(base: BaseDomainSpec, z) -> np.ndarray:
     """phi = prod phi_i per row of an (N, d) stack; errors outside the domain."""
     value = 1.0
@@ -425,47 +415,13 @@ def phi_derivatives_stack(base: BaseDomainSpec, z):
     return value, grad, hess, [(v, h) for v, _, h in factors]
 
 
-# ---------------------------------------------------------------------------
-# Public potential API (single points)
-# ---------------------------------------------------------------------------
-
-
-def phi(base: BaseDomainSpec, z) -> float:
-    """Product potential phi(z) = prod phi_i; errors outside the domain."""
-    return float(phi_stack(base, _one_row(z))[0])
-
-
-def factor_hessians(base: BaseDomainSpec, z) -> list[np.ndarray]:
-    """Mixed Hessians of -log phi_i per factor, in factor coordinates."""
-    return [h[0] for _, _, h in _factor_stacks(base, _one_row(z), True)]
-
-
-def base_hessian_closed(base: BaseDomainSpec, z) -> HermitianMatrix:
-    """Closed-form d x d mixed Hessian of -log phi, block diagonal by factor."""
-    d = base.dim
-    hess = np.zeros((d, d), dtype=np.complex128)
-    for s, block in zip(base.factor_slices, factor_hessians(base, z)):
-        hess[s, s] = block
-    return HermitianMatrix(hess, atol=1e-10 * (1.0 + float(np.max(np.abs(hess)))))
-
-
-def phi_with_derivatives(base: BaseDomainSpec, z):
-    """phi, its holomorphic gradient and mixed Hessian at z."""
-    value, grad, hess, _ = phi_derivatives_stack(base, _one_row(z))
-    return float(value[0]), grad[0], hess[0]
-
-
-def interior_margin(spec: HartogsSpec, p: EvaluationPoint) -> float:
-    """Membership margin phi(z) - ||z0||^2 of a Hartogs point."""
-    if len(p.fiber) != spec.fiber_dim:
-        raise ValueError(f"expected a fiber vector of length {spec.fiber_dim}")
-    return phi(spec.base, p.base) - float(squared_norms(p.fiber[None, :])[0])
-
-
-def hartogs_potential(spec: HartogsSpec, p: EvaluationPoint) -> float:
-    """-h log(phi(z) - ||z0||^2); tends to +inf as the margin vanishes."""
-    margin = require_interior(np.array([interior_margin(spec, p)]))[0]
-    return -spec.scale * math.log(margin)
+def hartogs_potential(spec: HartogsSpec, points) -> np.ndarray:
+    """-h log(phi(z) - ||z0||^2) per row of an (N, n) stack of points; tends
+    to +inf as the margin vanishes, and a row that is not interior raises."""
+    coords = coordinate_stack(spec, points)
+    d0 = spec.fiber_dim
+    margins = require_interior(phi_stack(spec.base, coords[:, d0:]) - squared_norms(coords[:, :d0]))
+    return np.array([-spec.scale * math.log(m) for m in margins.tolist()])
 
 
 @lru_cache(maxsize=None)
@@ -476,9 +432,10 @@ def factor_determinant_constants(base: BaseDomainSpec) -> tuple[float, ...]:
     det g^(D_i) = const * phi_i^(c_i) is a constant, and phi_i(0) = 1, so the
     constant is the origin determinant of the factor Hessian (mu_i^(d_i)).
     """
-    origin = np.zeros(base.dim, dtype=np.complex128)
+    origin = np.zeros((1, base.dim), dtype=np.complex128)
     return tuple(
-        float(np.real(np.linalg.det(h))) for h in factor_hessians(base, origin)
+        float(np.real(np.linalg.det(h[0])))
+        for _, _, h in _factor_stacks(base, origin, derivatives=True)
     )
 
 
@@ -529,8 +486,8 @@ def sample_points(
     min_margin: float = MIN_INTERIOR_MARGIN,
     radius_cap: float = 0.7,
     max_tries: int = 200_000,
-) -> list[EvaluationPoint]:
-    """Seeded rejection sampling of interior points.
+) -> np.ndarray:
+    """Seeded rejection sampling of interior points, as a (count, n) stack.
 
     A candidate base point draws each factor uniformly in a bounding box
     until its squared norm stays below ``radius_cap`` (bounded kinds; it
@@ -542,12 +499,14 @@ def sample_points(
     Every candidate and every factor draw counts against ``max_tries``;
     running out raises :class:`CapabilityError`.
 
-    The draws come from one uniform stream, and the factor draws are tested
-    ``_DRAW_BLOCK`` at a time. Only the phi test moves the stream between
-    candidates (a fiber draw follows a pass), so the candidates of a block
-    are laid out predicting the outcome of the last test, and phi and the
-    fiber test run once on all of them. The first mispredicted candidate
-    ends the block.
+    The draws come from one uniform stream, and the factor draws of
+    ``_DRAW_BLOCK`` draws' worth of doubles are tested at once. Only the phi
+    test moves the stream between candidates (a fiber draw follows a pass),
+    so the candidates of a block are laid out predicting the outcome of the
+    last test, and phi and the fiber test run once on all of them. A
+    candidate can start at any even double offset of the block (a fiber draw
+    need not span whole factor draws), so a factor draw is tested at each of
+    them. The first mispredicted candidate ends the block.
     """
     if not 0.0 < radius_cap < 1.0:
         raise ValueError("radius_cap must lie in (0, 1)")
@@ -556,10 +515,10 @@ def sample_points(
     # every factor has df coordinates: bases have one factor or are polydiscs
     half_box, cap = (0.8, math.inf) if base.kind is DomainKind.FOCK else (0.9, radius_cap)
     draw, fiber = 2 * df, 2 * d0  # doubles per factor draw and per fiber draw
-    # block rows a fiber draw spans, if the next candidate stays on the rows
-    fiber_rows = fiber // draw if fiber % draw == 0 else None
+    span = _DRAW_BLOCK * draw  # doubles of the factor draws a block tests
     stream = _UniformStream(np.random.default_rng(seed))
-    pts: list[EvaluationPoint] = []
+    pts = np.empty((count, spec.total_dim), dtype=np.complex128)
+    found = 0
     tries = 0
     opened = 0  # 1 once the try of a candidate still drawing its factors is spent
     carry = np.empty((0, df), dtype=np.complex128)  # its factors drawn so far
@@ -570,34 +529,37 @@ def sample_points(
         tries += n
         if tries > max_tries:
             raise CapabilityError(
-                f"interior sampling found {len(pts)} of {count} points within "
+                f"interior sampling found {found} of {count} points within "
                 f"its draw budget of {max_tries} tries"
             )
 
-    while len(pts) < count:
-        window = stream.peek(_DRAW_BLOCK * draw + fiber)
-        u = _uniform(-half_box, half_box, window[: _DRAW_BLOCK * draw]).reshape(-1, draw)
+    while found < count:
+        window = stream.peek(span + fiber)
+        # row o // 2 is the factor draw at even double offset o <= span - draw,
+        # a read-only view of the window
+        item = window.itemsize
+        draws = as_strided(window, (span // 2 - df + 1, draw), (2 * item, item), writeable=False)
+        u = _uniform(-half_box, half_box, draws)
         z = u[:, :df] + 1j * u[:, df:]
         inside = (squared_norms(z) <= cap).tolist()
-        # (first row, end row) of the factor draws of each complete candidate,
-        # the next one starting after the fiber draw of a predicted pass
-        gap = fiber_rows if phi_passes else 0
-        chain, rows, first, taken, r = [], [], 0, len(carry), 0
-        while r < _DRAW_BLOCK:
-            if inside[r]:
-                rows.append(r)
+        # (first offset, end offset) of the factor draws of each complete
+        # candidate, the next one starting after the fiber draw of a
+        # predicted pass
+        gap = fiber if phi_passes else 0
+        chain, rows, first, taken, at = [], [], 0, len(carry), 0
+        while at <= span - draw:
+            if inside[at // 2]:
+                rows.append(at // 2)
                 taken += 1
                 if taken == factors:
-                    chain.append((first, r + 1))
-                    if gap is None:
-                        break
-                    first = r = r + 1 + gap
+                    chain.append((first, at + draw))
+                    first = at = at + draw + gap
                     taken = 0
                     continue
-            r += 1
+            at += draw
         if not chain:
             spend(1 - opened + _DRAW_BLOCK)
-            stream.skip(_DRAW_BLOCK * draw)
+            stream.skip(span)
             opened, carry = 1, np.concatenate([carry, z[rows]])
             continue
         candidates = np.concatenate([carry, z[rows[: len(chain) * factors - len(carry)]]])
@@ -609,22 +571,24 @@ def sample_points(
         # the fiber draws, each right after the factor draws of a pass
         fibered = [k for k in range(held) if passes[k]]
         half = np.sqrt([phis[k] for k in fibered])[:, None]
-        at = np.array([chain[k][1] * draw for k in fibered], dtype=int)[:, None]
-        v = _uniform(-half, half, window[at + np.arange(fiber)])
+        ends = np.array([chain[k][1] for k in fibered], dtype=int)[:, None]
+        v = _uniform(-half, half, window[ends + np.arange(fiber)])
         z0 = v[:, :d0] + 1j * v[:, d0:]
         fiber_norms = iter(zip(z0, squared_norms(z0).tolist()))
         for k in range(held):
             first, end = chain[k]
-            spend(1 - opened + end - first)
+            spend(1 - opened + (end - first) // draw)
             opened = 0
             if not passes[k]:
                 continue
             z0_k, norm = next(fiber_norms)
             if phis[k] - norm >= max(margin_frac * phis[k], min_margin):
-                pts.append(EvaluationPoint(z0_k, candidates[k]))
-                if len(pts) == count:
+                pts[found, :d0] = z0_k
+                pts[found, d0:] = candidates[k]
+                found += 1
+                if found == count:
                     return pts
         phi_passes = passes[held - 1]
-        stream.skip(chain[held - 1][1] * draw + (fiber if phi_passes else 0))
+        stream.skip(chain[held - 1][1] + (fiber if phi_passes else 0))
         carry = carry[:0]
     return pts

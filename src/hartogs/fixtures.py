@@ -17,17 +17,16 @@ import numpy as np
 from .curvature import (
     curvature_report,
     extremal_check,
-    metric_matrix,
+    metric_stack,
     ricci_numeric,
     verdicts,
 )
-from .domains import BaseDomainSpec, HartogsSpec, phi, point, sample_points
+from .domains import BaseDomainSpec, HartogsSpec, hartogs_potential, phi_stack, sample_points
 from .immersion import table_one
 from .series import (
     Form,
     block,
     cross_coefficient_audit,
-    diastasis_value,
     power_deriv,
     resolvability,
     series_partial_sum,
@@ -138,15 +137,13 @@ def criterion_ricci_identity(seed=DEFAULT_SEED) -> CriterionResult:
         for name, spec in spec_grid():
             pts = sample_points(spec, 20, seed=seed, min_margin=0.05)
             rep = curvature_report(spec, pts, include_extremal=False)
-            for p, ric in zip(pts, rep.ricci_closed):
-                gap = float(np.max(np.abs(ricci_numeric(spec, p).array - ric)))
-                if gap > worst:
-                    worst, worst_spec = gap, name
+            gap = float(np.max(np.abs(ricci_numeric(spec, pts) - rep.ricci_closed)))
+            if gap > worst:
+                worst, worst_spec = gap, name
         b2 = HartogsSpec(BaseDomainSpec.disc(1.0), 1)
-        einstein_gap = 0.0
-        for p in sample_points(b2, 20, seed=seed, min_margin=0.05):
-            delta = ricci_numeric(b2, p).array + 3.0 * metric_matrix(b2, p).array
-            einstein_gap = max(einstein_gap, float(np.max(np.abs(delta))))
+        pts = sample_points(b2, 20, seed=seed, min_margin=0.05)
+        delta = ricci_numeric(b2, pts) + 3.0 * metric_stack(b2, pts)
+        einstein_gap = float(np.max(np.abs(delta)))
         ok = worst <= 1e-3 and einstein_gap <= 1e-3
         return ok, {
             "max_entrywise_gap": worst,
@@ -174,10 +171,8 @@ def criterion_scalar_identity(seed=DEFAULT_SEED) -> CriterionResult:
         const_gap = float(np.max(np.abs(closed + 6.0)))
         disc2 = HartogsSpec(BaseDomainSpec.disc(2.0), 1)
         z = 0.3
-        phi_val = phi(disc2.base, [z])
-        _, closed = scalars(
-            disc2, [point([0.0], [z]), point([math.sqrt(phi_val / 2.0)], [z])]
-        )
+        phi_val = float(phi_stack(disc2.base, [[z]])[0])
+        _, closed = scalars(disc2, [[0.0, z], [math.sqrt(phi_val / 2.0), z]])
         s_zero, s_half = closed.tolist()
         ok = (
             worst <= 1e-6
@@ -208,12 +203,12 @@ def criterion_equivalence_chain(seed=DEFAULT_SEED) -> CriterionResult:
             "is_constant_scalar": v.is_constant_scalar,
         }
         ok = v.is_einstein and v.is_extremal and v.is_constant_scalar
-        witness_point = point([0.3 + 0.2j], [0.25 - 0.1j])
+        witness_point = [[0.3 + 0.2j, 0.25 - 0.1j]]
         for name, base in (("disc_mu2", BaseDomainSpec.disc(2.0)), ("fock1_mu_1", BaseDomainSpec.fock(1, 1.0))):
             spec = HartogsSpec(base, 1)
             pts = sample_points(spec, 12, seed=seed, margin_frac=0.1, min_margin=0.05)
             v = verdicts(spec, pts)
-            chk = extremal_check(spec, [witness_point])
+            chk = extremal_check(spec, witness_point)
             residual = float(chk.residual[0])
             witness_gap = float(abs(chk.fiber_component[0] - chk.witness_closed[0]))
             details[name] = {
@@ -346,15 +341,16 @@ def criterion_series_convergence(seed=DEFAULT_SEED) -> CriterionResult:
     def body():
         spec = HartogsSpec(BaseDomainSpec.disc(1.0), 1)
         rng = np.random.default_rng(seed)
-        worst = 0.0
+        etas = []
         for _ in range(10):
             raw = rng.uniform(-1.0, 1.0, size=4)
             eta = raw[:2] + 1j * raw[2:]
             norm = np.linalg.norm(eta)
             eta *= rng.uniform(0.2, 1.0) * 0.1 / norm
-            p = point(eta[:1], eta[1:])
-            gap = abs(series_partial_sum(spec, p, 12) - diastasis_value(spec, p))
-            worst = max(worst, gap)
+            etas.append(eta)
+        # the diastasis from the origin is the scaled potential itself
+        gaps = series_partial_sum(spec, etas, 12) - hartogs_potential(spec, etas)
+        worst = float(np.max(np.abs(gaps)))
         return worst <= 1e-8, {
             "max_abs_error": worst,
             "truncation_degree": 12,

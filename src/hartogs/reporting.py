@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .curvature import CurvatureReport, curvature_report
-from .domains import EvaluationPoint, HartogsSpec
+from .domains import HartogsSpec
 
 SCHEMA_VERSION = "1"
 
@@ -34,12 +34,14 @@ def with_schema(payload: dict) -> dict:
     return payload
 
 
-def point_columns(spec: HartogsSpec, p: EvaluationPoint) -> dict:
+def point_columns(spec: HartogsSpec, coords) -> dict:
+    """The columns of one row of a coordinate stack, fiber first."""
     cols = {}
-    for k, z in enumerate(p.fiber):
+    d0 = spec.fiber_dim
+    for k, z in enumerate(coords[:d0]):
         cols[f"z0_{k}_re"] = float(z.real)
         cols[f"z0_{k}_im"] = float(z.imag)
-    for k, z in enumerate(p.base):
+    for k, z in enumerate(coords[d0:]):
         cols[f"z_{k}_re"] = float(z.real)
         cols[f"z_{k}_im"] = float(z.imag)
     return cols
@@ -53,8 +55,8 @@ def curvature_rows(spec: HartogsSpec, points) -> list[dict]:
 def report_rows(spec: HartogsSpec, rep: CurvatureReport, count: int | None = None) -> list[dict]:
     """The rows of a curvature report, or of its first ``count`` points."""
     rows = []
-    for r, p in enumerate(rep.points[:count]):
-        row = point_columns(spec, p)
+    for r, coords in enumerate(rep.coords[:count]):
+        row = point_columns(spec, coords)
         row.update(
             det_closed=float(rep.det_closed[r]),
             det_direct=float(rep.det_direct[r]),

@@ -20,8 +20,9 @@ Resolvability is decided exactly on rationals, with no tolerance: an entry's
 sign is the product of exact prefactor and Pochhammer signs, and a block's
 rank is the number of its positive entries, counted by multi-index degree
 rather than enumerated. Only :func:`block`, :func:`blocks` and a first
-failure's least entry assemble entries in double precision; a block with an
-entry outside that range raises :class:`CapabilityError`. The Hyperbolic
+failure's least entry assemble entries in double precision. A block with an
+entry outside that range raises :class:`CapabilityError`; a first failure
+past it keeps its exact (i, sigma) and has no least entry. The Hyperbolic
 entries come from this direct Taylor expansion, and only their signs are
 compared against external claims. ``torus_coefficients`` recomputes the
 low-degree entries of all three forms from the polarized potential, without
@@ -40,10 +41,9 @@ import numpy as np
 from .domains import (
     BaseDomainSpec,
     DomainKind,
-    EvaluationPoint,
     HartogsSpec,
     _exact,
-    hartogs_potential,
+    coordinate_stack,
 )
 from .errors import CapabilityError
 
@@ -334,9 +334,12 @@ def blocks(form: Form, spec: HartogsSpec, truncation_degree: int, h: float | Non
 
 @dataclass(frozen=True)
 class BlockFailure:
+    """The first failing block (i, sigma) and its least entry, which is None
+    when the block's entries leave the double range."""
+
     total_degree: int
     fiber_degree: int
-    min_eigenvalue: float
+    min_eigenvalue: float | None
 
 
 @dataclass(frozen=True)
@@ -461,8 +464,8 @@ def resolvability(
     the entry signs (:func:`_sign_counts`), without a tolerance and without
     assembling the blocks; ``rank_lower_bound`` is nondecreasing in the
     truncation degree. Only the first failing block is assembled in floats,
-    for its ``min_eigenvalue``; if that block leaves the double range, the
-    sweep raises :class:`CapabilityError`.
+    for its ``min_eigenvalue``, which is None if that block leaves the
+    double range.
     """
     if truncation_degree < 2:
         raise ValueError("truncation degree must be at least 2")
@@ -481,8 +484,11 @@ def resolvability(
                 first = (i, sigma)
     failure = None
     if first is not None:
-        b = _block(form, spec, *first, h, _BaseTable(spec.base))
-        failure = BlockFailure(*first, float(np.min(b.diagonal)))
+        try:
+            b = _block(form, spec, *first, h, _BaseTable(spec.base))
+            failure = BlockFailure(*first, float(np.min(b.diagonal)))
+        except CapabilityError:
+            failure = BlockFailure(*first, None)
     return ResolvabilityVerdict(
         form=form,
         h=h,
@@ -498,48 +504,50 @@ def resolvability(
 # ---------------------------------------------------------------------------
 
 
-def diastasis_value(spec: HartogsSpec, p: EvaluationPoint) -> float:
-    """The diastasis from the origin equals the scaled potential itself."""
-    return hartogs_potential(spec, p)
-
-
-def series_partial_sum(spec: HartogsSpec, p: EvaluationPoint, truncation_degree: int) -> float:
-    """Partial sum of the Euclidean-form expansion through total degree T.
+def series_partial_sum(spec: HartogsSpec, points, truncation_degree: int) -> np.ndarray:
+    """Partial sum of the Euclidean-form expansion through total degree T,
+    per row of an (N, n) stack of points.
 
     Only meaningful near the origin; enforced at ||(z0, z)|| <= 0.3 where the
-    expansions converge fast for every catalog base.
+    expansions converge fast for every catalog base. The coefficients are
+    computed once; each row sums its monomials in the same order.
     """
-    table = _BaseTable(spec.base)
-    coords = p.coords
-    if float(np.linalg.norm(coords)) > 0.3:
+    coords = coordinate_stack(spec, points)
+    if any(float(np.linalg.norm(row)) > 0.3 for row in coords):
         raise ValueError("series evaluation expects ||coordinates|| <= 0.3")
-    fiber_sq = np.abs(np.asarray(p.fiber)) ** 2
-    base_sq = np.abs(np.asarray(p.base)) ** 2
+    overflow = CapabilityError(
+        f"euclidean series through degree {truncation_degree} exceeds the "
+        "double-precision range"
+    )
+    table = _BaseTable(spec.base)
     h = spec.scale
-    total = 0.0
+    d0 = spec.fiber_dim
+    terms = []  # (coefficient, fiber exponents nu, base exponents alpha)
     try:
         for i in range(1, truncation_degree + 1):
             for sigma in range(i, -1, -1):
                 prefactor, s = _series_term(Form.EUCLIDEAN, sigma, h)
                 sig_fact = math.factorial(sigma)
-                for nu in grade_indices(spec.fiber_dim, sigma):
-                    fiber_mono = float(np.prod(fiber_sq ** np.array(nu)))
+                for nu in grade_indices(d0, sigma):
                     weight = sig_fact / multi_factorial(nu)
                     for alpha in grade_indices(spec.base.dim, i - sigma):
                         deriv = table(s, alpha)
                         if deriv == 0.0:
                             continue
                         coeff = deriv / multi_factorial(alpha) ** 2
-                        base_mono = float(np.prod(base_sq ** np.array(alpha)))
-                        total += prefactor * weight * coeff * fiber_mono * base_mono
+                        terms.append((prefactor * weight * coeff, np.array(nu), np.array(alpha)))
     except OverflowError:
-        total = math.nan
-    if not math.isfinite(total):
-        raise CapabilityError(
-            f"euclidean series through degree {truncation_degree} exceeds the "
-            "double-precision range"
-        )
-    return total
+        raise overflow from None
+    totals = []
+    for row in coords:
+        fiber_sq, base_sq = np.abs(row[:d0]) ** 2, np.abs(row[d0:]) ** 2
+        total = 0.0
+        for c, nu, alpha in terms:
+            total += c * float(np.prod(fiber_sq**nu)) * float(np.prod(base_sq**alpha))
+        if not math.isfinite(total):
+            raise overflow
+        totals.append(total)
+    return np.array(totals)
 
 
 def _pairing(z, w):

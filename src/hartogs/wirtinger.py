@@ -15,7 +15,9 @@ is called once on the whole stack: ``f`` takes an (N, n) array of complex
 points, one per row, and returns one value per row, an (N,) array for a
 real-valued f or (N, m) for a vector-valued F. ``conjugate_jacobian`` lays
 out the stencils of a whole (P, n) stack of centre points, point after point,
-in that one call; a single point is the P = 1 case.
+in that one call; ``wirtinger_hessian`` lays out the stencil of one point.
+The holomorphic gradient of a real f is the conjugate of its one-row
+conjugate Jacobian, df/dz = conj(df/dzbar).
 
 Functions raise :class:`BoundaryViolationError` from inside the stencil when
 an evaluation point leaves the domain; callers that know a margin are
@@ -29,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hermitian import HermitianMatrix
+from .hermitian import hermitian_part
 
 #: Default stencil step.
 DEFAULT_STEP = 1e-4
@@ -91,15 +93,9 @@ def _first_derivatives(f: Callable, points, step: float) -> np.ndarray:
     )
 
 
-def wirtinger_gradient(f, p, step: float = DEFAULT_STEP) -> np.ndarray:
-    """(df/dz_a)_a of a real-valued f at the complex vector p."""
-    d = _first_derivatives(f, np.atleast_1d(np.asarray(p))[None, :], step)[0]
-    n = len(d) // 2
-    return 0.5 * (d[:n] - 1j * d[n:])
-
-
-def wirtinger_hessian(f, p, step: float = DEFAULT_STEP) -> HermitianMatrix:
-    """Mixed Hessian (d^2 f / dz_a dzbar_b) of a real-valued f at p.
+def wirtinger_hessian(f, p, step: float = DEFAULT_STEP) -> np.ndarray:
+    """Mixed Hessian (d^2 f / dz_a dzbar_b) of a real-valued f at the
+    complex vector p, as an n x n array.
 
     Built from the full real Hessian H over (x, y):
 
@@ -127,7 +123,8 @@ def wirtinger_hessian(f, p, step: float = DEFAULT_STEP) -> HermitianMatrix:
         for l, s in enumerate(levels)
     ])
     xx, yy, xy = h[:n, :n], h[n:, n:], h[:n, n:]
-    return HermitianMatrix(0.25 * ((xx + yy) + 1j * (xy - xy.T)))
+    w = 0.25 * ((xx + yy) + 1j * (xy - xy.T))
+    return hermitian_part(w[None], 1e-12 * np.abs(w).max())[0]
 
 
 def conjugate_jacobian(f, points, step: float = DEFAULT_STEP) -> np.ndarray:

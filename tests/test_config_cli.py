@@ -319,17 +319,26 @@ class TestCli:
         assert payload["curvature"]["is_einstein"] is False
         assert len(payload["immersion"]) == 12  # 6 targets x 2 scales
 
-    @pytest.mark.parametrize(
-        "args", [["--h", "1e300"], ["--h", "nan"], ["--h", "inf"], ["--h=-inf"]]
-    )
+    @pytest.mark.parametrize("args", [["--h", "nan"], ["--h", "inf"], ["--h=-inf"]])
     def test_diastasis_out_of_range_fails_cleanly(self, disc_config, capsys, args):
-        # at h = 1e300 the first failing block, hyperbolic (2, 2), holds
-        # -h (h - 1), past the double range of its min_eig
         code = main(["diastasis", "--config", str(disc_config), *args])
         out, err = capsys.readouterr()
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "NaN" not in out + err and "Infinity" not in out + err
+
+    def test_diastasis_decides_first_failure_past_the_double_range(self, disc_config, capsys):
+        # at h = 1e300 the first failing block, hyperbolic (2, 2), holds
+        # -h (h - 1): its sign and place are exact, its min_eig overflows
+        code = main(["diastasis", "--config", str(disc_config), "--h", "1e300"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert "NaN" not in out and "Infinity" not in out
+        verdicts = {v["form"]: v for v in json.loads(out)["verdicts"]}
+        hyperbolic = verdicts["hyperbolic"]
+        assert hyperbolic["all_psd"] is False
+        assert hyperbolic["first_failure"] == {"i": 2, "sigma": 2, "min_eig": None}
+        assert verdicts["euclidean"]["all_psd"] and verdicts["projective"]["all_psd"]
 
     def test_diastasis_past_the_double_range(self, disc_config, tmp_path):
         # entries pass 1e308 near degree 100, but the sweep only counts signs

@@ -9,19 +9,32 @@ from hypothesis import strategies as st
 from hartogs.domains import (
     BaseDomainSpec,
     DomainKind,
-    EvaluationPoint,
     HartogsSpec,
-    base_hessian_closed,
+    coordinate_stack,
     factor_determinant_constants,
     hartogs_potential,
-    interior_margin,
-    phi,
-    phi_with_derivatives,
-    point,
+    phi_derivatives_stack,
+    phi_stack,
     sample_points,
+    squared_norms,
 )
 from hartogs.errors import BoundaryViolationError, CapabilityError
 from hartogs.hermitian import eigenvalues
+
+
+def phi(base, z):
+    """phi at one base point, as the one-row stack gives it."""
+    return float(phi_stack(base, [z])[0])
+
+
+def base_hessians(base, z):
+    """Closed mixed Hessians of -log phi per row of a stack, block diagonal
+    by factor."""
+    *_, factors = phi_derivatives_stack(base, np.asarray(z, dtype=np.complex128))
+    hess = np.zeros((len(z), base.dim, base.dim), dtype=np.complex128)
+    for sl, (_, factor_hess) in zip(base.factor_slices, factors):
+        hess[:, sl, sl] = factor_hess
+    return hess
 
 
 class TestSpecMetadata:
@@ -136,57 +149,55 @@ class TestPhi:
 class TestHartogsPotential:
     def test_center(self):
         spec = HartogsSpec(BaseDomainSpec.disc(1.0), 1)
-        assert hartogs_potential(spec, point([0.0], [0.0])) == pytest.approx(0.0)
+        assert hartogs_potential(spec, [[0.0, 0.0]])[0] == pytest.approx(0.0)
 
     def test_disc_value(self):
         spec = HartogsSpec(BaseDomainSpec.disc(1.0), 1)
-        val = hartogs_potential(spec, point([0.5], [0.0]))
+        val = hartogs_potential(spec, [[0.5, 0.0]])[0]
         assert val == pytest.approx(-math.log(0.75), rel=1e-14)
         assert val == pytest.approx(0.2876820724517809, rel=1e-12)
 
     def test_linear_in_scale(self):
         base = BaseDomainSpec.disc(1.0)
-        p = point([0.5], [0.0])
-        v1 = hartogs_potential(HartogsSpec(base, 1, scale=1.0), p)
-        v2 = hartogs_potential(HartogsSpec(base, 1, scale=2.0), p)
+        p = [[0.5, 0.0]]
+        v1 = hartogs_potential(HartogsSpec(base, 1, scale=1.0), p)[0]
+        v2 = hartogs_potential(HartogsSpec(base, 1, scale=2.0), p)[0]
         assert v2 == pytest.approx(2 * v1, rel=1e-14)
 
     def test_non_interior_rejected(self):
         spec = HartogsSpec(BaseDomainSpec.disc(1.0), 1)
         with pytest.raises(BoundaryViolationError):
-            hartogs_potential(spec, point([1.0], [0.0]))
+            hartogs_potential(spec, [[1.0, 0.0]])
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=0.0, max_value=2 * math.pi))
     def test_fiber_and_base_rotation_invariance(self, theta):
         spec = HartogsSpec(BaseDomainSpec.ball(2, 1.0), 1)
-        p = point([0.3 + 0.2j], [0.25 - 0.1j, 0.15j])
+        p = np.array([0.3 + 0.2j, 0.25 - 0.1j, 0.15j])
         rot = complex(math.cos(theta), math.sin(theta))
-        v = hartogs_potential(spec, p)
-        assert hartogs_potential(spec, point(rot * p.fiber, p.base)) == pytest.approx(
-            v, rel=1e-12
-        )
-        assert hartogs_potential(spec, point(p.fiber, rot * p.base)) == pytest.approx(
-            v, rel=1e-12
-        )
+        fiber_turned = np.concatenate([rot * p[:1], p[1:]])
+        base_turned = np.concatenate([p[:1], rot * p[1:]])
+        v, v_fiber, v_base = hartogs_potential(spec, [p, fiber_turned, base_turned])
+        assert v_fiber == pytest.approx(v, rel=1e-12)
+        assert v_base == pytest.approx(v, rel=1e-12)
 
 
 class TestClosedHessians:
     def test_ball_origin_identity(self):
-        h = base_hessian_closed(BaseDomainSpec.ball(2, 1.0), [0.0, 0.0])
-        assert np.allclose(h.array, np.eye(2))
+        h = base_hessians(BaseDomainSpec.ball(2, 1.0), [[0.0, 0.0]])[0]
+        assert np.allclose(h, np.eye(2))
 
     def test_fock_constant(self):
-        h = base_hessian_closed(BaseDomainSpec.fock(1, 3.0), [0.7 + 0.2j])
-        assert np.allclose(h.array, [[3.0]])
+        h = base_hessians(BaseDomainSpec.fock(1, 3.0), [[0.7 + 0.2j]])[0]
+        assert np.allclose(h, [[3.0]])
 
     def test_disc_value(self):
-        h = base_hessian_closed(BaseDomainSpec.disc(1.0), [0.5])
-        assert h.array[0, 0].real == pytest.approx(1 / 0.75**2, rel=1e-13)
+        h = base_hessians(BaseDomainSpec.disc(1.0), [[0.5]])[0]
+        assert h[0, 0].real == pytest.approx(1 / 0.75**2, rel=1e-13)
 
     def test_block_diagonal_over_factors(self):
-        h = base_hessian_closed(BaseDomainSpec.polydisc((1.0, 2.0)), [0.3, 0.2j])
-        assert h.array[0, 1] == pytest.approx(0.0)
+        h = base_hessians(BaseDomainSpec.polydisc((1.0, 2.0)), [[0.3, 0.2j]])[0]
+        assert h[0, 1] == pytest.approx(0.0)
 
     @pytest.mark.parametrize(
         "base",
@@ -200,19 +211,18 @@ class TestClosedHessians:
     )
     def test_strictly_plurisubharmonic_at_samples(self, base):
         spec = HartogsSpec(base, 1)
-        for p in sample_points(spec, 1000, seed=11):
-            h = base_hessian_closed(base, p.base)
-            assert eigenvalues(h)[0] > 0
+        h = base_hessians(base, sample_points(spec, 1000, seed=11)[:, 1:])
+        assert np.all(eigenvalues(h)[:, 0] > 0)
 
     def test_gradient_disc(self):
-        value, grad, _ = phi_with_derivatives(BaseDomainSpec.disc(1.0), [0.5])
-        g = -grad / value  # gradient of -log phi
+        value, grad, _, _ = phi_derivatives_stack(BaseDomainSpec.disc(1.0), np.array([[0.5 + 0j]]))
+        g = -grad[0] / value[0]  # gradient of -log phi
         assert g[0] == pytest.approx(0.5 / 0.75, rel=1e-13)
 
     def test_phi_derivatives_product_rule(self):
         base = BaseDomainSpec.polydisc((1.0, 2.0))
         z = np.array([0.3 + 0.1j, -0.2 + 0.25j])
-        val, grad, hess = phi_with_derivatives(base, z)
+        val, grad, hess, _ = (a[0] for a in phi_derivatives_stack(base, z[None]))
         # factor-wise hand evaluation of d phi / d z_1
         t1, t2 = abs(z[0]) ** 2, abs(z[1]) ** 2
         d1 = -np.conj(z[0]) * (1 - t2) ** 2
@@ -239,10 +249,8 @@ class TestSampling:
         spec = HartogsSpec(BaseDomainSpec.ball(2, 1.0), 2)
         a = sample_points(spec, 10, seed=42)
         b = sample_points(spec, 10, seed=42)
-        assert all(
-            np.array_equal(x.fiber, y.fiber) and np.array_equal(x.base, y.base)
-            for x, y in zip(a, b)
-        )
+        assert a.shape == (10, spec.total_dim)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize(
         "base",
@@ -254,10 +262,11 @@ class TestSampling:
     )
     def test_margins_respected(self, base):
         spec = HartogsSpec(base, 2)
-        for p in sample_points(spec, 25, seed=5, margin_frac=0.1, min_margin=0.05):
-            m = interior_margin(spec, p)
-            assert m >= 0.05
-            assert m >= 0.1 * phi(base, p.base) - 1e-12
+        pts = sample_points(spec, 25, seed=5, margin_frac=0.1, min_margin=0.05)
+        phis = phi_stack(base, pts[:, 2:])
+        m = phis - squared_norms(pts[:, :2])
+        assert np.all(m >= 0.05)
+        assert np.all(m >= 0.1 * phis - 1e-12)
 
     def test_draw_budget_exhaustion_is_a_capability_error(self):
         # phi = (1 - |z|^2)^1e6 is below the margin floor almost everywhere
@@ -271,6 +280,22 @@ class TestSampling:
         with pytest.raises(ValueError, match="radius_cap"):
             sample_points(spec, 3, seed=1, radius_cap=cap)
 
-    def test_point_coords_roundtrip(self):
-        p = EvaluationPoint(np.array([0.1j]), np.array([0.2, 0.3]))
-        assert np.array_equal(p.coords, np.array([0.1j, 0.2, 0.3]))
+    def test_empty_sample_is_an_empty_stack(self):
+        spec = HartogsSpec(BaseDomainSpec.ball(2, 1.0), 2)
+        assert sample_points(spec, 0, seed=1).shape == (0, 4)
+
+
+class TestCoordinateStack:
+    SPEC = HartogsSpec(BaseDomainSpec.ball(2, 1.0), 1)
+
+    def test_roundtrip(self):
+        coords = coordinate_stack(self.SPEC, [[0.1j, 0.2, 0.3]])
+        assert coords.dtype == np.complex128
+        assert np.array_equal(coords, np.array([[0.1j, 0.2, 0.3]]))
+
+    @pytest.mark.parametrize(
+        "points", [[0.1j, 0.2, 0.3], [[0.1j, 0.2]], [[[0.1j, 0.2, 0.3]]], []]
+    )
+    def test_rejects_wrong_shapes(self, points):
+        with pytest.raises(ValueError, match=r"\(N, 3\) stack .* 1 fiber and 2 base"):
+            coordinate_stack(self.SPEC, points)

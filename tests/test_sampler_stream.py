@@ -3,7 +3,7 @@
 ``sample_points`` reads its uniform draws from one ``rng.random`` buffer and
 tests the factor draws in blocks. ``reference_sample_points`` below is the
 per-draw loop it replaced: one ``rng.uniform`` call and one ``np.vdot`` per
-factor draw, one ``phi`` call per candidate. Equal points and equal budget
+factor draw, one one-row ``phi_stack`` call per candidate. Equal points and equal budget
 errors make ``rng.uniform(low, high) == low + (high - low) * rng.random()``
 a checked fact rather than an assumption.
 """
@@ -18,9 +18,8 @@ from hartogs.domains import (
     MIN_INTERIOR_MARGIN,
     BaseDomainSpec,
     DomainKind,
-    EvaluationPoint,
     HartogsSpec,
-    phi,
+    phi_stack,
     sample_points,
 )
 from hartogs.errors import CapabilityError
@@ -58,7 +57,7 @@ def reference_sample_points(
     while len(pts) < count:
         count_try()
         z = np.concatenate([draw_factor(df) for df in base.dims])
-        phi_val = phi(base, z)
+        phi_val = float(phi_stack(base, z[None])[0])
         if phi_val * (1.0 - margin_frac) <= min_margin:
             continue
         half = math.sqrt(phi_val)
@@ -66,8 +65,8 @@ def reference_sample_points(
         z0 = u[: spec.fiber_dim] + 1j * u[spec.fiber_dim :]
         margin = phi_val - float(np.real(np.vdot(z0, z0)))
         if margin >= max(margin_frac * phi_val, min_margin):
-            pts.append(EvaluationPoint(z0, z))
-    return pts
+            pts.append(np.concatenate([z0, z]))
+    return np.array(pts).reshape(len(pts), spec.total_dim)
 
 
 SPECS = {
@@ -87,10 +86,7 @@ MARGINS = [(0.05, MIN_INTERIOR_MARGIN), (0.05, 0.02), (0.05, 0.05), (0.1, 0.05)]
 
 
 def same_points(a, b):
-    return len(a) == len(b) and all(
-        np.array_equal(p.fiber, q.fiber) and np.array_equal(p.base, q.base)
-        for p, q in zip(a, b)
-    )
+    return a.shape == b.shape and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))

@@ -12,7 +12,6 @@ from hartogs.domains import (
     HartogsSpec,
     _exact,
     hartogs_potential,
-    point,
     sample_points,
 )
 from hartogs.errors import CapabilityError
@@ -25,7 +24,6 @@ from hartogs.series import (
     base_power_coefficients,
     block,
     cross_coefficient_audit,
-    diastasis_value,
     enumerate_indices,
     grade_indices,
     pochhammer,
@@ -261,7 +259,7 @@ class TestDoubleRange:
 
     def test_partial_sum_past_double_range(self):
         with pytest.raises(CapabilityError, match="euclidean series"):
-            series_partial_sum(DISC, point([0.1], [0.1]), 180)
+            series_partial_sum(DISC, [[0.1, 0.1]], 180)
 
     @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1.0])
     def test_scale_must_be_positive_and_finite(self, h):
@@ -381,51 +379,61 @@ class TestExactSweep:
 
 
 class TestSeries:
+    """The Euclidean partial sums against the diastasis from the origin,
+    which is the scaled potential itself."""
+
     def test_value_at_origin(self):
-        assert diastasis_value(DISC, point([0.0], [0.0])) == pytest.approx(0.0)
+        assert hartogs_potential(DISC, [[0.0, 0.0]])[0] == pytest.approx(0.0)
 
     def test_value_matches_potential(self):
-        p = point([0.1], [0.1])
-        assert diastasis_value(DISC, p) == pytest.approx(
+        assert hartogs_potential(DISC, [[0.1, 0.1]])[0] == pytest.approx(
             -math.log(1 - 0.01 - 0.01), rel=1e-12
         )
 
     def test_partial_sum_converges(self):
-        p = point([0.1], [0.1])
-        value = diastasis_value(DISC, p)
-        partial = series_partial_sum(DISC, p, 12)
+        p = [[0.1, 0.1]]
+        value = hartogs_potential(DISC, p)[0]
+        partial = series_partial_sum(DISC, p, 12)[0]
         assert abs(partial - value) <= 1e-8
 
     def test_error_decreases_with_degree(self):
-        p = point([0.08 + 0.03j], [0.07 - 0.02j])
-        value = diastasis_value(DISC, p)
-        errors = [abs(series_partial_sum(DISC, p, t) - value) for t in range(2, 13, 2)]
+        p = [[0.08 + 0.03j, 0.07 - 0.02j]]
+        value = hartogs_potential(DISC, p)[0]
+        errors = [abs(series_partial_sum(DISC, p, t)[0] - value) for t in range(2, 13, 2)]
         assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
     def test_fiber_rotation_invariance(self):
-        p = point([0.1], [0.1])
-        q = point([0.1 * np.exp(1.2j)], [0.1])
-        assert series_partial_sum(DISC, p, 8) == pytest.approx(
-            series_partial_sum(DISC, q, 8), rel=1e-12
-        )
+        p, q = series_partial_sum(DISC, [[0.1, 0.1], [0.1 * np.exp(1.2j), 0.1]], 8)
+        assert p == pytest.approx(q, rel=1e-12)
 
     def test_scale_enters_series(self):
         spec = HartogsSpec(BaseDomainSpec.disc(1.0), 1, scale=2.0)
-        p = point([0.1], [0.1])
-        assert series_partial_sum(spec, p, 12) == pytest.approx(
-            2 * series_partial_sum(DISC, p, 12), rel=1e-10
+        p = [[0.1, 0.1]]
+        assert series_partial_sum(spec, p, 12)[0] == pytest.approx(
+            2 * series_partial_sum(DISC, p, 12)[0], rel=1e-10
         )
 
     def test_multifiber_partial_sum(self):
         spec = HartogsSpec(BaseDomainSpec.disc(1.0), 2)
-        p = point([0.07, 0.05j], [0.1])
-        assert series_partial_sum(spec, p, 12) == pytest.approx(
-            diastasis_value(spec, p), abs=1e-8
+        p = [[0.07, 0.05j, 0.1]]
+        assert series_partial_sum(spec, p, 12)[0] == pytest.approx(
+            hartogs_potential(spec, p)[0], abs=1e-8
         )
+
+    def test_rows_sum_alone(self):
+        # each row of a stack gives the floats of its one-row stack
+        spec = HartogsSpec(BaseDomainSpec.polydisc((0.5, 2.0)), 2)
+        rng = np.random.default_rng(4)
+        stack = 0.08 * (rng.uniform(-1, 1, (6, 4)) + 1j * rng.uniform(-1, 1, (6, 4)))
+        sums = series_partial_sum(spec, stack, 6)
+        for r, row in enumerate(stack):
+            assert sums[r] == series_partial_sum(spec, row[None], 6)[0]
 
     def test_radius_guard(self):
         with pytest.raises(ValueError, match="0.3"):
-            series_partial_sum(DISC, point([0.4], [0.0]), 4)
+            series_partial_sum(DISC, [[0.4, 0.0]], 4)
+        with pytest.raises(ValueError, match="0.3"):
+            series_partial_sum(DISC, [[0.1, 0.0], [0.4, 0.0]], 4)
 
 
 class TestAudit:
@@ -501,10 +509,11 @@ class TestTorusOracle:
 
     def test_polarized_potential_restates_the_potential(self):
         for spec in (DISC, HartogsSpec(BaseDomainSpec.polydisc((0.5, 2.0)), 2, scale=1.5), FOCK):
-            for p in sample_points(spec, 5, seed=3):
-                z = list(p.coords)
+            pts = sample_points(spec, 5, seed=3)
+            for p, potential in zip(pts, hartogs_potential(spec, pts)):
+                z = list(p)
                 value = _polarized_potential(spec, z, list(np.conj(z)), spec.scale)
-                assert value == pytest.approx(hartogs_potential(spec, p), rel=1e-12)
+                assert value == pytest.approx(potential, rel=1e-12)
 
     def test_torus_cap(self):
         spec = HartogsSpec(BaseDomainSpec.ball(3, 1.0), 2)

@@ -1,8 +1,8 @@
 """Row consistency of the point-stack kernels.
 
-Every finite-difference oracle evaluates its whole stencil as one stack, so a
-row of a stack must give the same floats as that point evaluated alone (the
-N = 1 case that ``metric_matrix`` and ``phi`` use), and a row of a
+Points travel as (N, n) stacks and every finite-difference oracle evaluates
+its whole stencil as one stack, so row r of a stack must give the same
+floats as the one-row stack of that point, and a row of a
 ``curvature_report`` the same values as the report of that point alone,
 extremal residuals included, however the sample splits into extremal row
 groups. This pins the three arithmetic rules of the kernels: squared norms as
@@ -21,19 +21,21 @@ from hartogs import cli, curvature, domains, reporting
 from hartogs.curvature import (
     EXTREMAL_STACK_ROWS,
     curvature_report,
-    metric_matrix,
+    extremal_check,
     metric_stack,
+    ricci_numeric,
+    verdicts,
 )
 from hartogs.domains import (
     BaseDomainSpec,
     DomainKind,
     HartogsSpec,
-    phi,
+    hartogs_potential,
     phi_stack,
-    point_from_coords,
     sample_points,
 )
 from hartogs.errors import BoundaryViolationError
+from hartogs.series import series_partial_sum
 from hartogs.wirtinger import conjugate_jacobian
 
 SPECS = {
@@ -82,8 +84,7 @@ def reference_fiber_block(spec, coords):
 
 
 def interior_stack(spec, rows, seed):
-    pts = sample_points(spec, rows, seed=seed, margin_frac=0.1, min_margin=0.05)
-    return np.array([p.coords for p in pts])
+    return sample_points(spec, rows, seed=seed, margin_frac=0.1, min_margin=0.05)
 
 
 def layouts(coords):
@@ -103,22 +104,20 @@ def test_rows_match_single_point_evaluation(name, rows, seed):
         metrics = metric_stack(spec, stack)
         logdets = np.linalg.slogdet(metrics)[1]
         phis = phi_stack(spec.base, stack[:, d0:])
-        points = [point_from_coords(spec, row) for row in stack]
-        report = curvature_report(spec, points)
+        potentials = hartogs_potential(spec, stack)
+        report = curvature_report(spec, stack)
         assert np.array_equal(report.metric, metrics)
         for r, row in enumerate(stack):
             alone = metric_stack(spec, row[None, :])
             assert np.array_equal(metrics[r], alone[0])
-            single = curvature_report(spec, points[r : r + 1])
+            single = curvature_report(spec, stack[r : r + 1])
             for field in REPORT_FIELDS:
                 assert np.array_equal(getattr(report, field)[r], getattr(single, field)[0])
             assert np.array_equal(logdets[r], np.linalg.slogdet(alone)[1][0])
-            assert phis[r] == phi(spec.base, row[d0:]) == reference_phi(spec.base, row[d0:])
+            assert phis[r] == phi_stack(spec.base, row[None, d0:])[0]
+            assert phis[r] == reference_phi(spec.base, row[d0:])
+            assert potentials[r] == hartogs_potential(spec, row[None, :])[0]
             assert np.array_equal(metrics[r][:d0, :d0], reference_fiber_block(spec, row))
-    p = sample_points(spec, 1, seed=seed)[0]
-    assert np.array_equal(
-        metric_matrix(spec, p).array, metric_stack(spec, p.coords[None, :])[0]
-    )
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -138,6 +137,30 @@ def test_one_exterior_row_fails_the_stack(name, where, rows, seed):
         stack[bad, spec.fiber_dim] = 1.2  # outside the first factor
     with pytest.raises(BoundaryViolationError):
         metric_stack(spec, stack)
+
+
+PUBLIC_STACK_ENTRIES = {
+    "metric_stack": metric_stack,
+    "curvature_report": curvature_report,
+    "extremal_check": extremal_check,
+    "ricci_numeric": ricci_numeric,
+    "verdicts": verdicts,
+    "hartogs_potential": hartogs_potential,
+    "series_partial_sum": lambda spec, coords: series_partial_sum(spec, coords, 4),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PUBLIC_STACK_ENTRIES))
+@pytest.mark.parametrize("where", ["fiber", "base"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_rejected(entry, where, bad):
+    # a sample the entry accepts, but for one coordinate of its last row
+    spec = SPECS["ball"]
+    coords = 0.05 * sample_points(spec, 10, seed=1, margin_frac=0.1, min_margin=0.05)
+    PUBLIC_STACK_ENTRIES[entry](spec, coords)
+    coords[-1, 0 if where == "fiber" else spec.fiber_dim + 1] = bad
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        PUBLIC_STACK_ENTRIES[entry](spec, coords)
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))

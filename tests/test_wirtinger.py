@@ -6,17 +6,15 @@ from hypothesis import strategies as st
 from hartogs.domains import (
     BaseDomainSpec,
     HartogsSpec,
-    base_hessian_closed,
     hartogs_potential,
+    phi_derivatives_stack,
     phi_stack,
-    phi_with_derivatives,
-    point_from_coords,
     sample_points,
 )
 from hartogs.errors import BoundaryViolationError
 from hartogs.wirtinger import (
+    DEFAULT_STEP,
     conjugate_jacobian,
-    wirtinger_gradient,
     wirtinger_hessian,
 )
 
@@ -30,41 +28,47 @@ def log_disc(z):
     return -np.log(1 - norm2(z))
 
 
-def potential_rows(spec):
-    """Stack-valued Hartogs potential, one point per row."""
-    return lambda q: np.array(
-        [hartogs_potential(spec, point_from_coords(spec, row)) for row in q]
-    )
+def gradient(f, p, step=DEFAULT_STEP):
+    """(df/dz_a)_a of a real-valued f at the point p: df/dz = conj(df/dzbar),
+    from the one-row conjugate Jacobian."""
+    return np.conj(conjugate_jacobian(f, [p], step)[0, 0])
+
+
+def closed_base_hessians(base, z):
+    """Mixed Hessians of -log phi per row of a stack, block diagonal by factor."""
+    *_, factors = phi_derivatives_stack(base, z)
+    hess = np.zeros((len(z), base.dim, base.dim), dtype=np.complex128)
+    for sl, (_, factor_hess) in zip(base.factor_slices, factors):
+        hess[:, sl, sl] = factor_hess
+    return hess
 
 
 class TestGradient:
     def test_norm_squared(self):
         # d(z zbar)/dz = zbar
-        g = wirtinger_gradient(norm2, [0.3])
+        g = gradient(norm2, [0.3])
         assert g[0] == pytest.approx(0.3, abs=1e-10)
 
     def test_critical_point_at_center(self):
-        assert wirtinger_gradient(log_disc, [0.0])[0] == pytest.approx(0.0, abs=1e-10)
+        assert gradient(log_disc, [0.0])[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_disc_log_gradient(self):
         # zbar / (1 - |z|^2) at z = 0.5
-        assert wirtinger_gradient(log_disc, [0.5])[0] == pytest.approx(
-            0.5 / 0.75, abs=1e-9
-        )
+        assert gradient(log_disc, [0.5])[0] == pytest.approx(0.5 / 0.75, abs=1e-9)
 
 
 class TestHessian:
     def test_norm_squared_identity(self):
         h = wirtinger_hessian(norm2, [0.1 + 0.2j, -0.3j])
-        assert np.allclose(h.array, np.eye(2), atol=1e-9)
+        assert np.allclose(h, np.eye(2), atol=1e-9)
 
     def test_ball_potential_at_center(self):
         h = wirtinger_hessian(log_disc, [0.0, 0.0])
-        assert np.allclose(h.array, np.eye(2), atol=1e-9)
+        assert np.allclose(h, np.eye(2), atol=1e-9)
 
     def test_disc_value(self):
         h = wirtinger_hessian(log_disc, [0.5])
-        assert h.array[0, 0].real == pytest.approx(1 / 0.75**2, abs=1e-8)
+        assert h[0, 0].real == pytest.approx(1 / 0.75**2, abs=1e-8)
 
 
 @settings(max_examples=30, deadline=None)
@@ -85,7 +89,7 @@ def test_exact_on_cubics(coeffs):
 
     p = np.array([0.35 - 0.2j])
     x0, y0 = 0.35, -0.2
-    grad = wirtinger_gradient(f, p)
+    grad = gradient(f, p)
     expected = 0.5 * (fx(x0, y0) - 1j * fy(x0, y0))
     scale = 1.0 + abs(expected)
     assert abs(grad[0] - expected) <= 1e-10 * scale
@@ -109,35 +113,35 @@ class TestAgainstClosedForms:
         def u(z):
             return -np.log(phi_stack(base, z))
 
-        for p in pts:
-            closed_h = base_hessian_closed(base, p.base)
-            fd_h = wirtinger_hessian(u, p.base)
-            assert np.max(np.abs(fd_h.array - closed_h.array)) < 1e-5
-            value, grad, _ = phi_with_derivatives(base, p.base)
-            closed_g = -grad / value  # gradient of -log phi
-            fd_g = wirtinger_gradient(u, p.base)
-            assert np.max(np.abs(fd_g - closed_g)) < 1e-5
+        z = pts[:, 1:]
+        closed_h = closed_base_hessians(base, z)
+        value, grad, _, _ = phi_derivatives_stack(base, z)
+        closed_g = -grad / value[:, None]  # gradient of -log phi
+        for r, zr in enumerate(z):
+            fd_h = wirtinger_hessian(u, zr)
+            assert np.max(np.abs(fd_h - closed_h[r])) < 1e-5
+            fd_g = gradient(u, zr)
+            assert np.max(np.abs(fd_g - closed_g[r])) < 1e-5
 
     def test_hartogs_potential_hessian_is_psd(self):
         spec = HartogsSpec(BaseDomainSpec.ball(2, 1.0), 1)
         pts = sample_points(spec, 5, seed=13, margin_frac=0.2, min_margin=0.05)
         for p in pts:
-            h = wirtinger_hessian(potential_rows(spec), p.coords)
-            assert np.linalg.eigvalsh(h.array)[0] > -1e-8
+            h = wirtinger_hessian(lambda q: hartogs_potential(spec, q), p)
+            assert np.linalg.eigvalsh(h)[0] > -1e-8
 
 
 class TestBoundaryPropagation:
     def test_stencil_exit_raises(self):
         spec = HartogsSpec(BaseDomainSpec.disc(1.0), 1)
-        p = point_from_coords(spec, [0.999, 0.0])
         with pytest.raises(BoundaryViolationError):
-            wirtinger_hessian(potential_rows(spec), p.coords, step=0.01)
+            wirtinger_hessian(lambda q: hartogs_potential(spec, q), [0.999, 0.0], step=0.01)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
 def test_step_must_be_positive_and_finite(step):
     with pytest.raises(ValueError, match="positive and finite"):
-        wirtinger_gradient(norm2, [0.3], step)
+        gradient(norm2, [0.3], step)
     with pytest.raises(ValueError, match="positive and finite"):
         wirtinger_hessian(norm2, [0.3], step)
     with pytest.raises(ValueError, match="positive and finite"):
