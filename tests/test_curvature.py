@@ -77,7 +77,7 @@ class TestMetric:
         pts = sample_points(spec, 5, seed=21, margin_frac=0.15, min_margin=0.06)
         metrics = metric_stack(spec, pts)
         for p, g in zip(pts, metrics):
-            fd = wirtinger_hessian(lambda q: hartogs_potential(spec, q), p)
+            fd = wirtinger_hessian(lambda q: hartogs_potential(spec, q), [p])[0]
             assert np.max(np.abs(fd - g)) < 1e-5
 
 

@@ -1,13 +1,13 @@
 """Row consistency of the point-stack kernels.
 
 Points travel as (N, n) stacks and every finite-difference oracle evaluates
-its whole stencil as one stack, so row r of a stack must give the same
-floats as the one-row stack of that point, and a row of a
-``curvature_report`` the same values as the report of that point alone,
-extremal residuals included, however the sample splits into extremal row
-groups. This pins the three arithmetic rules of the kernels: squared norms as
-stacked matmuls on C-contiguous rows, powers and exponentials on Python
-floats row by row, and stacked LAPACK calls.
+the stencils of a group of points as one stack, so row r of a stack must
+give the same floats as the one-row stack of that point, and a row of a
+``curvature_report`` or of ``ricci_numeric`` the same values as that point
+alone, however the sample splits into extremal or Ricci row groups. This
+pins the three arithmetic rules of the kernels: squared norms as stacked
+matmuls on C-contiguous rows, powers and exponentials on Python floats row
+by row, and stacked LAPACK calls.
 """
 
 import math
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hartogs import cli, curvature, domains, reporting
 from hartogs.curvature import (
     EXTREMAL_STACK_ROWS,
+    RICCI_STACK_ROWS,
     curvature_report,
     extremal_check,
     metric_stack,
@@ -36,7 +37,7 @@ from hartogs.domains import (
 )
 from hartogs.errors import BoundaryViolationError
 from hartogs.series import series_partial_sum
-from hartogs.wirtinger import conjugate_jacobian
+from hartogs.wirtinger import conjugate_jacobian, wirtinger_hessian
 
 SPECS = {
     "ball": HartogsSpec(BaseDomainSpec.ball(2, 1.0), 2),
@@ -226,6 +227,92 @@ def test_stacked_conjugate_jacobian_matches_single_points(name):
     assert stacked.shape == (7, spec.total_dim, spec.total_dim)
     for r, row in enumerate(coords):
         assert np.array_equal(stacked[r], conjugate_jacobian(field, row[None, :])[0])
+
+
+def ricci_rows_per_point(spec):
+    """Stencil rows of one point of the nested-difference Ricci oracle: the
+    centre, 8n diagonal rows and 8n(2n - 1) corner rows."""
+    n = spec.total_dim
+    return 1 + 8 * n + 8 * n * (2 * n - 1)
+
+
+def near_boundary(spec, coords, margins):
+    """coords with the fiber of row r moved so its margin is margins[r]
+    (rows without one, marked None, stay)."""
+    coords = coords.copy()
+    phis = phi_stack(spec.base, coords[:, spec.fiber_dim :])
+    for r, margin in enumerate(margins):
+        if margin is not None:
+            coords[r, : spec.fiber_dim] = 0.0
+            coords[r, 0] = math.sqrt(phis[r] - margin)
+    return coords
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_ricci_rows_across_row_groups(name):
+    spec = SPECS[name]
+    per_group = max(1, RICCI_STACK_ROWS // ricci_rows_per_point(spec))
+    rows = 2 * per_group + 3
+    # every other point near the boundary, so the nested steps differ
+    margins = [0.012 + 0.004 * r if r % 2 else None for r in range(rows)]
+    points = near_boundary(spec, sample_points(spec, rows, seed=4, min_margin=0.05), margins)
+    ric = ricci_numeric(spec, points)
+    margins = curvature._fd_margins(spec, points, "nested difference")
+    assert len({curvature._nested_step(m) for m in margins.tolist()}) > 2
+    for r, p in enumerate(points):
+        assert np.array_equal(ric[r], ricci_numeric(spec, [p])[0])
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_ricci_groups_stay_under_the_row_cap(name, monkeypatch):
+    spec = SPECS[name]
+    points = sample_points(spec, 10, seed=2, min_margin=0.05)
+    centres, rows = [], []
+
+    def recorded(f, group, step):
+        def counted(q):
+            rows.append(len(q))
+            return f(q)
+
+        centres.append(group)
+        return wirtinger_hessian(counted, group, step)
+
+    monkeypatch.setattr(curvature, "wirtinger_hessian", recorded)
+    ricci_numeric(spec, points)
+    assert np.array_equal(np.concatenate(centres), points)
+    per_point = ricci_rows_per_point(spec)
+    assert rows == [per_point * len(group) for group in centres]
+    assert all(count <= RICCI_STACK_ROWS for count in rows)
+    assert all(count + per_point > RICCI_STACK_ROWS for count in rows[:-1])
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_stacked_wirtinger_hessian_matches_single_points(name):
+    spec = SPECS[name]
+    coords = interior_stack(spec, 7, seed=12)
+    steps = np.geomspace(1e-4, 1e-3, len(coords))
+
+    def potential(q):
+        return hartogs_potential(spec, q)
+
+    stacked = wirtinger_hessian(potential, coords, steps)
+    assert stacked.shape == (7, spec.total_dim, spec.total_dim)
+    for r, row in enumerate(coords):
+        assert np.array_equal(stacked[r], wirtinger_hessian(potential, row[None, :], steps[r])[0])
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_one_stencil_leaving_the_domain_fails_the_stack(name):
+    spec = SPECS[name]
+    coords = near_boundary(spec, interior_stack(spec, 5, seed=6), [None] * 4 + [1e-3])
+    steps = [1e-4] * 4 + [1e-2]
+
+    def potential(q):
+        return hartogs_potential(spec, q)
+
+    wirtinger_hessian(potential, coords, 1e-4)  # every stencil interior
+    with pytest.raises(BoundaryViolationError):
+        wirtinger_hessian(potential, coords, steps)
 
 
 def test_report_command_builds_one_report(monkeypatch, tmp_path):

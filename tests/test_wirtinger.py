@@ -59,15 +59,15 @@ class TestGradient:
 
 class TestHessian:
     def test_norm_squared_identity(self):
-        h = wirtinger_hessian(norm2, [0.1 + 0.2j, -0.3j])
+        h = wirtinger_hessian(norm2, [[0.1 + 0.2j, -0.3j]])[0]
         assert np.allclose(h, np.eye(2), atol=1e-9)
 
     def test_ball_potential_at_center(self):
-        h = wirtinger_hessian(log_disc, [0.0, 0.0])
+        h = wirtinger_hessian(log_disc, [[0.0, 0.0]])[0]
         assert np.allclose(h, np.eye(2), atol=1e-9)
 
     def test_disc_value(self):
-        h = wirtinger_hessian(log_disc, [0.5])
+        h = wirtinger_hessian(log_disc, [[0.5]])[0]
         assert h[0, 0].real == pytest.approx(1 / 0.75**2, abs=1e-8)
 
 
@@ -118,7 +118,7 @@ class TestAgainstClosedForms:
         value, grad, _, _ = phi_derivatives_stack(base, z)
         closed_g = -grad / value[:, None]  # gradient of -log phi
         for r, zr in enumerate(z):
-            fd_h = wirtinger_hessian(u, zr)
+            fd_h = wirtinger_hessian(u, [zr])[0]
             assert np.max(np.abs(fd_h - closed_h[r])) < 1e-5
             fd_g = gradient(u, zr)
             assert np.max(np.abs(fd_g - closed_g[r])) < 1e-5
@@ -127,7 +127,7 @@ class TestAgainstClosedForms:
         spec = HartogsSpec(BaseDomainSpec.ball(2, 1.0), 1)
         pts = sample_points(spec, 5, seed=13, margin_frac=0.2, min_margin=0.05)
         for p in pts:
-            h = wirtinger_hessian(lambda q: hartogs_potential(spec, q), p)
+            h = wirtinger_hessian(lambda q: hartogs_potential(spec, q), [p])[0]
             assert np.linalg.eigvalsh(h)[0] > -1e-8
 
 
@@ -135,7 +135,7 @@ class TestBoundaryPropagation:
     def test_stencil_exit_raises(self):
         spec = HartogsSpec(BaseDomainSpec.disc(1.0), 1)
         with pytest.raises(BoundaryViolationError):
-            wirtinger_hessian(lambda q: hartogs_potential(spec, q), [0.999, 0.0], step=0.01)
+            wirtinger_hessian(lambda q: hartogs_potential(spec, q), [[0.999, 0.0]], step=0.01)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
@@ -143,9 +143,15 @@ def test_step_must_be_positive_and_finite(step):
     with pytest.raises(ValueError, match="positive and finite"):
         gradient(norm2, [0.3], step)
     with pytest.raises(ValueError, match="positive and finite"):
-        wirtinger_hessian(norm2, [0.3], step)
+        wirtinger_hessian(norm2, [[0.3]], step)
     with pytest.raises(ValueError, match="positive and finite"):
         conjugate_jacobian(np.conj, [[0.3]], step)
+    # one bad step among the per-point steps of a stack fails the stack
+    steps = [1e-4, step, 1e-4]
+    with pytest.raises(ValueError, match="positive and finite"):
+        wirtinger_hessian(norm2, [[0.3], [0.1j], [-0.2]], steps)
+    with pytest.raises(ValueError, match="positive and finite"):
+        conjugate_jacobian(np.conj, [[0.3], [0.1j], [-0.2]], steps)
 
 
 def test_conjugate_jacobian_of_conjugate():
