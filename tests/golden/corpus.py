@@ -46,6 +46,11 @@ OPS = {
                                 "--h", "0.5,2"],
     "diastasis-disc_half-T30": ["diastasis", "--config", "disc_half", "--truncation", "30",
                                 "--h", "0.5,1,1.5"],
+    "diastasis-poly_1_2-T200": ["diastasis", "--config", "poly_1_2", "--truncation", "200",
+                                "--h", "0.5,1,2.7"],
+    "diastasis-fock2_c2-T60": ["diastasis", "--config", "fock2_c2", "--truncation", "60",
+                               "--h", "0.5,1.5"],
+    "diastasis-disc_1-T1000": ["diastasis", "--config", "disc_1", "--truncation", "1000"],
     "diastasis-csv-ball3_c2-T4": ["diastasis", "--config", "ball3_c2", "--truncation", "4",
                                   "--format", "csv"],
     "immersion-CH-fock2_c2": ["immersion", "--config", "fock2_c2", "--target", "CH",
