@@ -39,7 +39,6 @@ from .series import (
     CoefficientBlock,
     Form,
     ResolvabilityVerdict,
-    base_power_coefficients,
     block,
     blocks,
     cross_coefficient_audit,
@@ -62,7 +61,6 @@ __all__ = [
     "ImmersionTarget",
     "ImmersionVerdict",
     "ResolvabilityVerdict",
-    "base_power_coefficients",
     "block",
     "blocks",
     "catalog_facts",

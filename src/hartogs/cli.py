@@ -197,9 +197,12 @@ def cmd_immersion(args) -> int:
 
 def cmd_diastasis(args) -> int:
     parsed = _run_config(args)
+    h_values = _parse_h_list(args.h)
+    if args.format == "csv" and args.out is None:
+        raise ValueError("--format csv for diastasis requires --out DIR")
     results = []
     for form in Form:
-        for h in _parse_h_list(args.h):
+        for h in h_values:
             v = resolvability(
                 form, parsed.spec, h=h, truncation_degree=args.truncation
             )
@@ -213,13 +216,10 @@ def cmd_diastasis(args) -> int:
     )
     if args.format == "csv":
         # dump one CSV per block (per form and first h value) next to --out
-        if args.out is None:
-            raise ValueError("--format csv for diastasis requires --out DIR")
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        h = _parse_h_list(args.h)[0]
         for form in Form:
-            for b in blocks(form, parsed.spec, args.truncation, h):
+            for b in blocks(form, parsed.spec, args.truncation, h_values[0]):
                 name = f"{form.value}_i{b.total_degree}_sigma{b.fiber_degree}.csv"
                 reporting.write_text(reporting.block_csv(b), outdir / name)
         reporting.write_text(

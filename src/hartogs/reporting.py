@@ -22,10 +22,11 @@ def to_json(payload: dict) -> str:
 
 
 def write_text(text: str, out_path=None) -> None:
+    """Print ``text``, or write it to ``out_path`` as UTF-8, newlines untranslated."""
     if out_path is None:
         print(text, end="")
     else:
-        Path(out_path).write_text(text, encoding="utf-8")
+        Path(out_path).write_bytes(text.encode("utf-8"))
 
 
 def with_schema(payload: dict) -> dict:

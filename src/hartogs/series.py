@@ -19,14 +19,16 @@ entries, so a block is stored as its diagonal, in derivative normalization
 Resolvability is decided exactly on rationals, with no tolerance: an entry's
 sign is the product of exact prefactor and Pochhammer signs, and a block's
 rank is the number of its positive entries, counted by multi-index degree
-rather than enumerated. Only :func:`block`, :func:`blocks` and a first
-failure's least entry assemble entries in double precision. A block with an
-entry outside that range raises :class:`CapabilityError`; a first failure
-past it keeps its exact (i, sigma) and has no least entry. The Hyperbolic
-entries come from this direct Taylor expansion, and only their signs are
-compared against external claims. ``torus_coefficients`` recomputes the
-low-degree entries of all three forms from the polarized potential, without
-these tables.
+rather than enumerated, in integer tables over (fiber degree, base degree)
+that a sweep fills for consecutive row groups of bounded size, so that its
+memory is O(T). Only :func:`block`, :func:`blocks` and a first failure's
+least entry assemble entries in double precision. A block with an entry
+outside that range raises :class:`CapabilityError`; a first failure past it
+keeps its exact (i, sigma) and has no least entry. The Hyperbolic entries
+come from this direct Taylor expansion, and only their signs are compared
+against external claims. ``torus_coefficients`` recomputes the low-degree
+entries of all three forms from the polarized potential, without these
+tables.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -202,19 +203,6 @@ def power_deriv(base: BaseDomainSpec, s: float, alpha) -> float:
     return _BaseTable(base)(s, alpha)
 
 
-def base_power_coefficients(base: BaseDomainSpec, s: float, max_degree: int) -> dict:
-    """Diagonal table {(alpha, alpha): mixed partial of phi^-s at 0}.
-
-    Negative s arises for the hyperbolic form, where phi^(h - sigma) is
-    queried as s = sigma - h.
-    """
-    table = _BaseTable(base)
-    return {
-        (alpha, alpha): table(s, alpha)
-        for alpha in enumerate_indices(base.dim, max_degree)
-    }
-
-
 # ---------------------------------------------------------------------------
 # Coefficient blocks
 # ---------------------------------------------------------------------------
@@ -361,94 +349,104 @@ class ResolvabilityVerdict:
     first_failure: BlockFailure | None
 
 
-def _pochhammer_signs(a: Fraction, k_max: int) -> np.ndarray:
-    """Signs of pochhammer(a, k) for k = 0..k_max, from the exact rational a.
+#: Most entries (fiber-degree rows times base-degree columns) in one row group
+#: of a resolvability sweep's tables; it bounds the sweep's memory.
+_GROUP_ENTRIES = 1 << 13
 
-    The product is 0 iff a is an integer in (-k, 0]; otherwise its sign is
-    (-1)^min(k, c), c = max(0, ceil(-a)) being the number of negative terms.
-    """
-    k = np.arange(k_max + 1)
-    negatives = min(k_max, max(0, math.ceil(-a)))
-    signs = np.where(np.minimum(k, negatives) % 2, -1, 1)
-    if a.denominator == 1 and a <= 0:
-        signs[k > -a] = 0
+
+def _cutoffs(nums, den: int, fock: bool, cap: int):
+    """(c, zero) for the rationals a = num / den: a factor's table value at
+    degree k, pochhammer(a, k) (ball-like) or a^k (fock), has sign
+    (-1)^min(k, c) and vanishes past k = c where ``zero`` holds. Exact by
+    Python-int floor division; c is capped at ``cap``."""
+    if fock:
+        return np.array([cap if n < 0 else 0 for n in nums]), np.array([n == 0 for n in nums])
+    # ceil(-a) negative terms; a zero term iff a is an integer <= 0
+    c = [min(cap, max(0, -(n // den))) for n in nums]
+    return np.array(c), np.array([n <= 0 and n % den == 0 for n in nums])
+
+
+def _sign_table(c: np.ndarray, zero: np.ndarray, width: int) -> np.ndarray:
+    """Signs (-1)^min(k, c) for k = 0..width-1, one row per (c, zero) pair,
+    and 0 past k = c on the rows where ``zero`` holds."""
+    k = np.arange(width)
+    signs = 1 - 2 * (np.minimum(k, c[:, None]) & 1)
+    signs[zero[:, None] & (k > c[:, None])] = 0
     return signs
 
 
-def _power_signs(fock: bool, a: Fraction, k_max: int) -> np.ndarray:
-    """Signs of one factor's table values at degrees k = 0..k_max, a = mu s:
-    pochhammer(a, k) for ball-like factors, a^k for fock ones."""
-    if not fock:
-        return _pochhammer_signs(a, k_max)
-    signs = np.ones(k_max + 1, dtype=int)
-    if a < 0:
-        signs[1::2] = -1
-    elif a == 0:
-        signs[1:] = 0
-    return signs
+def _sign_tables(form: Form, spec: HartogsSpec, h: float, t: int):
+    """Exact (positive, negative) entry counts of every block through degree t.
 
-
-def _sign_counts(form: Form, spec: HartogsSpec, h: float, truncation_degree: int):
-    """Exact (positive, negative) entry counts of every block through degree T.
-
-    Yields (sigma, pos, neg) for sigma = 0..T, where pos[m] and neg[m] count
-    the entries of block (sigma + m, sigma), m = 0..T - sigma. An entry is the
-    prefactor P_sigma times positive factorial weights times one table value
-    per base factor, so its sign is the product of their exact signs, taken
-    on the rationals _exact(h) and _exact(mu). A factor of dimension d has
-    C(d + k - 1, k) base indices of degree k; the per-factor (nonzero,
-    signed) counts are convolved across factors, and each block is repeated
-    over the C(d0 + sigma - 1, sigma) fiber indices of degree sigma. Counts
-    are int64 when the number of all multi-indices of degree <= T fits in it
-    (no count can exceed that), Python ints otherwise.
+    Yields (sigma0, pos, neg) for consecutive row groups of at most
+    ``_GROUP_ENTRIES`` entries (at least one row): pos[r, m] and neg[r, m]
+    count the entries of block (sigma + m, sigma) at sigma = sigma0 + r, and
+    are 0 past m = t - sigma. An entry's sign is the product of the exact
+    signs of the prefactor P_sigma and of one table value per base factor,
+    whose arguments mu (sigma + e h) are integers over one denominator.
+    A factor of dimension d has C(d + k - 1, k) base indices of degree k;
+    their (nonzero, signed) counts are convolved across factors and repeated
+    over the C(d0 + sigma - 1, sigma) fiber indices. Counts are int64 when
+    the number of all multi-indices of degree <= t fits in it (no count can
+    exceed that), Python ints otherwise.
     """
-    big = math.comb(spec.total_dim + truncation_degree, truncation_degree) >= 2**63
-    dtype = object if big else np.int64
-    base = spec.base
+    dtype = object if math.comb(spec.total_dim + t, t) >= 2**63 else np.int64
+
+    def degrees(d):  # multi-indices of degree k = 0..t in d variables
+        return np.array([math.comb(d + k - 1, k) for k in range(t + 1)], dtype=dtype)
+
+    base, fibers = spec.base, degrees(spec.fiber_dim)
     fock = base.kind is DomainKind.FOCK
-    mus = [_exact(mu) for mu in base.exponents]
-    h = _exact(h)
-    degree_counts = [
-        np.array([math.comb(d + k - 1, k) for k in range(truncation_degree + 1)], dtype=dtype)
-        for d in base.dims
+    p, q = _exact(h).as_integer_ratio()
+    # prefactor signs, and the base-table power s = sigma + e h
+    e = {Form.EUCLIDEAN: 0, Form.PROJECTIVE: 1, Form.HYPERBOLIC: -1}[form]
+    prefactor = np.ones(t + 1, dtype=int)
+    if e:
+        prefactor = e * _sign_table(*_cutoffs([e * p], q, False, t + 1), t + 1)[0]
+    factors = [
+        (degrees(d), *_cutoffs([mu.numerator * (sigma * q + e * p) for sigma in range(t + 1)],
+                               mu.denominator * q, fock, t + 1))
+        for d, mu in zip(base.dims, map(_exact, base.exponents))
     ]
-    # prefactor signs and the base-table power s = sigma + shift
-    if form is Form.EUCLIDEAN:
-        prefactor, shift = np.ones(truncation_degree + 1, dtype=int), 0
-    elif form is Form.PROJECTIVE:
-        prefactor, shift = _pochhammer_signs(h, truncation_degree), h
-    else:
-        prefactor, shift = -_pochhammer_signs(-h, truncation_degree), -h
-    for sigma in range(truncation_degree + 1):
-        k_max = truncation_degree - sigma
-        fibers = math.comb(spec.fiber_dim + sigma - 1, sigma)
-        if form is Form.EUCLIDEAN and sigma == 0:
+    # rows with equal sign data form consecutive runs, and every row of a run
+    # reads a prefix of the counts of its first row, which has the most live
+    # entries; the last run of a group may continue into the next one
+    key = np.stack([a for f in factors for a in f[1:]], axis=1)
+    new = np.ones(t + 1, dtype=bool)
+    new[1:] = (key[1:] != key[:-1]).any(axis=1)
+    s0 = 0
+    while s0 <= t:
+        width = t + 1 - s0
+        s1 = min(t + 1, s0 + max(1, _GROUP_ENTRIES // width))
+        starts = s0 + np.flatnonzero(new[s0:s1])
+        tables = []
+        for counts, c, zero in factors:
+            signs = _sign_table(c[starts], zero[starts], width)
+            tables.append((counts[:width] * (signs != 0), counts[:width] * signs))
+        nonzero, signed = tables[0]
+        for a, b in tables[1:]:
+            for j, live in enumerate(t + 1 - starts):
+                nonzero[j, :live] = np.convolve(nonzero[j, :live], a[j, :live])[:live]
+                signed[j, :live] = np.convolve(signed[j, :live], b[j, :live])[:live]
+        if not new[s0]:
+            nonzero, signed = (np.vstack([x[:width], y]) for x, y in zip(carry, (nonzero, signed)))
+        carry = nonzero[-1], signed[-1]
+        # positive then negative counts, swapped by a negative prefactor
+        both, n = np.concatenate([(nonzero + signed) // 2, (nonzero - signed) // 2]), len(nonzero)
+        run, flip = np.cumsum(new[s0:s1]) - new[s0], n * (prefactor[s0:s1] < 0)
+        pos, neg = both[run + flip], both[run + n - flip]
+        if s0 == 0 and form is Form.EUCLIDEAN:
             # -log phi is a sum over factors: one positive entry per base index
             # supported on a single factor (degree 1 only for fock factors)
-            pos = sum(c[: k_max + 1] for c in degree_counts)
+            pos[0], neg[0] = sum(f[0][:width] for f in factors), 0
             if fock:
-                pos[2:] = 0
-            neg = np.zeros_like(pos)
-        else:
-            nonzero = signed = None
-            for mu, counts in zip(mus, degree_counts):
-                signs = _power_signs(fock, mu * (sigma + shift), k_max)
-                a, b = counts[: k_max + 1] * (signs != 0), counts[: k_max + 1] * signs
-                if nonzero is None:
-                    nonzero, signed = a, b
-                else:
-                    nonzero = np.convolve(nonzero, a)[: k_max + 1]
-                    signed = np.convolve(signed, b)[: k_max + 1]
-            pos, neg = (nonzero + signed) // 2, (nonzero - signed) // 2
-        if prefactor[sigma] < 0:
-            pos, neg = neg, pos
-        elif prefactor[sigma] == 0:
-            pos, neg = np.zeros_like(pos), np.zeros_like(neg)
-        pos, neg = pos * fibers, neg * fibers
-        if sigma == 0:
-            # the constant term of all three expansions vanishes: phi(0) = 1
-            pos[0] = neg[0] = 0
-        yield sigma, pos, neg
+                pos[0, 2:] = 0
+        live = np.arange(s1 - s0)[:, None] + np.arange(width) < width
+        live[0, 0] &= s0 > 0  # every expansion has constant term 0: phi(0) = 1
+        weight = np.where(live, (fibers[s0:s1] * (prefactor[s0:s1] != 0))[:, None], 0)
+        pos, neg = pos * weight, neg * weight
+        yield s0, pos, neg
+        s0 = s1
 
 
 def resolvability(
@@ -461,7 +459,7 @@ def resolvability(
 
     Blocks are diagonal, so a block is PSD iff it has no negative entry, and
     its rank is its number of positive entries. Both are decided exactly from
-    the entry signs (:func:`_sign_counts`), without a tolerance and without
+    the entry signs (:func:`_sign_tables`), without a tolerance and without
     assembling the blocks; ``rank_lower_bound`` is nondecreasing in the
     truncation degree. Only the first failing block is assembled in floats,
     for its ``min_eigenvalue``, which is None if that block leaves the
@@ -474,14 +472,15 @@ def resolvability(
     h = _scale(spec, h)
     rank = 0
     first = None  # (i, sigma) of the first failing block in traversal order
-    for sigma, pos, neg in _sign_counts(form, spec, h, truncation_degree):
+    for s0, pos, neg in _sign_tables(form, spec, h, truncation_degree):
         rank += int(pos.sum())
-        failing = np.flatnonzero(neg)
-        if failing.size:
-            i = sigma + int(failing[0])
+        r, m = np.nonzero(neg)
+        if r.size:
+            i = r + m
+            least = int(i.min())
             # ascending sigma: an equal i at a larger sigma comes first
-            if first is None or i <= first[0]:
-                first = (i, sigma)
+            if first is None or s0 + least <= first[0]:
+                first = (s0 + least, s0 + int(r[i == least].max()))
     failure = None
     if first is not None:
         try:

@@ -363,6 +363,16 @@ class TestCli:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "multi-indices" in err and "Traceback" not in out + err
 
+    def test_csv_dump_without_out_fails_before_any_sweep(self, disc_config, monkeypatch, capsys):
+        def sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran before the usage check")
+
+        monkeypatch.setattr(cli, "resolvability", sweep)
+        code = main(["diastasis", "--config", str(disc_config), "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: --format csv for diastasis requires --out DIR\n"
+
     def test_csv_dump_onto_an_existing_file_fails_cleanly(self, disc_config, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")

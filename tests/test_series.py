@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hartogs import series
 from hartogs.domains import (
     BaseDomainSpec,
     DomainKind,
@@ -17,11 +19,13 @@ from hartogs.domains import (
 from hartogs.errors import CapabilityError
 from hartogs.series import (
     ORACLE_DEGREE,
+    BlockFailure,
     Form,
+    ResolvabilityVerdict,
+    _cutoffs,
     _polarized_potential,
-    _pochhammer_signs,
-    _sign_counts,
-    base_power_coefficients,
+    _sign_table,
+    _sign_tables,
     block,
     cross_coefficient_audit,
     enumerate_indices,
@@ -35,6 +39,22 @@ from hartogs.series import (
 
 DISC = HartogsSpec(BaseDomainSpec.disc(1.0), 1)
 FOCK = HartogsSpec(BaseDomainSpec.fock(1, 1.0), 1)
+
+
+def _block_counts(form, spec, h, t):
+    """{(i, sigma): (positive, negative) entry count} of every block through
+    degree t, read from the sweep's row-group tables, which must keep within
+    their entry bound and hold zeros past each row's last block."""
+    out = {}
+    for s0, pos, neg in _sign_tables(form, spec, h, t):
+        rows, width = pos.shape
+        assert neg.shape == pos.shape and rows * width <= max(series._GROUP_ENTRIES, width)
+        for r in range(rows):
+            sigma = s0 + r
+            assert not pos[r, t - sigma + 1 :].any() and not neg[r, t - sigma + 1 :].any()
+            for m in range(t - sigma + 1):
+                out[sigma + m, sigma] = (pos[r, m], neg[r, m])
+    return out
 
 
 class TestOrdering:
@@ -85,18 +105,16 @@ class TestGammaFactors:
 class TestBaseTables:
     def test_disc_geometric_series(self):
         # s=1, k=2: geometric coefficient 1, derivative (2!)^2 = 4
-        table = base_power_coefficients(BaseDomainSpec.disc(1.0), 1.0, 2)
-        assert table[((2,), (2,))] == pytest.approx(4.0)
+        assert power_deriv(BaseDomainSpec.disc(1.0), 1.0, (2,)) == pytest.approx(4.0)
 
     def test_fock_linear(self):
-        table = base_power_coefficients(BaseDomainSpec.fock(1, 1.0), 2.0, 1)
-        assert table[((1,), (1,))] == pytest.approx(2.0)
+        assert power_deriv(BaseDomainSpec.fock(1, 1.0), 2.0, (1,)) == pytest.approx(2.0)
 
     def test_zero_power_is_trivial(self):
-        table = base_power_coefficients(BaseDomainSpec.disc(1.0), 0.0, 3)
-        assert table[((0,), (0,))] == pytest.approx(1.0)
+        disc = BaseDomainSpec.disc(1.0)
+        assert power_deriv(disc, 0.0, (0,)) == pytest.approx(1.0)
         assert all(
-            v == 0.0 for (a, _), v in table.items() if sum(a) > 0
+            power_deriv(disc, 0.0, a) == 0.0 for a in enumerate_indices(1, 3) if sum(a) > 0
         )
 
     def test_polydisc_factorizes(self):
@@ -177,10 +195,8 @@ class TestBlocks:
             )
             signs = np.sign(b.diagonal)
             assert np.array_equal(np.sign(scale * b.diagonal * scale), signs)
-            pos, neg = next(
-                (p, n) for s, p, n in _sign_counts(Form.HYPERBOLIC, DISC, h, i) if s == sigma
-            )
-            assert (pos[i - sigma], neg[i - sigma]) == (np.sum(signs > 0), np.sum(signs < 0))
+            pos, neg = _block_counts(Form.HYPERBOLIC, DISC, h, i)[i, sigma]
+            assert (pos, neg) == (np.sum(signs > 0), np.sum(signs < 0))
 
 
 class TestResolvability:
@@ -312,14 +328,151 @@ def _exact_entry_signs(form, spec, h, i, sigma, base_indices):
     return out
 
 
+# The per-sigma sweep that the row-group tables replaced, kept as the
+# reference they must reproduce.
+
+
+def _pochhammer_signs(a: Fraction, k_max: int) -> np.ndarray:
+    """Signs of pochhammer(a, k) for k = 0..k_max, from the exact rational a."""
+    k = np.arange(k_max + 1)
+    negatives = min(k_max, max(0, math.ceil(-a)))
+    signs = np.where(np.minimum(k, negatives) % 2, -1, 1)
+    if a.denominator == 1 and a <= 0:
+        signs[k > -a] = 0
+    return signs
+
+
+def _power_signs(fock: bool, a: Fraction, k_max: int) -> np.ndarray:
+    if not fock:
+        return _pochhammer_signs(a, k_max)
+    signs = np.ones(k_max + 1, dtype=int)
+    if a < 0:
+        signs[1::2] = -1
+    elif a == 0:
+        signs[1:] = 0
+    return signs
+
+
+def _sign_counts(form, spec, h, truncation_degree):
+    """Yields (sigma, pos, neg) for sigma = 0..T, where pos[m] and neg[m]
+    count the entries of block (sigma + m, sigma), m = 0..T - sigma."""
+    big = math.comb(spec.total_dim + truncation_degree, truncation_degree) >= 2**63
+    dtype = object if big else np.int64
+    base = spec.base
+    fock = base.kind is DomainKind.FOCK
+    mus = [_exact(mu) for mu in base.exponents]
+    h = _exact(h)
+    degree_counts = [
+        np.array([math.comb(d + k - 1, k) for k in range(truncation_degree + 1)], dtype=dtype)
+        for d in base.dims
+    ]
+    if form is Form.EUCLIDEAN:
+        prefactor, shift = np.ones(truncation_degree + 1, dtype=int), 0
+    elif form is Form.PROJECTIVE:
+        prefactor, shift = _pochhammer_signs(h, truncation_degree), h
+    else:
+        prefactor, shift = -_pochhammer_signs(-h, truncation_degree), -h
+    for sigma in range(truncation_degree + 1):
+        k_max = truncation_degree - sigma
+        fibers = math.comb(spec.fiber_dim + sigma - 1, sigma)
+        if form is Form.EUCLIDEAN and sigma == 0:
+            pos = sum(c[: k_max + 1] for c in degree_counts)
+            if fock:
+                pos[2:] = 0
+            neg = np.zeros_like(pos)
+        else:
+            nonzero = signed = None
+            for mu, counts in zip(mus, degree_counts):
+                signs = _power_signs(fock, mu * (sigma + shift), k_max)
+                a, b = counts[: k_max + 1] * (signs != 0), counts[: k_max + 1] * signs
+                if nonzero is None:
+                    nonzero, signed = a, b
+                else:
+                    nonzero = np.convolve(nonzero, a)[: k_max + 1]
+                    signed = np.convolve(signed, b)[: k_max + 1]
+            pos, neg = (nonzero + signed) // 2, (nonzero - signed) // 2
+        if prefactor[sigma] < 0:
+            pos, neg = neg, pos
+        elif prefactor[sigma] == 0:
+            pos, neg = np.zeros_like(pos), np.zeros_like(neg)
+        pos, neg = pos * fibers, neg * fibers
+        if sigma == 0:
+            pos[0] = neg[0] = 0
+        yield sigma, pos, neg
+
+
+def _reference_verdict(form, spec, h, t):
+    rank, first = 0, None
+    for sigma, pos, neg in _sign_counts(form, spec, h, t):
+        rank += int(pos.sum())
+        failing = np.flatnonzero(neg)
+        if failing.size:
+            i = sigma + int(failing[0])
+            if first is None or i <= first[0]:
+                first = (i, sigma)
+    failure = None
+    if first is not None:
+        try:
+            failure = BlockFailure(*first, float(np.min(block(form, spec, *first, h=h).diagonal)))
+        except CapabilityError:
+            failure = BlockFailure(*first, None)
+    return ResolvabilityVerdict(form, h, t, first is None, rank, failure)
+
+
+# Radial bases with positive exponents, for the degree-2 test.
+_MU = st.sampled_from([0.01, 1 / 3, 0.5, 1.0, 2.0, 3.0])
+RADIAL_BASES = st.one_of(
+    st.builds(BaseDomainSpec.disc, _MU),
+    st.builds(BaseDomainSpec.ball, st.integers(2, 3), _MU),
+    st.builds(BaseDomainSpec.polydisc, st.lists(_MU, min_size=2, max_size=3)),
+    st.builds(lambda n, mu: BaseDomainSpec.cartan_type_i(1, n, mu), st.integers(2, 3), _MU),
+    st.builds(BaseDomainSpec.fock, st.integers(1, 2), _MU),
+)
+
+
 class TestExactSweep:
     def test_pochhammer_signs_match_products(self):
-        for a in [Fraction(n, 6) for n in range(-60, 61)]:
-            want = [
-                (p > 0) - (p < 0)
-                for p in (math.prod(a + t for t in range(k)) for k in range(13))
-            ]
-            assert _pochhammer_signs(a, 12).tolist() == want, a
+        nums = range(-60, 61)
+        for fock in (False, True):
+            c, zero = _cutoffs(nums, 6, fock, 13)
+            for n, row in zip(nums, _sign_table(c, zero, 13)):
+                a = Fraction(n, 6)
+                values = (a**k if fock else math.prod(a + t for t in range(k)) for k in range(13))
+                assert row.tolist() == [(p > 0) - (p < 0) for p in values], (a, fock)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(range(len(CATALOG))),
+        st.sampled_from(list(Form)),
+        st.one_of(
+            st.builds(lambda n, d: n / d, st.integers(1, 40), st.integers(1, 12)),
+            st.floats(min_value=0.05, max_value=4.0),
+        ),
+        st.integers(min_value=2, max_value=60),
+        st.one_of(st.integers(min_value=1, max_value=400), st.just(series._GROUP_ENTRIES)),
+    )
+    # one row per group: the disc's (2, 0) and (2, 2) failures tie across groups
+    @example(which=1, form=Form.HYPERBOLIC, h=1.5, t=10, entries=1)
+    def test_tables_match_the_per_sigma_reference(self, which, form, h, t, entries):
+        spec = CATALOG[which]
+        with mock.patch.object(series, "_GROUP_ENTRIES", entries):
+            got = resolvability(form, spec, h=h, truncation_degree=t)
+        assert got == _reference_verdict(form, spec, h, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        RADIAL_BASES,
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from(list(Form)),
+        st.one_of(
+            st.sampled_from([0.5, 1.0, 1 + 2**-52, 1.5, 2.0, 100.0]),
+            st.floats(min_value=0.05, max_value=100.0),
+        ),
+    )
+    def test_degree_two_decides_every_degree(self, base, d0, form, h):
+        spec = HartogsSpec(base, d0)
+        low, high = (resolvability(form, spec, h=h, truncation_degree=t) for t in (2, 200))
+        assert (low.all_psd, low.first_failure) == (high.all_psd, high.first_failure)
 
     def test_disc_rank_is_closed_form_at_truncation_1000(self):
         v = resolvability(Form.EUCLIDEAN, DISC, truncation_degree=1000)
@@ -359,21 +512,19 @@ class TestExactSweep:
     def test_exact_signs_agree_with_float_blocks(self, which, form, h, t):
         spec = CATALOG[which]
         exact_rank = old_rank = 0
-        for sigma, pos, neg in _sign_counts(form, spec, h, t):
-            for m in range(len(pos)):
-                i = sigma + m
-                b = block(form, spec, i, sigma, h=h)
-                fibers = len(b.fiber_indices)
-                signs = np.tile(
-                    _exact_entry_signs(form, spec, h, i, sigma, b.base_indices), fibers
-                ) if i else np.zeros(1)
-                assert (pos[m], neg[m]) == (np.sum(signs > 0), np.sum(signs < 0)), (i, sigma)
-                # the former float rule: entries beyond 1e-10 (1 + max |d|) count
-                tol = 1e-10 * (1.0 + float(np.max(np.abs(b.diagonal))))
-                beyond = np.abs(b.diagonal) > tol
-                assert np.array_equal(np.sign(b.diagonal[beyond]), signs[beyond]), (i, sigma)
-                exact_rank += int(pos[m])
-                old_rank += int(np.count_nonzero(b.diagonal > tol))
+        for (i, sigma), (pos, neg) in _block_counts(form, spec, h, t).items():
+            b = block(form, spec, i, sigma, h=h)
+            fibers = len(b.fiber_indices)
+            signs = np.tile(
+                _exact_entry_signs(form, spec, h, i, sigma, b.base_indices), fibers
+            ) if i else np.zeros(1)
+            assert (pos, neg) == (np.sum(signs > 0), np.sum(signs < 0)), (i, sigma)
+            # the former float rule: entries beyond 1e-10 (1 + max |d|) count
+            tol = 1e-10 * (1.0 + float(np.max(np.abs(b.diagonal))))
+            beyond = np.abs(b.diagonal) > tol
+            assert np.array_equal(np.sign(b.diagonal[beyond]), signs[beyond]), (i, sigma)
+            exact_rank += int(pos)
+            old_rank += int(np.count_nonzero(b.diagonal > tol))
         assert resolvability(form, spec, h=h, truncation_degree=t).rank_lower_bound == exact_rank
         assert exact_rank >= old_rank
 
