@@ -33,7 +33,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import BoundaryViolationError, CapabilityError
 
@@ -444,38 +443,22 @@ def factor_determinant_constants(base: BaseDomainSpec) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
-#: Factor draws tested at once by the sampler, as one (K, 2 df) block.
-_DRAW_BLOCK = 128
+#: Candidates one sample may draw before the sampler gives up.
+_MAX_TRIES = 200_000
+
+#: Squared radius of the ball each bounded factor is drawn in; it lies inside
+#: every bounded factor, which keeps derivative magnitudes moderate.
+_RADIUS_CAP = 0.7
 
 
-class _UniformStream:
-    """The doubles of ``rng.random``, read in stream order through a cursor.
-
-    ``rng.uniform(low, high, k)`` is ``low + (high - low) * u`` for the next
-    k doubles u of the stream, so scaling them as :func:`_uniform` does
-    reproduces the per-call draws bit for bit.
-    """
-
-    def __init__(self, rng: np.random.Generator, size: int = 4096):
-        self._rng = rng
-        self._size = size
-        self._buffer = np.empty(0)
-        self._cursor = 0
-
-    def peek(self, k: int) -> np.ndarray:
-        """The next k doubles, left unread."""
-        if self._cursor + k > len(self._buffer):
-            fresh = self._rng.random(max(k, self._size))
-            self._buffer = np.concatenate([self._buffer[self._cursor :], fresh])
-            self._cursor = 0
-        return self._buffer[self._cursor : self._cursor + k]
-
-    def skip(self, k: int) -> None:
-        self._cursor += k
-
-
-def _uniform(low, high, u):
-    return low + (high - low) * u
+def _ball_draw(rng: np.random.Generator, rows: int, dim: int, squared_radius) -> np.ndarray:
+    """rows points, uniform in the balls of C^dim with the given squared radii
+    (one value, or one per row): a Gaussian direction times a radius with
+    ||z||^2 = r^2 U^(1/dim)."""
+    g = rng.standard_normal((rows, 2 * dim))
+    z = g[:, :dim] + 1j * g[:, dim:]
+    scale = squared_radius * rng.random(rows) ** (1.0 / dim) / squared_norms(z)
+    return z * np.sqrt(scale)[:, None]
 
 
 def sample_points(
@@ -484,111 +467,53 @@ def sample_points(
     seed: int,
     margin_frac: float = 0.05,
     min_margin: float = MIN_INTERIOR_MARGIN,
-    radius_cap: float = 0.7,
-    max_tries: int = 200_000,
 ) -> np.ndarray:
-    """Seeded rejection sampling of interior points, as a (count, n) stack.
+    """Seeded interior points, as a (count, n) stack.
 
-    A candidate base point draws each factor uniformly in a bounding box
-    until its squared norm stays below ``radius_cap`` (bounded kinds; it
-    must lie in (0, 1), so every candidate is inside the base), which keeps
-    derivative magnitudes moderate, and is kept when
-    ``phi * (1 - margin_frac)`` exceeds ``min_margin``. Its fiber is drawn in
-    a box of half-width sqrt(phi) and kept when the membership margin
-    phi - ||z0||^2 is at least ``margin_frac * phi`` and ``min_margin``.
-    Every candidate and every factor draw counts against ``max_tries``;
-    running out raises :class:`CapabilityError`.
+    Candidates are drawn in batches of 64, 128, 256, ... A candidate base
+    point draws each bounded factor uniformly in the ball of squared radius
+    0.7 (fock factors uniformly in the box [-0.8, 0.8]^(2 d_i)) and is kept
+    when ``phi * (1 - margin_frac)`` exceeds ``min_margin``. Its fiber is
+    drawn uniformly in the ball of squared radius phi - floor, with floor =
+    max(margin_frac * phi, min_margin), so the membership margin
+    phi - ||z0||^2 is at least floor (a row that misses it by rounding is
+    dropped). Batch sizes do not depend on ``count``, so a sample is the
+    first rows of any larger sample at the same seed and margins.
 
-    The draws come from one uniform stream, and the factor draws of
-    ``_DRAW_BLOCK`` draws' worth of doubles are tested at once. Only the phi
-    test moves the stream between candidates (a fiber draw follows a pass),
-    so the candidates of a block are laid out predicting the outcome of the
-    last test, and phi and the fiber test run once on all of them. A
-    candidate can start at any even double offset of the block (a fiber draw
-    need not span whole factor draws), so a factor draw is tested at each of
-    them. The first mispredicted candidate ends the block.
+    Every candidate counts against a budget of 200,000 tries; running out,
+    or asking for more points than that, raises :class:`CapabilityError`.
     """
-    if not 0.0 < radius_cap < 1.0:
-        raise ValueError("radius_cap must lie in (0, 1)")
+    if count > _MAX_TRIES:
+        raise CapabilityError(
+            f"interior sampling cannot find {count} points within its "
+            f"draw budget of {_MAX_TRIES} tries"
+        )
     base = spec.base
-    d0, df, factors = spec.fiber_dim, base.dims[0], base.factor_count
-    # every factor has df coordinates: bases have one factor or are polydiscs
-    half_box, cap = (0.8, math.inf) if base.kind is DomainKind.FOCK else (0.9, radius_cap)
-    draw, fiber = 2 * df, 2 * d0  # doubles per factor draw and per fiber draw
-    span = _DRAW_BLOCK * draw  # doubles of the factor draws a block tests
-    stream = _UniformStream(np.random.default_rng(seed))
-    pts = np.empty((count, spec.total_dim), dtype=np.complex128)
-    found = 0
-    tries = 0
-    opened = 0  # 1 once the try of a candidate still drawing its factors is spent
-    carry = np.empty((0, df), dtype=np.complex128)  # its factors drawn so far
-    phi_passes = True  # the predicted outcome of the next phi test
-
-    def spend(n: int):
-        nonlocal tries
-        tries += n
-        if tries > max_tries:
+    rng = np.random.default_rng(seed)
+    kept = [np.empty((0, spec.total_dim), dtype=np.complex128)]
+    found = tries = 0
+    batch = 64
+    while found < count:
+        rows = min(batch, _MAX_TRIES - tries)
+        if rows == 0:
             raise CapabilityError(
                 f"interior sampling found {found} of {count} points within "
-                f"its draw budget of {max_tries} tries"
+                f"its draw budget of {_MAX_TRIES} tries"
             )
-
-    while found < count:
-        window = stream.peek(span + fiber)
-        # row o // 2 is the factor draw at even double offset o <= span - draw,
-        # a read-only view of the window
-        item = window.itemsize
-        draws = as_strided(window, (span // 2 - df + 1, draw), (2 * item, item), writeable=False)
-        u = _uniform(-half_box, half_box, draws)
-        z = u[:, :df] + 1j * u[:, df:]
-        inside = (squared_norms(z) <= cap).tolist()
-        # (first offset, end offset) of the factor draws of each complete
-        # candidate, the next one starting after the fiber draw of a
-        # predicted pass
-        gap = fiber if phi_passes else 0
-        chain, rows, first, taken, at = [], [], 0, len(carry), 0
-        while at <= span - draw:
-            if inside[at // 2]:
-                rows.append(at // 2)
-                taken += 1
-                if taken == factors:
-                    chain.append((first, at + draw))
-                    first = at = at + draw + gap
-                    taken = 0
-                    continue
-            at += draw
-        if not chain:
-            spend(1 - opened + _DRAW_BLOCK)
-            stream.skip(span)
-            opened, carry = 1, np.concatenate([carry, z[rows]])
-            continue
-        candidates = np.concatenate([carry, z[rows[: len(chain) * factors - len(carry)]]])
-        candidates = candidates.reshape(len(chain), factors * df)
-        phis = phi_stack(base, candidates).tolist()
-        passes = [f * (1.0 - margin_frac) > min_margin for f in phis]
-        # the layout holds up to the first mispredicted candidate
-        held = next((k + 1 for k, p in enumerate(passes) if p != phi_passes), len(chain))
-        # the fiber draws, each right after the factor draws of a pass
-        fibered = [k for k in range(held) if passes[k]]
-        half = np.sqrt([phis[k] for k in fibered])[:, None]
-        ends = np.array([chain[k][1] for k in fibered], dtype=int)[:, None]
-        v = _uniform(-half, half, window[ends + np.arange(fiber)])
-        z0 = v[:, :d0] + 1j * v[:, d0:]
-        fiber_norms = iter(zip(z0, squared_norms(z0).tolist()))
-        for k in range(held):
-            first, end = chain[k]
-            spend(1 - opened + (end - first) // draw)
-            opened = 0
-            if not passes[k]:
-                continue
-            z0_k, norm = next(fiber_norms)
-            if phis[k] - norm >= max(margin_frac * phis[k], min_margin):
-                pts[found, :d0] = z0_k
-                pts[found, d0:] = candidates[k]
-                found += 1
-                if found == count:
-                    return pts
-        phi_passes = passes[held - 1]
-        stream.skip(chain[held - 1][1] + (fiber if phi_passes else 0))
-        carry = carry[:0]
-    return pts
+        tries += rows
+        batch *= 2
+        if base.bounded:
+            factors = [_ball_draw(rng, rows, df, _RADIUS_CAP) for df in base.dims]
+            z = np.concatenate(factors, axis=1)
+        else:
+            u = rng.uniform(-0.8, 0.8, (rows, 2 * base.dim))
+            z = u[:, : base.dim] + 1j * u[:, base.dim :]
+        phi = phi_stack(base, z)
+        passes = phi * (1.0 - margin_frac) > min_margin
+        z, phi = z[passes], phi[passes]
+        floor = np.maximum(margin_frac * phi, min_margin)
+        z0 = _ball_draw(rng, len(z), spec.fiber_dim, phi - floor)
+        inside = phi - squared_norms(z0) >= floor
+        kept.append(np.concatenate([z0, z], axis=1)[inside])
+        found += len(kept[-1])
+    return np.concatenate(kept)[:count]

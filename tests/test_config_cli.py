@@ -155,6 +155,14 @@ class TestCli:
         assert payload["schema"] == "1"
         assert payload["residual"] < 1e-3
 
+    def test_check_einstein_on_the_unit_ball_of_c7(self, tmp_path, capsys):
+        # n = 7 lies past the dimension where box rejection runs out of draws
+        cfg = tmp_path / "ball6.cfg"
+        cfg.write_text(DISC_CONFIG.replace("base.dims = 1", "base.dims = 6"))
+        code = main(["check-einstein", "--config", str(cfg)])
+        assert code == 0, capsys.readouterr().err
+        assert json.loads(capsys.readouterr().out)["is_einstein"] is True
+
     def test_check_einstein_no(self, fock_config, tmp_path):
         out = tmp_path / "report.json"
         code = main(
@@ -414,6 +422,13 @@ class TestCli:
         cfg = tmp_path / "steep.cfg"
         cfg.write_text(DISC_CONFIG.replace("base.mu = 1", "base.mu = 1000000"))
         code = main(["check-einstein", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "draw budget" in err and "Traceback" not in out + err
+
+    def test_sample_beyond_the_draw_budget_fails_before_allocating(self, disc_config, capsys):
+        code = main(["curvature", "--config", str(disc_config), "--samples", "1000000000000"])
         out, err = capsys.readouterr()
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hartogs.domains import (
+    MIN_INTERIOR_MARGIN,
     BaseDomainSpec,
     DomainKind,
     HartogsSpec,
@@ -244,6 +245,37 @@ class TestClosedHessians:
         ) == pytest.approx((1.0, 2.0))
 
 
+SAMPLER_SPECS = {
+    "disc_mu_0.5": HartogsSpec(BaseDomainSpec.disc(0.5), 1),
+    # phi = (1 - |z|^2)^8 fails the margin floor on about half the candidates
+    "disc_mu_8": HartogsSpec(BaseDomainSpec.disc(8.0), 1),
+    "ball3_fiber2": HartogsSpec(BaseDomainSpec.ball(3, 1.0), 2),
+    "polydisc_1_2": HartogsSpec(BaseDomainSpec.polydisc((1.0, 2.0)), 1),
+    "polydisc_3_fiber2": HartogsSpec(BaseDomainSpec.polydisc((0.5, 1.0, 3.0)), 2),
+    "cartan_1x3": HartogsSpec(BaseDomainSpec.cartan_type_i(1, 3, 1.0), 1),
+    "cartan_2x2": HartogsSpec(BaseDomainSpec.cartan_type_i(2, 2, 1.5), 1),
+    "fock2_fiber2": HartogsSpec(BaseDomainSpec.fock(2, 1.0), 2),
+}
+
+# (margin_frac, min_margin) as the CLI and the fixtures sample
+SAMPLER_MARGINS = [(0.05, MIN_INTERIOR_MARGIN), (0.05, 0.02), (0.05, 0.05), (0.1, 0.05)]
+
+
+def margins_and_floors(spec, pts, margin_frac, min_margin):
+    """Membership margins phi - ||z0||^2 of a sample and the floors they must meet."""
+    d0 = spec.fiber_dim
+    phis = phi_stack(spec.base, pts[:, d0:])
+    return phis - squared_norms(pts[:, :d0]), np.maximum(margin_frac * phis, min_margin)
+
+
+def ks_distance(values, cdf):
+    """Kolmogorov-Smirnov distance of the empirical law of values from cdf."""
+    x = np.sort(values)
+    n = len(x)
+    f = cdf(x)
+    return max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
+
+
 class TestSampling:
     def test_deterministic(self):
         spec = HartogsSpec(BaseDomainSpec.ball(2, 1.0), 2)
@@ -268,17 +300,54 @@ class TestSampling:
         assert np.all(m >= 0.05)
         assert np.all(m >= 0.1 * phis - 1e-12)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            HartogsSpec(BaseDomainSpec.ball(6, 1.0), 1),
+            HartogsSpec(BaseDomainSpec.ball(12, 1.0), 1),
+            HartogsSpec(BaseDomainSpec.ball(3, 1.0), 10),
+            HartogsSpec(BaseDomainSpec.disc(1.0), 12),
+        ],
+        ids=["ball6_c1", "ball12_c1", "ball3_c10", "disc_c12"],
+    )
+    def test_high_dimensional_samples_respect_margins(self, spec):
+        # a box-rejection draw finds almost none of these points in C^7 and up
+        for margin_frac, min_margin in SAMPLER_MARGINS:
+            pts = sample_points(spec, 50, seed=1, margin_frac=margin_frac, min_margin=min_margin)
+            assert pts.shape == (50, spec.total_dim)
+            margins, floors = margins_and_floors(spec, pts, margin_frac, min_margin)
+            assert np.all(margins >= floors)
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_SPECS))
+    @pytest.mark.parametrize("margin_frac, min_margin", SAMPLER_MARGINS)
+    def test_samples_are_prefixes(self, name, margin_frac, min_margin):
+        spec = SAMPLER_SPECS[name]
+        for seed in (0, 1, 42):
+            kw = dict(seed=seed, margin_frac=margin_frac, min_margin=min_margin)
+            # 300 points span several draw batches
+            want = sample_points(spec, 300, **kw)
+            margins, floors = margins_and_floors(spec, want, margin_frac, min_margin)
+            assert np.all(margins >= floors)
+            for count in range(1, 26):
+                assert np.array_equal(sample_points(spec, count, **kw), want[:count])
+
+    def test_radial_laws(self):
+        # with mu = 1 and |z|^2 <= 0.7, phi >= 0.3, so no candidate is rejected:
+        # |z|^2 / 0.7 has CDF x^3 on C^3 and |z0|^2 / (0.95 phi) has CDF x^2 on C^2
+        spec = HartogsSpec(BaseDomainSpec.ball(3, 1.0), 2)
+        pts = sample_points(spec, 2000, seed=7, min_margin=1e-8)
+        base_norms = squared_norms(pts[:, 2:])
+        fiber_norms = squared_norms(pts[:, :2]) / (0.95 * phi_stack(spec.base, pts[:, 2:]))
+        critical = math.sqrt(-math.log(1e-3 / 2) / 2) / math.sqrt(len(pts))  # alpha = 1e-3
+        assert ks_distance(base_norms / 0.7, lambda x: x**3) < critical
+        assert ks_distance(fiber_norms, lambda x: x**2) < critical
+
     def test_draw_budget_exhaustion_is_a_capability_error(self):
         # phi = (1 - |z|^2)^1e6 is below the margin floor almost everywhere
         spec = HartogsSpec(BaseDomainSpec.disc(1e6), 1)
-        with pytest.raises(CapabilityError, match="draw budget of 500 tries"):
-            sample_points(spec, 3, seed=1, max_tries=500)
-
-    @pytest.mark.parametrize("cap", [0.0, 1.0, 1.5, math.nan])
-    def test_radius_cap_keeps_candidates_inside(self, cap):
-        spec = HartogsSpec(BaseDomainSpec.ball(2, 1.0), 1)
-        with pytest.raises(ValueError, match="radius_cap"):
-            sample_points(spec, 3, seed=1, radius_cap=cap)
+        budget = "found [0-9]+ of 50 points within its draw budget of 200000 tries"
+        with pytest.raises(CapabilityError, match=budget):
+            sample_points(spec, 50, seed=1)
 
     def test_empty_sample_is_an_empty_stack(self):
         spec = HartogsSpec(BaseDomainSpec.ball(2, 1.0), 2)
