@@ -2,9 +2,9 @@
 
 Builds the metric of a bounded pseudoconvex Hartogs domain from its defining
 potential, verifies the closed-form curvature identities (determinant, Ricci,
-scalar, Einstein / extremal criteria) against finite-difference oracles, and
-decides Kahler immersibility into the three complex space forms through
-diastasis coefficient matrices.
+scalar, Einstein / extremal criteria) against Taylor-mode and finite-difference
+oracles, and decides Kahler immersibility into the three complex space forms
+through diastasis coefficient matrices.
 """
 
 from .curvature import (
@@ -46,7 +46,6 @@ from .series import (
     resolvability,
     series_partial_sum,
 )
-from .wirtinger import wirtinger_hessian
 
 __all__ = [
     "Answer",
@@ -80,7 +79,6 @@ __all__ = [
     "table_one",
     "tau_exact",
     "verdicts",
-    "wirtinger_hessian",
 ]
 
 __version__ = "0.1.0"

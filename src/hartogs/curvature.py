@@ -12,8 +12,9 @@ margin F = phi - ||z0||^2 and per-factor Einstein constants c_i:
                 lambda_i = d + 1 + c_i
 * scalar:       s = tau (F / phi) - n (n+1),  tau = d(d+1) + sum c_i d_i
 
-The numeric Ricci (mixed Hessian of log det g by finite differences) and the
-extremal-condition residual act as independent oracles for the closed forms.
+The numeric Ricci (-ddbar log det g of the potential's Taylor-mode jet) and
+the extremal-condition residual (finite differences) act as independent
+oracles for the closed forms.
 Every entry takes an (N, n) stack of points, fiber coordinates first, and
 gives one value, or one n x n matrix, per row.
 """
@@ -27,8 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import taylor
 from .domains import (
     BaseDomainSpec,
+    DomainKind,
     HartogsSpec,
     coordinate_stack,
     factor_determinant_constants,
@@ -40,9 +43,9 @@ from .domains import (
 )
 from .errors import BoundaryViolationError, HartogsError
 from .hermitian import eigenvalues, hermitian_part, solve_hermitian
-from .wirtinger import conjugate_jacobian, wirtinger_hessian
+from .wirtinger import conjugate_jacobian
 
-#: Smallest interior margin accepted by the nested finite-difference oracles.
+#: Smallest interior margin accepted by the finite-difference extremal oracle.
 MIN_FD_MARGIN = 0.01
 
 #: Extremal stencil step: Richardson steps 1e-3 / 2 and 1e-3, below
@@ -54,11 +57,11 @@ _EXTREMAL_STEP = 1e-3
 #: it, so peak memory does not grow with the sample size.
 EXTREMAL_STACK_ROWS = 256
 
-#: Most stencil rows the nested-difference Ricci oracle evaluates as one
-#: stack. A sample is split into consecutive groups of points (1 + 16 n^2
-#: rows each: the centre, 8n diagonal and 8n(2n - 1) corner rows) that stay
-#: under it; a point whose stencil alone is longer runs by itself.
-RICCI_STACK_ROWS = 512
+#: Most terms (product terms of the jet algebra times points) one product
+#: of the Taylor-mode Ricci oracle holds. A sample is split into consecutive
+#: chunks of points that stay under it; a point whose product alone is
+#: longer runs by itself.
+RICCI_STACK_TERMS = 4096
 
 #: Default residual tolerance for the Einstein / extremal / scalar verdicts.
 VERDICT_TOLERANCE = 1e-6
@@ -129,9 +132,10 @@ def _require_constants(base: BaseDomainSpec):
         raise HartogsError("base factor is missing an Einstein constant")
 
 
-def _fd_margins(spec: HartogsSpec, coords, stencil: str) -> np.ndarray:
+def _fd_margins(spec: HartogsSpec, coords) -> np.ndarray:
     """The interior margins at an (N, n) stack of points, if every one is
-    wide enough for a nested stencil; else the first row that is not raises."""
+    wide enough for the extremal stencil; else the first row that is not
+    raises."""
     d0 = spec.fiber_dim
     margins = phi_stack(spec.base, coords[:, d0:]) - squared_norms(coords[:, :d0])
     narrow = margins[margins < MIN_FD_MARGIN][:1]
@@ -139,43 +143,79 @@ def _fd_margins(spec: HartogsSpec, coords, stencil: str) -> np.ndarray:
     if len(narrow):
         margin = float(narrow[0])
         raise BoundaryViolationError(
-            f"margin {margin:.3e} too small for the {stencil} stencil", margin=margin
+            f"margin {margin:.3e} too small for the extremal stencil", margin=margin
         )
     return margins
 
 
-def _nested_step(margin: float) -> float:
-    # Truncation of the Richardson second-derivative stencil scales like
-    # step^4 / margin^6, so the step shrinks with margin^1.5.
-    return min(1e-3, margin / 8.0, 0.08 * margin**1.5)
+def _potential_jets(spec: HartogsSpec, coords) -> np.ndarray:
+    """F = -log(phi(z, w) - <z0, w0>) at (p + Z, conj(p) + W) as a jet of
+    bidegree (2, 2), one per row p of an (N, n) stack.
+
+    The polarized potential of :func:`hartogs.series._polarized_potential`,
+    restated on jets for every catalog base without the factor kernels of
+    :mod:`hartogs.domains`: a fock factor contributes -mu <z_i, w_i>, every
+    other one mu log det(I - Z_i W_i^T) with its m x n coordinate matrices
+    (m = 1 for ball and polydisc factors).
+    """
+    d0 = spec.fiber_dim
+    base = spec.base
+    log_phi = 0.0
+    for sl, mu in zip(base.factor_slices, base.exponents):
+        cols = d0 + np.arange(sl.start, sl.stop)
+        if base.kind is DomainKind.FOCK:
+            log_phi = log_phi - mu * taylor.pairing(coords, cols, cols)
+            continue
+        cols = cols.reshape(base.shape or (1, len(cols)))
+        m = len(cols)
+        y = -np.stack(
+            [np.stack([taylor.pairing(coords, zi, wj) for wj in cols], axis=1) for zi in cols],
+            axis=1,
+        )
+        y[..., 0, 0] += np.eye(m)
+        log_phi = log_phi + mu * taylor.log_det(y)
+    fiber = np.arange(d0)
+    return -taylor.log(taylor.exp(log_phi) - taylor.pairing(coords, fiber, fiber))
+
+
+def _ricci_of_potential(f: np.ndarray) -> np.ndarray:
+    """-d_a d_bbar log det G from the jet f of a potential, G its mixed
+    Hessian: -(tr(G^-1 d_a d_bbar G) - tr(G^-1 d_a G G^-1 d_bbar G)),
+    contracted with elementwise products and sums."""
+    g, dg, dbg, ddg = taylor.hessian_jets(f)
+    g_inv = np.linalg.inv(g)
+    # (G^-1 d_a G)[c, d] and (G^-1 d_bbar G)[d, c]
+    left = (g_inv[:, None, :, :, None] * dg[:, :, None, :, :]).sum(axis=3)
+    right = (g_inv[:, None, :, :, None] * dbg[:, :, None, :, :]).sum(axis=3)
+    second = (g_inv.swapaxes(1, 2)[:, None, None] * ddg).sum(axis=(3, 4))
+    first = (left[:, :, None] * right.swapaxes(2, 3)[:, None]).sum(axis=(3, 4))
+    return first - second
 
 
 def ricci_numeric(spec: HartogsSpec, points) -> np.ndarray:
-    """-ddbar log det g by finite differences at every row of an (N, n)
-    stack of points; oracle for the closed Ricci tensor of
+    """-ddbar log det g at every row of an (N, n) stack of points, in
+    Taylor-mode arithmetic; oracle for the closed Ricci tensor of
     :func:`curvature_report`.
 
-    Agreement with the closed form is within 1e-3 entrywise for margins of
-    0.05 and larger; each point's stencil step is widened/narrowed with its
-    margin to keep the nested-difference error inside that budget. The
-    stencils of consecutive points run as one stack of at most
-    ``RICCI_STACK_ROWS`` rows, and each row gives the same floats as the
-    one-row stack of its point.
+    The potential runs as a jet of bidegree (2, 2) (:mod:`hartogs.taylor`)
+    from the polarized formula, independently of the closed metric, and
+    the Ricci is read from its coefficients, so there is no step size and
+    no margin rule: every interior point is accepted, and agreement with
+    the closed form is at round-off level (within 1e-9 relative, margins
+    of 1e-3 included). Consecutive points run as one chunk whose jet
+    products hold at most ``RICCI_STACK_TERMS`` terms, and each row gives
+    the same floats as the one-row stack of its point.
     """
     coords = coordinate_stack(spec, points)
-    margins = _fd_margins(spec, coords, "nested difference")
-    steps = np.array([_nested_step(margin) for margin in margins.tolist()])
-
-    def log_det(q):
-        return np.linalg.slogdet(_symmetrised(_metric_parts(spec, q)[0]))[1]
-
+    d0 = spec.fiber_dim
+    require_interior(phi_stack(spec.base, coords[:, d0:]) - squared_norms(coords[:, :d0]))
     n = spec.total_dim
-    per_group = max(1, RICCI_STACK_ROWS // (1 + 16 * n * n))
+    per_chunk = max(1, RICCI_STACK_TERMS // taylor.product_terms(n))
     ric = np.empty((len(coords), n, n), dtype=np.complex128)
-    for start in range(0, len(coords), per_group):
-        group = slice(start, start + per_group)
-        ric[group] = -wirtinger_hessian(log_det, coords[group], steps[group])
-    return ric
+    for start in range(0, len(coords), per_chunk):
+        chunk = slice(start, start + per_chunk)
+        ric[chunk] = _ricci_of_potential(_potential_jets(spec, coords[chunk]))
+    return hermitian_part(ric, 1e-9 * (1.0 + np.abs(ric).max(axis=(1, 2))))
 
 
 def _scalar_gradient(spec: HartogsSpec, z0, phi_val, phi_grad) -> np.ndarray:
@@ -201,7 +241,7 @@ def _extremal_residuals(spec: HartogsSpec, coords) -> np.ndarray:
     Jacobian comes from finite differences; the stencils of consecutive
     points run as one stack of at most ``EXTREMAL_STACK_ROWS`` rows.
     """
-    _fd_margins(spec, coords, "extremal")
+    _fd_margins(spec, coords)
     per_group = max(1, EXTREMAL_STACK_ROWS // (8 * spec.total_dim))
     residual = np.empty(len(coords))
     for start in range(0, len(coords), per_group):

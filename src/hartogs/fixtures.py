@@ -156,7 +156,7 @@ def criterion_ricci_identity(seed=DEFAULT_SEED) -> CriterionResult:
             "points_per_spec": 20,
         }
 
-    return _criterion(2, "Ricci tensor, closed vs nested differences", 30.0, body)
+    return _criterion(2, "Ricci tensor, closed vs Taylor-mode jets", 30.0, body)
 
 
 def criterion_scalar_identity(seed=DEFAULT_SEED) -> CriterionResult:

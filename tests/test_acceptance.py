@@ -7,7 +7,7 @@ runner; each test asserts its criterion and prints a PASS/FAIL line, so
 
 import pytest
 
-from hartogs.fixtures import EXPECTED_TABLE_ONE, run_acceptance
+from hartogs.fixtures import EXPECTED_TABLE_ONE, criterion_ricci_identity, run_acceptance
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,15 @@ def test_criterion_02_ricci_identity(summary):
     assert c.details["einstein_constant_gap"] <= 1e-3, c.details
     assert c.details["runtime_ok"], c.details
     assert c.passed
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_criterion_02_headroom(seed):
+    # the Taylor-mode oracle meets the closed Ricci at round-off level, far
+    # inside the criterion's tolerance of 1e-3
+    details = criterion_ricci_identity(seed).details
+    assert details["max_entrywise_gap"] <= 1e-9, details
+    assert details["einstein_constant_gap"] <= 1e-9, details
 
 
 def test_criterion_03_scalar_identity(summary):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hartogs import curvature, taylor
 from hartogs.curvature import (
     CurvatureVerdicts,
     curvature_report,
@@ -17,12 +18,10 @@ from hartogs.curvature import (
 from hartogs.domains import (
     BaseDomainSpec,
     HartogsSpec,
-    hartogs_potential,
     phi_stack,
     sample_points,
 )
 from hartogs.reporting import curvature_rows
-from hartogs.wirtinger import wirtinger_hessian
 
 B2 = HartogsSpec(BaseDomainSpec.disc(1.0), 1)  # the unit ball in C^2
 DISC2 = HartogsSpec(BaseDomainSpec.disc(2.0), 1)
@@ -74,11 +73,10 @@ class TestMetric:
 
     @pytest.mark.parametrize("spec", SPEC_GRID)
     def test_matches_potential_hessian(self, spec):
+        # the mixed Hessian of the potential, read from its Taylor-mode jet
         pts = sample_points(spec, 5, seed=21, margin_frac=0.15, min_margin=0.06)
-        metrics = metric_stack(spec, pts)
-        for p, g in zip(pts, metrics):
-            fd = wirtinger_hessian(lambda q: hartogs_potential(spec, q), [p])[0]
-            assert np.max(np.abs(fd - g)) < 1e-5
+        hessians = taylor.hessian_jets(curvature._potential_jets(spec, pts))[0]
+        assert np.max(np.abs(hessians - metric_stack(spec, pts))) < 1e-11
 
 
 class TestDeterminant:
@@ -137,6 +135,16 @@ class TestRicci:
         assert num.shape == (3, spec.total_dim, spec.total_dim)
         for r, clo in enumerate(closed(spec, pts).ricci_closed):
             assert np.max(np.abs(num[r] - clo)) < 1e-3
+
+    def test_numeric_accepts_thin_margins(self):
+        # margins down to 2.6e-3, below the old nested stencil's floor of 0.01
+        spec = HartogsSpec(BaseDomainSpec.ball(2, 1.0), 2)
+        pts = sample_points(spec, 20, seed=3, margin_frac=0.0, min_margin=1e-3)
+        margins = phi_stack(spec.base, pts[:, 2:]) - np.sum(np.abs(pts[:, :2]) ** 2, axis=1)
+        assert margins.min() < 3e-3
+        closed_ricci = closed(spec, pts).ricci_closed
+        gap = np.abs(ricci_numeric(spec, pts) - closed_ricci).max(axis=(1, 2))
+        assert (gap <= 1e-9 * np.abs(closed_ricci).max(axis=(1, 2))).all()
 
 
 class TestScalar:

@@ -1,13 +1,14 @@
 """Row consistency of the point-stack kernels.
 
-Points travel as (N, n) stacks and every finite-difference oracle evaluates
-the stencils of a group of points as one stack, so row r of a stack must
-give the same floats as the one-row stack of that point, and a row of a
-``curvature_report`` or of ``ricci_numeric`` the same values as that point
-alone, however the sample splits into extremal or Ricci row groups. This
-pins the three arithmetic rules of the kernels: squared norms as stacked
-matmuls on C-contiguous rows, powers and exponentials on Python floats row
-by row, and stacked LAPACK calls.
+Points travel as (N, n) stacks, the extremal oracle evaluates the stencils
+of a group of points as one stack and the Ricci oracle a chunk of points as
+one stack of jets, so row r of a stack must give the same floats as the
+one-row stack of that point, and a row of a ``curvature_report`` or of
+``ricci_numeric`` the same values as that point alone, however the sample
+splits into extremal row groups or Ricci chunks. This pins the arithmetic
+rules of the kernels: squared norms as stacked matmuls on C-contiguous rows,
+powers, logs and exponentials on Python numbers row by row, jet products as
+gathers and ``reduceat`` sums, and stacked LAPACK calls.
 """
 
 import math
@@ -17,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs import cli, curvature, domains, reporting
+from hartogs import cli, curvature, domains, reporting, taylor
 from hartogs.curvature import (
     EXTREMAL_STACK_ROWS,
-    RICCI_STACK_ROWS,
+    RICCI_STACK_TERMS,
     curvature_report,
     extremal_check,
     metric_stack,
@@ -37,7 +38,7 @@ from hartogs.domains import (
 )
 from hartogs.errors import BoundaryViolationError
 from hartogs.series import series_partial_sum
-from hartogs.wirtinger import conjugate_jacobian, wirtinger_hessian
+from hartogs.wirtinger import conjugate_jacobian
 
 SPECS = {
     "ball": HartogsSpec(BaseDomainSpec.ball(2, 1.0), 2),
@@ -229,11 +230,9 @@ def test_stacked_conjugate_jacobian_matches_single_points(name):
         assert np.array_equal(stacked[r], conjugate_jacobian(field, row[None, :])[0])
 
 
-def ricci_rows_per_point(spec):
-    """Stencil rows of one point of the nested-difference Ricci oracle: the
-    centre, 8n diagonal rows and 8n(2n - 1) corner rows."""
-    n = spec.total_dim
-    return 1 + 8 * n + 8 * n * (2 * n - 1)
+def points_per_chunk(spec):
+    """Points of one chunk of the Taylor-mode Ricci oracle."""
+    return max(1, RICCI_STACK_TERMS // taylor.product_terms(spec.total_dim))
 
 
 def near_boundary(spec, coords, margins):
@@ -250,55 +249,46 @@ def near_boundary(spec, coords, margins):
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_ricci_rows_across_row_groups(name):
+    # rows on both sides of every chunk boundary, every other one close to
+    # the boundary of the domain, equal their one-row stacks
     spec = SPECS[name]
-    per_group = max(1, RICCI_STACK_ROWS // ricci_rows_per_point(spec))
-    rows = 2 * per_group + 3
-    # every other point near the boundary, so the nested steps differ
-    margins = [0.012 + 0.004 * r if r % 2 else None for r in range(rows)]
+    rows = 2 * points_per_chunk(spec) + 3
+    margins = [1e-3 * (r + 1) if r % 2 else None for r in range(rows)]
     points = near_boundary(spec, sample_points(spec, rows, seed=4, min_margin=0.05), margins)
     ric = ricci_numeric(spec, points)
-    margins = curvature._fd_margins(spec, points, "nested difference")
-    assert len({curvature._nested_step(m) for m in margins.tolist()}) > 2
     for r, p in enumerate(points):
         assert np.array_equal(ric[r], ricci_numeric(spec, [p])[0])
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_ricci_groups_stay_under_the_row_cap(name, monkeypatch):
+    # consecutive chunks of points, each as large as the term cap allows
     spec = SPECS[name]
     points = sample_points(spec, 10, seed=2, min_margin=0.05)
-    centres, rows = [], []
+    chunks = []
+    jets = curvature._potential_jets
 
-    def recorded(f, group, step):
-        def counted(q):
-            rows.append(len(q))
-            return f(q)
+    def recorded(spec, coords):
+        chunks.append(coords)
+        return jets(spec, coords)
 
-        centres.append(group)
-        return wirtinger_hessian(counted, group, step)
-
-    monkeypatch.setattr(curvature, "wirtinger_hessian", recorded)
+    monkeypatch.setattr(curvature, "_potential_jets", recorded)
     ricci_numeric(spec, points)
-    assert np.array_equal(np.concatenate(centres), points)
-    per_point = ricci_rows_per_point(spec)
-    assert rows == [per_point * len(group) for group in centres]
-    assert all(count <= RICCI_STACK_ROWS for count in rows)
-    assert all(count + per_point > RICCI_STACK_ROWS for count in rows[:-1])
+    assert np.array_equal(np.concatenate(chunks), points)
+    per_chunk = points_per_chunk(spec)
+    assert [len(chunk) for chunk in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
+    assert 0 < len(chunks[-1]) <= per_chunk
+    terms = taylor.product_terms(spec.total_dim)
+    assert per_chunk == 1 or per_chunk * terms <= RICCI_STACK_TERMS < (per_chunk + 1) * terms
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_stacked_wirtinger_hessian_matches_single_points(name):
+def test_ricci_oracle_matches_closed_ricci(name):
     spec = SPECS[name]
-    coords = interior_stack(spec, 7, seed=12)
-    steps = np.geomspace(1e-4, 1e-3, len(coords))
-
-    def potential(q):
-        return hartogs_potential(spec, q)
-
-    stacked = wirtinger_hessian(potential, coords, steps)
-    assert stacked.shape == (7, spec.total_dim, spec.total_dim)
-    for r, row in enumerate(coords):
-        assert np.array_equal(stacked[r], wirtinger_hessian(potential, row[None, :], steps[r])[0])
+    points = sample_points(spec, 12, seed=8, min_margin=0.05)
+    closed = curvature_report(spec, points, include_extremal=False).ricci_closed
+    scale = np.abs(closed).max(axis=(1, 2))
+    assert (np.abs(ricci_numeric(spec, points) - closed).max(axis=(1, 2)) <= 1e-9 * scale).all()
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -310,9 +300,9 @@ def test_one_stencil_leaving_the_domain_fails_the_stack(name):
     def potential(q):
         return hartogs_potential(spec, q)
 
-    wirtinger_hessian(potential, coords, 1e-4)  # every stencil interior
+    conjugate_jacobian(potential, coords, 1e-4)  # every stencil interior
     with pytest.raises(BoundaryViolationError):
-        wirtinger_hessian(potential, coords, steps)
+        conjugate_jacobian(potential, coords, steps)
 
 
 def test_report_command_builds_one_report(monkeypatch, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hartogs import curvature, taylor
 from hartogs.domains import (
     BaseDomainSpec,
     HartogsSpec,
@@ -12,11 +13,7 @@ from hartogs.domains import (
     sample_points,
 )
 from hartogs.errors import BoundaryViolationError
-from hartogs.wirtinger import (
-    DEFAULT_STEP,
-    conjugate_jacobian,
-    wirtinger_hessian,
-)
+from hartogs.wirtinger import DEFAULT_STEP, conjugate_jacobian
 
 
 def norm2(z):
@@ -57,20 +54,6 @@ class TestGradient:
         assert gradient(log_disc, [0.5])[0] == pytest.approx(0.5 / 0.75, abs=1e-9)
 
 
-class TestHessian:
-    def test_norm_squared_identity(self):
-        h = wirtinger_hessian(norm2, [[0.1 + 0.2j, -0.3j]])[0]
-        assert np.allclose(h, np.eye(2), atol=1e-9)
-
-    def test_ball_potential_at_center(self):
-        h = wirtinger_hessian(log_disc, [[0.0, 0.0]])[0]
-        assert np.allclose(h, np.eye(2), atol=1e-9)
-
-    def test_disc_value(self):
-        h = wirtinger_hessian(log_disc, [[0.5]])[0]
-        assert h[0, 0].real == pytest.approx(1 / 0.75**2, abs=1e-8)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=12, max_size=12))
 def test_exact_on_cubics(coeffs):
@@ -107,35 +90,32 @@ class TestAgainstClosedForms:
         ],
     )
     def test_hessian_and_gradient_match_closed(self, base):
+        # the gradient by finite differences; the Hessian from the Taylor-mode
+        # jet of the Hartogs potential at zero fiber, whose base block is
+        # ddbar(-log phi) there
         spec = HartogsSpec(base, 1)
         pts = sample_points(spec, 6, seed=9, margin_frac=0.1, min_margin=0.05)
+        pts[:, 0] = 0.0
 
         def u(z):
             return -np.log(phi_stack(base, z))
 
         z = pts[:, 1:]
         closed_h = closed_base_hessians(base, z)
+        jet_h = taylor.hessian_jets(curvature._potential_jets(spec, pts))[0][:, 1:, 1:]
+        assert np.max(np.abs(jet_h - closed_h)) < 1e-12
         value, grad, _, _ = phi_derivatives_stack(base, z)
         closed_g = -grad / value[:, None]  # gradient of -log phi
         for r, zr in enumerate(z):
-            fd_h = wirtinger_hessian(u, [zr])[0]
-            assert np.max(np.abs(fd_h - closed_h[r])) < 1e-5
             fd_g = gradient(u, zr)
             assert np.max(np.abs(fd_g - closed_g[r])) < 1e-5
-
-    def test_hartogs_potential_hessian_is_psd(self):
-        spec = HartogsSpec(BaseDomainSpec.ball(2, 1.0), 1)
-        pts = sample_points(spec, 5, seed=13, margin_frac=0.2, min_margin=0.05)
-        for p in pts:
-            h = wirtinger_hessian(lambda q: hartogs_potential(spec, q), [p])[0]
-            assert np.linalg.eigvalsh(h)[0] > -1e-8
 
 
 class TestBoundaryPropagation:
     def test_stencil_exit_raises(self):
         spec = HartogsSpec(BaseDomainSpec.disc(1.0), 1)
         with pytest.raises(BoundaryViolationError):
-            wirtinger_hessian(lambda q: hartogs_potential(spec, q), [[0.999, 0.0]], step=0.01)
+            conjugate_jacobian(lambda q: hartogs_potential(spec, q), [[0.999, 0.0]], step=0.01)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
@@ -143,13 +123,11 @@ def test_step_must_be_positive_and_finite(step):
     with pytest.raises(ValueError, match="positive and finite"):
         gradient(norm2, [0.3], step)
     with pytest.raises(ValueError, match="positive and finite"):
-        wirtinger_hessian(norm2, [[0.3]], step)
-    with pytest.raises(ValueError, match="positive and finite"):
         conjugate_jacobian(np.conj, [[0.3]], step)
     # one bad step among the per-point steps of a stack fails the stack
     steps = [1e-4, step, 1e-4]
     with pytest.raises(ValueError, match="positive and finite"):
-        wirtinger_hessian(norm2, [[0.3], [0.1j], [-0.2]], steps)
+        conjugate_jacobian(norm2, [[0.3], [0.1j], [-0.2]], steps)
     with pytest.raises(ValueError, match="positive and finite"):
         conjugate_jacobian(np.conj, [[0.3], [0.1j], [-0.2]], steps)
 
