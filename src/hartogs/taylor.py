@@ -139,37 +139,23 @@ def exp(x: np.ndarray) -> np.ndarray:
     return e0[..., None, None] * shifted(_power_series(_nilpotent(x), _EXPM1), 1.0)
 
 
-def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Product of two (P, m, m) matrices of jets."""
-    m = x.shape[1]
-    terms = mul(x[:, :, :, None], y[:, None, :, :])
-    out = terms[:, :, 0]
-    for k in range(1, m):
-        out = out + terms[:, :, k]
-    return out
-
-
 def log_det(y: np.ndarray) -> np.ndarray:
     """log det Y of a (P, m, m) matrix of jets Y = Y0 + N, as
     log det Y0 + tr log(I + Y0^-1 N); tr log(I + M) = sum_k (-1)^(k+1)
-    tr M^k / k ends at k = 4, since every entry of M is nilpotent."""
+    tr M^k / k ends at k = 4, since every entry of M is nilpotent. Matrix
+    products sum over the inner index in order."""
     m = y.shape[1]
     if m == 1:
         return log(y[:, 0, 0])
     y0 = y[..., 0, 0]
-    y0_inv = np.linalg.inv(y0)[:, :, :, None, None, None]
+    y0_inv = np.linalg.inv(y0)
     n = _nilpotent(y)
-    terms = y0_inv * n[:, None, :, :]
-    u = terms[:, :, 0]
-    for k in range(1, m):
-        u = u + terms[:, :, k]
+    u = sum(y0_inv[:, :, k, None, None, None] * n[:, None, k] for k in range(m))
     out = _LOG1P[-1] * u
-    eye = np.eye(m)
     for c in _LOG1P[-2::-1]:
-        out = _matmul(shifted(out, c * eye), u)
-    trace = out[:, 0, 0]
-    for k in range(1, m):
-        trace = trace + out[:, k, k]
+        out = shifted(out, c * np.eye(m))
+        out = sum(mul(out[:, :, k, None], u[:, None, k]) for k in range(m))
+    trace = sum(out[:, k, k] for k in range(m))
     return shifted(trace, _row_map(cmath.log, np.linalg.det(y0)))
 
 

@@ -127,14 +127,26 @@ class TestRicci:
         assert np.max(np.abs(ric + 3 * np.eye(2))) < 1e-3
 
     @pytest.mark.parametrize(
-        "spec", [B2, DISC2, FOCK, HartogsSpec(BaseDomainSpec.polydisc((1.0, 2.0)), 1)]
+        "spec",
+        [
+            B2,
+            DISC2,
+            FOCK,
+            HartogsSpec(BaseDomainSpec.polydisc((1.0, 2.0)), 1),
+            # the bases of tests/test_stack_kernel.py, rank-2 Cartan included
+            HartogsSpec(BaseDomainSpec.ball(2, 1.0), 2),
+            HartogsSpec(BaseDomainSpec.polydisc((0.5, 2.0)), 1),
+            HartogsSpec(BaseDomainSpec.cartan_type_i(1, 3, 1.0), 1),
+            HartogsSpec(BaseDomainSpec.cartan_type_i(2, 2, 1.5), 1),
+            HartogsSpec(BaseDomainSpec.fock(2, 1.0), 1),
+        ],
     )
     def test_numeric_matches_closed(self, spec):
         pts = sample_points(spec, 3, seed=17, margin_frac=0.15, min_margin=0.06)
         num = ricci_numeric(spec, pts)
         assert num.shape == (3, spec.total_dim, spec.total_dim)
         for r, clo in enumerate(closed(spec, pts).ricci_closed):
-            assert np.max(np.abs(num[r] - clo)) < 1e-3
+            assert np.max(np.abs(num[r] - clo)) <= 1e-9 * np.max(np.abs(clo))
 
     def test_numeric_accepts_thin_margins(self):
         # margins down to 2.6e-3, below the old nested stencil's floor of 0.01

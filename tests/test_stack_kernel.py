@@ -283,15 +283,6 @@ def test_ricci_groups_stay_under_the_row_cap(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_ricci_oracle_matches_closed_ricci(name):
-    spec = SPECS[name]
-    points = sample_points(spec, 12, seed=8, min_margin=0.05)
-    closed = curvature_report(spec, points, include_extremal=False).ricci_closed
-    scale = np.abs(closed).max(axis=(1, 2))
-    assert (np.abs(ricci_numeric(spec, points) - closed).max(axis=(1, 2)) <= 1e-9 * scale).all()
-
-
-@pytest.mark.parametrize("name", sorted(SPECS))
 def test_one_stencil_leaving_the_domain_fails_the_stack(name):
     spec = SPECS[name]
     coords = near_boundary(spec, interior_stack(spec, 5, seed=6), [None] * 4 + [1e-3])
