@@ -35,6 +35,7 @@ from .domains import (
     HartogsSpec,
     coordinate_stack,
     factor_determinant_constants,
+    interior_margins,
     phi_derivatives_stack,
     phi_stack,
     require_interior,
@@ -155,7 +156,7 @@ def _potential_jets(spec: HartogsSpec, coords) -> np.ndarray:
     The polarized potential of :func:`hartogs.series._polarized_potential`,
     restated on jets for every catalog base without the factor kernels of
     :mod:`hartogs.domains`: a fock factor contributes -mu <z_i, w_i>, every
-    other one mu log det(I - Z_i W_i^T) with its m x n coordinate matrices
+    other one mu log det(I - Z_i W_i^T) with its m x k coordinate matrices
     (m = 1 for ball and polydisc factors).
     """
     d0 = spec.fiber_dim
@@ -184,7 +185,7 @@ def _ricci_of_potential(f: np.ndarray) -> np.ndarray:
     contracted with elementwise products and sums."""
     g, dg, dbg, ddg = taylor.hessian_jets(f)
     g_inv = np.linalg.inv(g)
-    # (G^-1 d_a G)[c, d] and (G^-1 d_bbar G)[d, c]
+    # G^-1 d_a G and G^-1 d_bbar G, one matrix per a and per b
     left = (g_inv[:, None, :, :, None] * dg[:, :, None, :, :]).sum(axis=3)
     right = (g_inv[:, None, :, :, None] * dbg[:, :, None, :, :]).sum(axis=3)
     second = (g_inv.swapaxes(1, 2)[:, None, None] * ddg).sum(axis=(3, 4))
@@ -207,8 +208,7 @@ def ricci_numeric(spec: HartogsSpec, points) -> np.ndarray:
     the same floats as the one-row stack of its point.
     """
     coords = coordinate_stack(spec, points)
-    d0 = spec.fiber_dim
-    require_interior(phi_stack(spec.base, coords[:, d0:]) - squared_norms(coords[:, :d0]))
+    interior_margins(spec, coords)
     n = spec.total_dim
     per_chunk = max(1, RICCI_STACK_TERMS // taylor.product_terms(n))
     ric = np.empty((len(coords), n, n), dtype=np.complex128)

@@ -414,12 +414,17 @@ def phi_derivatives_stack(base: BaseDomainSpec, z):
     return value, grad, hess, [(v, h) for v, _, h in factors]
 
 
+def interior_margins(spec: HartogsSpec, coords: np.ndarray) -> np.ndarray:
+    """phi(z) - ||z0||^2 per row of a checked (N, n) stack; a row that is not
+    interior raises."""
+    d0 = spec.fiber_dim
+    return require_interior(phi_stack(spec.base, coords[:, d0:]) - squared_norms(coords[:, :d0]))
+
+
 def hartogs_potential(spec: HartogsSpec, points) -> np.ndarray:
     """-h log(phi(z) - ||z0||^2) per row of an (N, n) stack of points; tends
     to +inf as the margin vanishes, and a row that is not interior raises."""
-    coords = coordinate_stack(spec, points)
-    d0 = spec.fiber_dim
-    margins = require_interior(phi_stack(spec.base, coords[:, d0:]) - squared_norms(coords[:, :d0]))
+    margins = interior_margins(spec, coordinate_stack(spec, points))
     return np.array([-spec.scale * math.log(m) for m in margins.tolist()])
 
 
