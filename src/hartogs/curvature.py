@@ -22,7 +22,6 @@ gives one value, or one n x n matrix, per row.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -64,19 +63,20 @@ EXTREMAL_STACK_ROWS = 256
 #: longer runs by itself.
 RICCI_STACK_TERMS = 4096
 
+#: Side degree of the Ricci oracle's jets: Ric reads mixed partials of the
+#: potential through bidegree (2, 2).
+RICCI_DEGREE = 2
+
 #: Default residual tolerance for the Einstein / extremal / scalar verdicts.
 VERDICT_TOLERANCE = 1e-6
 
 
-def tau_exact(base: BaseDomainSpec) -> Fraction | None:
-    """tau = d(d+1) + sum c_i d_i in exact rational arithmetic, if available."""
+def tau_exact(base: BaseDomainSpec) -> Fraction:
+    """tau = d(d+1) + sum c_i d_i in exact rational arithmetic."""
     d = base.dim
-    total = Fraction(d * (d + 1))
-    for c, di in zip(base.einstein_constants_exact, base.dims):
-        if c is None:
-            return None
-        total += c * di
-    return total
+    return Fraction(d * (d + 1)) + sum(
+        c * di for c, di in zip(base.einstein_constants_exact, base.dims)
+    )
 
 
 def tau_value(base: BaseDomainSpec) -> float:
@@ -84,16 +84,6 @@ def tau_value(base: BaseDomainSpec) -> float:
     return d * (d + 1) + sum(
         c * di for c, di in zip(base.einstein_constants, base.dims)
     )
-
-
-def _tau_is_zero(base: BaseDomainSpec) -> bool:
-    exact = tau_exact(base)
-    if exact is not None:
-        return exact == 0
-    warnings.warn(
-        "irrational exponent: deciding tau = 0 by |tau| <= 1e-12", stacklevel=3
-    )
-    return abs(tau_value(base)) <= 1e-12
 
 
 def _metric_parts(spec: HartogsSpec, coords: np.ndarray):
@@ -149,15 +139,18 @@ def _fd_margins(spec: HartogsSpec, coords) -> np.ndarray:
     return margins
 
 
-def _potential_jets(spec: HartogsSpec, coords) -> np.ndarray:
+def _potential_jets(spec: HartogsSpec, coords, degree: int) -> np.ndarray:
     """F = -log(phi(z, w) - <z0, w0>) at (p + Z, conj(p) + W) as a jet of
-    bidegree (2, 2), one per row p of an (N, n) stack.
+    side degree ``degree``, one per row p of an (N, n) stack.
 
-    The polarized potential of :func:`hartogs.series._polarized_potential`,
-    restated on jets for every catalog base without the factor kernels of
-    :mod:`hartogs.domains`: a fock factor contributes -mu <z_i, w_i>, every
-    other one mu log det(I - Z_i W_i^T) with its m x k coordinate matrices
-    (m = 1 for ball and polydisc factors).
+    The polarized potential, with <a, b> = sum a_k b_k, stated once for
+    every catalog base without the factor kernels of :mod:`hartogs.domains`:
+    a fock factor contributes -mu <z_i, w_i>, every other one
+    mu log det(I - Z_i W_i^T) with its m x k coordinate matrices (m = 1 for
+    ball and polydisc factors). The Ricci oracle runs it around sample
+    points at side degree ``RICCI_DEGREE``, and
+    :func:`hartogs.series.origin_coefficients` around the origin at side
+    degree 4.
     """
     d0 = spec.fiber_dim
     base = spec.base
@@ -165,25 +158,27 @@ def _potential_jets(spec: HartogsSpec, coords) -> np.ndarray:
     for sl, mu in zip(base.factor_slices, base.exponents):
         cols = d0 + np.arange(sl.start, sl.stop)
         if base.kind is DomainKind.FOCK:
-            log_phi = log_phi - mu * taylor.pairing(coords, cols, cols)
+            log_phi = log_phi - mu * taylor.pairing(coords, cols, cols, degree)
             continue
         cols = cols.reshape(base.shape or (1, len(cols)))
         m = len(cols)
         y = -np.stack(
-            [np.stack([taylor.pairing(coords, zi, wj) for wj in cols], axis=1) for zi in cols],
+            [np.stack([taylor.pairing(coords, zi, wj, degree) for wj in cols], axis=1)
+             for zi in cols],
             axis=1,
         )
         y[..., 0, 0] += np.eye(m)
-        log_phi = log_phi + mu * taylor.log_det(y)
+        log_phi = log_phi + mu * taylor.log_det(y, degree)
     fiber = np.arange(d0)
-    return -taylor.log(taylor.exp(log_phi) - taylor.pairing(coords, fiber, fiber))
+    phi = taylor.exp(log_phi, degree)
+    return -taylor.log(phi - taylor.pairing(coords, fiber, fiber, degree), degree)
 
 
 def _ricci_of_potential(f: np.ndarray) -> np.ndarray:
     """-d_a d_bbar log det G from the jet f of a potential, G its mixed
     Hessian: -(tr(G^-1 d_a d_bbar G) - tr(G^-1 d_a G G^-1 d_bbar G)),
     contracted with elementwise products and sums."""
-    g, dg, dbg, ddg = taylor.hessian_jets(f)
+    g, dg, dbg, ddg = taylor.hessian_jets(f, RICCI_DEGREE)
     g_inv = np.linalg.inv(g)
     # G^-1 d_a G and G^-1 d_bbar G, one matrix per a and per b
     left = (g_inv[:, None, :, :, None] * dg[:, :, None, :, :]).sum(axis=3)
@@ -198,7 +193,7 @@ def ricci_numeric(spec: HartogsSpec, points) -> np.ndarray:
     Taylor-mode arithmetic; oracle for the closed Ricci tensor of
     :func:`curvature_report`.
 
-    The potential runs as a jet of bidegree (2, 2) (:mod:`hartogs.taylor`)
+    The potential runs as a jet of side degree 2 (:mod:`hartogs.taylor`)
     from the polarized formula, independently of the closed metric, and
     the Ricci is read from its coefficients, so there is no step size and
     no margin rule: every interior point is accepted, and agreement with
@@ -210,11 +205,11 @@ def ricci_numeric(spec: HartogsSpec, points) -> np.ndarray:
     coords = coordinate_stack(spec, points)
     interior_margins(spec, coords)
     n = spec.total_dim
-    per_chunk = max(1, RICCI_STACK_TERMS // taylor.product_terms(n))
+    per_chunk = max(1, RICCI_STACK_TERMS // taylor.product_terms(n, RICCI_DEGREE))
     ric = np.empty((len(coords), n, n), dtype=np.complex128)
     for start in range(0, len(coords), per_chunk):
         chunk = slice(start, start + per_chunk)
-        ric[chunk] = _ricci_of_potential(_potential_jets(spec, coords[chunk]))
+        ric[chunk] = _ricci_of_potential(_potential_jets(spec, coords[chunk], RICCI_DEGREE))
     return hermitian_part(ric, 1e-9 * (1.0 + np.abs(ric).max(axis=(1, 2))))
 
 
@@ -296,39 +291,44 @@ class CurvatureVerdicts:
 def verdicts(spec: HartogsSpec, sample, tol: float = VERDICT_TOLERANCE) -> CurvatureVerdicts:
     """Einstein / extremal / constant-scalar decisions over a point sample.
 
-    tau is decided in exact rational arithmetic on the catalog constants, so
-    the constant-scalar verdict is a real equality test, not a float one.
-    For Einstein bases (all factor constants c_i equal) the three verdicts
-    coincide; this is asserted. Otherwise they are reported as measured:
-    polydisc(1/2, 1) has tau = 0, so its metric is of constant scalar
-    curvature but not Einstein. The sample's :class:`CurvatureReport` rides
-    along as ``report``.
+    The decisions are exact, on the rational factor constants c_i: Einstein
+    iff d + 1 + c_i = 0 for every factor, extremal and constant scalar iff
+    tau = 0. The residuals over the sample are the measured values next to
+    them; an exact "yes" whose residual exceeds ``tol`` is a defect of the
+    closed forms and raises :class:`HartogsError`, while an exact "no" may
+    have a residual below ``tol`` (near mu = 1 on a disc, say). On an
+    Einstein base (all c_i equal) the three decisions coincide, since
+    tau = d (d + 1 + c); polydisc(1/2, 1) has tau = 0, so its metric is of
+    constant scalar curvature and extremal but not Einstein. The sample's
+    :class:`CurvatureReport` rides along as ``report``.
     """
     coords = coordinate_stack(spec, sample)
     if len(coords) < 10:
         raise ValueError("verdicts need at least 10 sample points")
     rep = curvature_report(spec, coords)
-    max_einstein = float(rep.einstein_residual.max())
-    max_extremal = float(rep.extremal_residual.max())
-    variance = float(np.var(rep.scalar_closed))
+    base = spec.base
+    tau_zero = tau_exact(base) == 0
     out = CurvatureVerdicts(
-        is_einstein=max_einstein <= tol,
-        is_extremal=max_extremal <= tol,
-        is_constant_scalar=_tau_is_zero(spec.base) and variance <= tol,
-        max_einstein_residual=max_einstein,
-        max_extremal_residual=max_extremal,
-        scalar_variance=variance,
+        is_einstein=all(base.dim + 1 + c == 0 for c in base.einstein_constants_exact),
+        is_extremal=tau_zero,
+        is_constant_scalar=tau_zero,
+        max_einstein_residual=float(rep.einstein_residual.max()),
+        max_extremal_residual=float(rep.extremal_residual.max()),
+        scalar_variance=float(np.var(rep.scalar_closed)),
         tau=rep.tau,
         tolerance=tol,
         report=rep,
     )
-    einstein_base = len(set(spec.base.einstein_constants)) == 1
-    agree = len({out.is_einstein, out.is_extremal, out.is_constant_scalar}) == 1
-    if einstein_base and not agree:
-        raise HartogsError(
-            "Einstein / extremal / constant-scalar verdicts disagree on an "
-            f"Einstein base: {out}"
-        )
+    for name, yes, residual in (
+        ("Einstein", out.is_einstein, out.max_einstein_residual),
+        ("extremal", out.is_extremal, out.max_extremal_residual),
+        ("constant-scalar", out.is_constant_scalar, out.scalar_variance),
+    ):
+        if yes and not residual <= tol:
+            raise HartogsError(
+                f"exact {name} verdict with residual {residual:.3e} over the "
+                f"tolerance {tol:.1e}: {out}"
+            )
     return out
 
 

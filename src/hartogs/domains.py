@@ -47,19 +47,13 @@ class DomainKind(str, Enum):
     FOCK = "fock"
 
 
-def _as_fraction(x) -> Fraction | None:
-    """Exact rational form of x, or None when no small rational reproduces it."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    frac = Fraction(float(x)).limit_denominator(10**6)
-    return frac if float(frac) == float(x) else None
-
-
 def _exact(x: float) -> Fraction:
-    """x as its short fraction where that reproduces it (0.1 is 1/10), else exactly."""
-    return _as_fraction(x) or Fraction(x)
+    """x as its short fraction where that reproduces it (0.1 is 1/10), else
+    exactly: every finite float is a dyadic rational."""
+    if isinstance(x, (Fraction, int)):
+        return Fraction(x)
+    short = Fraction(float(x)).limit_denominator(10**6)
+    return short if float(short) == float(x) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -215,17 +209,16 @@ class BaseDomainSpec:
         return self._derived_einstein()
 
     @property
-    def einstein_constants_exact(self) -> tuple:
-        """Exact rational Ricci constants where the exponents are rational."""
+    def einstein_constants_exact(self) -> tuple[Fraction, ...]:
+        """Per-factor Ricci constants as exact rationals, -genus/mu on the
+        exponents as :func:`_exact` reads them (every float is one)."""
         if self.einstein_override is not None:
-            return tuple(_as_fraction(c) for c in self.einstein_override)
+            return tuple(map(_exact, self.einstein_override))
         if self.kind is DomainKind.FOCK:
             return (Fraction(0),)
-        out = []
-        for g, mu in zip(self._derived_genus(), self.exponents):
-            mu_frac = _as_fraction(mu)
-            out.append(None if mu_frac is None else Fraction(-g) / mu_frac)
-        return tuple(out)
+        return tuple(
+            Fraction(-g) / _exact(mu) for g, mu in zip(self._derived_genus(), self.exponents)
+        )
 
     @cached_property
     def factor_slices(self) -> tuple[slice, ...]:

@@ -26,9 +26,9 @@ least entry assemble entries in double precision. A block with an entry
 outside that range raises :class:`CapabilityError`; a first failure past it
 keeps its exact (i, sigma) and has no least entry. The Hyperbolic entries
 come from this direct Taylor expansion, and only their signs are compared
-against external claims. ``torus_coefficients`` recomputes the low-degree
-entries of all three forms from the polarized potential, without these
-tables.
+against external claims. ``origin_coefficients`` recomputes the low-degree
+entries of all three forms from the polarized potential's jet at the
+origin, without these tables.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from enum import Enum
 
 import numpy as np
 
+from . import taylor
+from .curvature import _potential_jets
 from .domains import (
     BaseDomainSpec,
     DomainKind,
@@ -499,7 +501,7 @@ def resolvability(
 
 
 # ---------------------------------------------------------------------------
-# Series evaluation, the torus coefficient oracle and the audit
+# Series evaluation, the origin-jet coefficient oracle and the audit
 # ---------------------------------------------------------------------------
 
 
@@ -549,98 +551,56 @@ def series_partial_sum(spec: HartogsSpec, points, truncation_degree: int) -> np.
     return np.array(totals)
 
 
-def _pairing(z, w):
-    """<z, w> = sum z_k w_k, without conjugation, over broadcastable arrays."""
-    return sum(a * b for a, b in zip(z, w))
-
-
-def _polarized_potential(spec: HartogsSpec, z, w, h: float) -> np.ndarray:
-    """F(z, w) = -h log(phi(z, w) - <z0, w0>), with <a, b> = sum a_k b_k.
-
-    ``z`` and ``w`` are sequences of n broadcastable coordinate arrays,
-    fiber coordinates first; F(z, zbar) is the scaled potential. phi(z, w)
-    is prod (1 - <z_i, w_i>)^mu_i over ball, polydisc and rank-one Cartan
-    factors and exp(-mu <z, w>) for fock; the base must be radial. This
-    restates the potential without the factor kernels of
-    :mod:`hartogs.domains`, so it checks them independently. F is evaluated
-    as -h (log phi + log1p(-<z0, w0> / phi)), which is the analytic branch
-    wherever |<z0, w0> / phi| < 1; elsewhere it raises
-    :class:`CapabilityError`.
-    """
-    d0 = spec.fiber_dim
-    base_z, base_w = z[d0:], w[d0:]
-    log_phi = 0.0
-    for sl, mu in zip(spec.base.factor_slices, spec.base.exponents):
-        s = _pairing(base_z[sl], base_w[sl])
-        log_phi = log_phi + (-mu * s if spec.base.kind is DomainKind.FOCK else mu * np.log1p(-s))
-    ratio = _pairing(z[:d0], w[:d0]) * np.exp(-log_phi)
-    if not np.all(np.abs(ratio) < 1.0):
-        raise CapabilityError(
-            "the polarized potential leaves its principal branch on the torus; "
-            "the base exponents are too large for the coefficient oracle"
-        )
-    return -h * (log_phi + np.log1p(-ratio))
-
-
 #: Largest side degree |j|, |k| the coefficient oracle resolves; the audit
 #: covers every pair of total degree |j| + |k| at most this.
 ORACLE_DEGREE = 4
 
-#: Torus of the coefficient oracle: radius r and M points per axis.
-TORUS_RADIUS = 0.25
-TORUS_POINTS = 2 * ORACLE_DEGREE + 1
-
-#: Most torus points M^(2n) evaluated as one stack (n <= 3 at M = 9).
-MAX_TORUS_POINTS = 2**20
+#: Most terms of one product of the oracle's jets (n <= 3 at side degree 4).
+MAX_ORACLE_TERMS = 100_000
 
 
-def torus_coefficients(form: Form, spec: HartogsSpec, h: float | None = None) -> dict:
+def origin_coefficients(form: Form, spec: HartogsSpec, h: float | None = None) -> dict:
     """Derivative-normalized coefficients {(j, k): a_jk} of a form's series,
     for every pair of multi-indices with |j|, |k| <= ORACLE_DEGREE.
 
-    F, ``expm1(F)`` and ``-expm1(-F)`` of the polarized potential expand as
-    sum c_jk z^j w^k, with a_jk = j! k! c_jk the Euclidean, projective and
-    hyperbolic matrix entries (Calabi). One stack evaluation on the 2n-torus
-    |z_a| = |w_a| = r with M points per axis and one ``fftn`` give every
-    c_jk r^(|j|+|k|) at once (Lyness-Moler; r chosen as in Bornemann, Found.
-    Comput. Math. 11, 2011). Circular symmetry leaves only pairs with equal
-    per-variable degrees nonzero, so the nearest alias of c_jk is
-    c_(j+Me_a, k+Me_a) r^(2M): aliasing is of relative order r^(2M), about
-    1e-11 at r = 1/4, M = 9, times the coefficient growth. Round-off is
-    amplified to about j! k! eps / r^(|j|+|k|) times max |F| on the torus,
-    below 1e-8 for |j|, |k| <= 4. A torus past ``MAX_TORUS_POINTS`` points
-    (n >= 4) raises :class:`CapabilityError`.
+    F = h times the polarized potential of
+    :func:`hartogs.curvature._potential_jets`, exp(F) - 1 and 1 - exp(-F)
+    expand as sum c_jk z^j w^k, with a_jk = j! k! c_jk the Euclidean,
+    projective and hyperbolic matrix entries (Calabi). All of them are the
+    coefficients of one jet of side degree ORACLE_DEGREE seeded at the
+    origin (:mod:`hartogs.taylor`), exact up to round-off: there is no
+    radius, no aliasing and no branch to leave, since phi(0) = 1. The jet
+    restates the potential without the Pochhammer tables of the closed
+    blocks, so it checks them independently. A jet whose products would
+    hold more than ``MAX_ORACLE_TERMS`` terms (n >= 4) raises
+    :class:`CapabilityError`.
     """
     _require_radial(spec.base)
     form = Form(form)
     h = _scale(spec, h)
-    n, m = spec.total_dim, TORUS_POINTS
-    size = m ** (2 * n)
-    if size > MAX_TORUS_POINTS:
+    n = spec.total_dim
+    terms = taylor.product_terms(n, ORACLE_DEGREE)
+    if terms > MAX_ORACLE_TERMS:
         raise CapabilityError(
-            f"the coefficient torus would hold {size} points for {n} variables, "
-            f"more than the limit of {MAX_TORUS_POINTS}"
+            f"the coefficient jet's products would hold {terms} terms for {n} "
+            f"variables, more than the limit of {MAX_ORACLE_TERMS}"
         )
-    circle = TORUS_RADIUS * np.exp(2j * np.pi * np.arange(m) / m)
-    axes = [circle.reshape([m if b == a else 1 for b in range(2 * n)]) for a in range(2 * n)]
-    f = _polarized_potential(spec, axes[:n], axes[n:], h)
+    f = h * _potential_jets(spec, np.zeros((1, n), dtype=np.complex128), ORACLE_DEGREE)
     if form is Form.PROJECTIVE:
-        f = np.expm1(f)
+        f = taylor.shifted(taylor.exp(f, ORACLE_DEGREE), -1.0)
     elif form is Form.HYPERBOLIC:
-        f = -np.expm1(-f)
-    taylor = np.fft.fftn(f) / size
-    indices = enumerate_indices(n, ORACLE_DEGREE)
+        f = taylor.shifted(-taylor.exp(-f, ORACLE_DEGREE), 1.0)
+    indices = taylor.monomials(n, ORACLE_DEGREE)
     return {
-        (j, k): complex(taylor[j + k]) * multi_factorial(j) * multi_factorial(k)
-        / TORUS_RADIUS ** (sum(j) + sum(k))
-        for j in indices
-        for k in indices
+        (j, k): complex(f[0, a, b]) * multi_factorial(j) * multi_factorial(k)
+        for a, j in enumerate(indices)
+        for b, k in enumerate(indices)
     }
 
 
 @dataclass(frozen=True)
 class CrossCoefficientAudit:
-    """Torus-oracle audit of the rotation-forced zero coefficients."""
+    """Origin-jet audit of the rotation-forced zero coefficients."""
 
     max_off_structure: float
     pair_values: tuple
@@ -658,7 +618,7 @@ def cross_coefficient_audit(spec: HartogsSpec) -> CrossCoefficientAudit:
     variable, degree 1) is read from the same oracle and compared with its
     analytic block entry.
     """
-    coefficients = torus_coefficients(Form.EUCLIDEAN, spec)
+    coefficients = origin_coefficients(Form.EUCLIDEAN, spec)
     d0 = spec.fiber_dim
 
     def degrees(m):

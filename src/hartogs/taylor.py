@@ -1,19 +1,21 @@
-"""Truncated Taylor polynomials of bidegree (2, 2) in (Z, W), one per row.
+"""Truncated Taylor polynomials of bidegree (d, d) in (Z, W), one per row.
 
-A jet is the polynomial sum c[j, k] Z^j W^k over multi-indices with
-|j| <= 2 and |k| <= 2 in n variables per side, stored as a (..., a, a)
-complex array of its coefficients c, with a = C(n+2, 2) monomials per side
-in the graded order of :func:`hartogs.series.enumerate_indices`: the
-constant, then Z_0 ... Z_(n-1), then the quadratic monomials. Leading
-axes are points (and, for matrices of jets, matrix entries); arithmetic
-acts on the last two.
+A jet of side degree d is the polynomial sum c[j, k] Z^j W^k over
+multi-indices with |j| <= d and |k| <= d in n variables per side, stored as
+a (..., a, a) complex array of its coefficients c, with a = C(n+d, d)
+monomials per side in the order of :func:`monomials`: the constant, then
+Z_0 ... Z_(n-1), then the quadratic monomials, and so on. Leading axes are
+points (and, for matrices of jets, matrix entries); arithmetic acts on the
+last two. Every operation takes the side degree d, since a alone does not
+fix it (a = 15 is n = 4 at d = 2 and n = 2 at d = 4).
 
 This is Taylor-mode differentiation (Griewank-Walther, *Evaluating
 Derivatives*, 2nd ed., SIAM 2008, ch. 13): seeding z_k = p_k + Z_k and
 w_k = conj(p_k) + W_k and running a formula on jets gives every mixed
-partial d^j_z d^k_w of it at (p, conj(p)) up to bidegree (2, 2), exactly up
+partial d^j_z d^k_w of it at (p, conj(p)) up to bidegree (d, d), exactly up
 to round-off, as j! k! c[j, k]. A jet without constant term is nilpotent,
-N^5 = 0, so f(x0 + N) is the finite series sum_(j<=4) f^(j)(x0) N^j / j!.
+N^(2d+1) = 0, so f(x0 + N) is the finite series
+sum_(j<=2d) f^(j)(x0) N^j / j!.
 
 Each row gives the same floats as its one-row stack: products are one
 gather of each operand and one ``np.add.reduceat``, sums are elementwise,
@@ -24,37 +26,54 @@ and logs and exponentials of constant terms run on Python complex numbers
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
 
-from .series import enumerate_indices
 
-#: Largest degree per side.
-DEGREE = 2
-
-
-def width(n: int) -> int:
-    """Monomials per side, a = C(n+2, 2)."""
-    return math.comb(n + DEGREE, DEGREE)
+def width(n: int, degree: int) -> int:
+    """Monomials per side, a = C(n + degree, degree)."""
+    return math.comb(n + degree, degree)
 
 
 @lru_cache(maxsize=None)
-def _side(n: int) -> dict:
+def monomials(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Exponents of the side monomials in the jet layout: by degree, and
+    within a degree in descending lexicographic order, the order of
+    :func:`hartogs.series.enumerate_indices`."""
+    return tuple(
+        tuple(factors.count(v) for v in range(n))
+        for k in range(degree + 1)
+        for factors in itertools.combinations_with_replacement(range(n), k)
+    )
+
+
+@lru_cache(maxsize=None)
+def _variables(a: int, degree: int) -> int:
+    """n of a jet with a monomials per side at this side degree."""
+    n = 1
+    while width(n, degree) < a:
+        n += 1
+    return n
+
+
+@lru_cache(maxsize=None)
+def _side(n: int, degree: int) -> dict:
     """Index of each side monomial in the jet layout."""
-    return {m: i for i, m in enumerate(enumerate_indices(n, DEGREE))}
+    return {m: i for i, m in enumerate(monomials(n, degree))}
 
 
 @lru_cache(maxsize=None)
-def _product_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _product_plan(n: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat operand indices (left, right) of every product term and the
     start of each target coefficient's run, with terms sorted by target.
 
     Every target has a run, if only (target, constant), so ``reduceat``
     over the starts gives the a^2 coefficients in order. Shared; read-only.
     """
-    side = _side(n)
+    side = _side(n, degree)
     pairs = [
         (i, j, side[m])
         for a, i in side.items()
@@ -75,21 +94,18 @@ def _product_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return plan
 
 
-def product_terms(n: int) -> int:
-    """Terms of one product of two jets in n variables per side."""
-    return len(_product_plan(n)[0])
+def product_terms(n: int, degree: int) -> int:
+    """Terms of one product of two jets in n variables per side: per side,
+    the pairs of monomials whose degrees sum to at most ``degree``, which
+    are the C(2n + degree, degree) monomials in 2n variables."""
+    return math.comb(2 * n + degree, degree) ** 2
 
 
-def _variables(x: np.ndarray) -> int:
-    """n of a jet, from its a = (n + 1)(n + 2) / 2 monomials per side."""
-    return (math.isqrt(8 * x.shape[-1] + 1) - 3) // 2
-
-
-def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The product of two jets, truncated to bidegree (2, 2); leading axes
-    broadcast."""
+def mul(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
+    """The product of two jets, truncated to bidegree (degree, degree);
+    leading axes broadcast."""
     a = x.shape[-1]
-    left, right, starts = _product_plan(_variables(x))
+    left, right, starts = _product_plan(_variables(a, degree), degree)
     flat_x = x.reshape(x.shape[:-2] + (a * a,))
     flat_y = y.reshape(y.shape[:-2] + (a * a,))
     terms = flat_x.take(left, axis=-1) * flat_y.take(right, axis=-1)
@@ -110,61 +126,69 @@ def _nilpotent(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _power_series(u: np.ndarray, coefficients) -> np.ndarray:
-    """sum_(k=1..4) c_k u^k of a nilpotent jet u, by Horner's rule."""
+def _power_series(u: np.ndarray, coefficients, degree: int) -> np.ndarray:
+    """sum_(k>=1) c_k u^k of a nilpotent jet u, by Horner's rule."""
     out = coefficients[-1] * u
     for c in coefficients[-2::-1]:
-        out = mul(shifted(out, c), u)
+        out = mul(shifted(out, c), u, degree)
     return out
 
 
-_LOG1P = (1.0, -1.0 / 2.0, 1.0 / 3.0, -1.0 / 4.0)
-_EXPM1 = (1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0)
+def _log1p(degree: int) -> list[float]:
+    """Coefficients (-1)^(k+1) / k of log(1 + u), k = 1 .. 2 degree."""
+    return [(-1) ** (k + 1) / k for k in range(1, 2 * degree + 1)]
+
+
+def _expm1(degree: int) -> list[float]:
+    """Coefficients 1 / k! of exp(u) - 1, k = 1 .. 2 degree."""
+    return [1 / math.factorial(k) for k in range(1, 2 * degree + 1)]
 
 
 def _row_map(f, values: np.ndarray) -> np.ndarray:
     return np.array([f(v) for v in values.ravel().tolist()]).reshape(values.shape)
 
 
-def log(x: np.ndarray) -> np.ndarray:
-    """log(x0 + N) = log x0 + log1p(N / x0), principal branch at x0."""
+def log(x: np.ndarray, degree: int) -> np.ndarray:
+    """log(x0 + N) = log x0 + log1p(N / x0), with ``cmath.log`` of x0."""
     x0 = x[..., 0, 0]
     u = _nilpotent(x) / x0[..., None, None]
-    return shifted(_power_series(u, _LOG1P), _row_map(cmath.log, x0))
+    return shifted(_power_series(u, _log1p(degree), degree), _row_map(cmath.log, x0))
 
 
-def exp(x: np.ndarray) -> np.ndarray:
+def exp(x: np.ndarray, degree: int) -> np.ndarray:
     """exp(x0 + N) = exp(x0) (1 + expm1(N))."""
     e0 = _row_map(cmath.exp, x[..., 0, 0])
-    return e0[..., None, None] * shifted(_power_series(_nilpotent(x), _EXPM1), 1.0)
+    series = _power_series(_nilpotent(x), _expm1(degree), degree)
+    return e0[..., None, None] * shifted(series, 1.0)
 
 
-def log_det(y: np.ndarray) -> np.ndarray:
+def log_det(y: np.ndarray, degree: int) -> np.ndarray:
     """log det Y of a (P, m, m) matrix of jets Y = Y0 + N, as
     log det Y0 + tr log(I + Y0^-1 N); tr log(I + M) = sum_k (-1)^(k+1)
-    tr M^k / k ends at k = 4, since every entry of M is nilpotent. Matrix
-    products sum over the inner index in order."""
+    tr M^k / k ends at k = 2 degree, since every entry of M is nilpotent.
+    Matrix products sum over the inner index in order."""
     m = y.shape[1]
     if m == 1:
-        return log(y[:, 0, 0])
+        return log(y[:, 0, 0], degree)
     y0 = y[..., 0, 0]
     y0_inv = np.linalg.inv(y0)
     n = _nilpotent(y)
     u = sum(y0_inv[:, :, k, None, None, None] * n[:, None, k] for k in range(m))
-    out = _LOG1P[-1] * u
-    for c in _LOG1P[-2::-1]:
+    coefficients = _log1p(degree)
+    out = coefficients[-1] * u
+    for c in coefficients[-2::-1]:
         out = shifted(out, c * np.eye(m))
-        out = sum(mul(out[:, :, k, None], u[:, None, k]) for k in range(m))
+        out = sum(mul(out[:, :, k, None], u[:, None, k], degree) for k in range(m))
     trace = sum(out[:, k, k] for k in range(m))
     return shifted(trace, _row_map(cmath.log, np.linalg.det(y0)))
 
 
-def pairing(points: np.ndarray, z_cols, w_cols) -> np.ndarray:
+def pairing(points: np.ndarray, z_cols, w_cols, degree: int) -> np.ndarray:
     """sum_t z_(z_cols[t]) w_(w_cols[t]) at (p + Z, conj(p) + W) for every
     row p of an (P, n) stack: constant sum p conj(p), linear terms
     conj(p) Z and p W, and the products Z W."""
     p, n = points.shape
-    a = width(n)
+    a = width(n, degree)
     z_cols, w_cols = np.asarray(z_cols), np.asarray(w_cols)
     out = np.zeros((p, a, a), dtype=np.complex128)
     out[:, 0, 0] = (points[:, z_cols] * np.conj(points[:, w_cols])).sum(axis=1)
@@ -175,9 +199,9 @@ def pairing(points: np.ndarray, z_cols, w_cols) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _second_order(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _second_order(n: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """For every pair (a, c): the side index of e_a + e_c and (e_a + e_c)!."""
-    side = _side(n)
+    side = _side(n, degree)
     unit = np.eye(n, dtype=int)
     index = np.array([[side[tuple(unit[i] + unit[j])] for j in range(n)] for i in range(n)])
     factorial = 1.0 + np.eye(n)
@@ -186,12 +210,12 @@ def _second_order(n: int) -> tuple[np.ndarray, np.ndarray]:
     return index, factorial
 
 
-def hessian_jets(f: np.ndarray):
+def hessian_jets(f: np.ndarray, degree: int):
     """The mixed Hessian G_cd = d_c d_dbar f at Z = W = 0 of a (P, a, a) jet
-    f, with its derivatives d_a G (P, a, c, d), d_bbar G (P, b, c, d) and
-    d_a d_bbar G (P, a, b, c, d)."""
-    n = _variables(f)
-    pair, fac = _second_order(n)
+    f of side degree at least 2, with its derivatives d_a G (P, a, c, d),
+    d_bbar G (P, b, c, d) and d_a d_bbar G (P, a, b, c, d)."""
+    n = _variables(f.shape[-1], degree)
+    pair, fac = _second_order(n, degree)
     one = np.arange(1, n + 1)
     g = f[:, 1 : n + 1, 1 : n + 1]
     dg = f[:, pair[:, :, None], one] * fac[:, :, None]

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -452,6 +453,20 @@ class TestCli:
         curvature = json.loads(out.read_text())["curvature"]
         assert curvature["is_constant_scalar"] is True
         assert curvature["is_einstein"] is False
+
+    @pytest.mark.parametrize("command", ["check-einstein", "check-extremal"])
+    @pytest.mark.parametrize("mu", ["1.0000001", "1.000000001"])
+    def test_checks_near_mu_one_answer_no_quietly(self, command, mu, tmp_path, capsys):
+        # lambda = tau = 2 - 2/mu are not 0, though the residuals they scale
+        # fall below the tolerance: an exact "no", with nothing on stderr
+        cfg = tmp_path / "near.cfg"
+        cfg.write_text(DISC_CONFIG.replace("base.mu = 1", f"base.mu = {mu}"), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out.json")])
+        assert code == 2
+        assert capsys.readouterr().err == ""
+        assert not caught
 
     def test_config_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from hartogs.domains import (
     phi_stack,
     sample_points,
 )
+from hartogs.errors import HartogsError
 from hartogs.reporting import curvature_rows
 
 B2 = HartogsSpec(BaseDomainSpec.disc(1.0), 1)  # the unit ball in C^2
@@ -75,7 +77,7 @@ class TestMetric:
     def test_matches_potential_hessian(self, spec):
         # the mixed Hessian of the potential, read from its Taylor-mode jet
         pts = sample_points(spec, 5, seed=21, margin_frac=0.15, min_margin=0.06)
-        hessians = taylor.hessian_jets(curvature._potential_jets(spec, pts))[0]
+        hessians = taylor.hessian_jets(curvature._potential_jets(spec, pts, 2), 2)[0]
         assert np.max(np.abs(hessians - metric_stack(spec, pts))) < 1e-11
 
 
@@ -230,6 +232,27 @@ class TestVerdicts:
         assert not v.is_einstein
         assert v.max_einstein_residual > 1.0
         assert v.is_extremal and v.is_constant_scalar
+
+    def test_exact_yes_over_the_tolerance_raises(self, monkeypatch):
+        # a closed-form defect: the unit ball is Einstein, its residual is not 0
+        report = curvature.curvature_report
+
+        def defective(spec, points):
+            rep = report(spec, points)
+            return dataclasses.replace(rep, einstein_residual=rep.einstein_residual + 1e-3)
+
+        monkeypatch.setattr(curvature, "curvature_report", defective)
+        pts = sample_points(B2, 12, seed=8, margin_frac=0.1, min_margin=0.05)
+        with pytest.raises(HartogsError, match="exact Einstein verdict with residual 1.000e-03"):
+            verdicts(B2, pts)
+
+    def test_exact_no_under_the_tolerance_is_no(self):
+        # lambda = tau = 2 - 2/mu: both residuals scale with it
+        spec = HartogsSpec(BaseDomainSpec.disc(1.000000001), 1)
+        pts = sample_points(spec, 12, seed=8, margin_frac=0.1, min_margin=0.05)
+        v = verdicts(spec, pts)
+        assert v.max_einstein_residual < v.tolerance and v.max_extremal_residual < v.tolerance
+        assert not (v.is_einstein or v.is_extremal or v.is_constant_scalar)
 
     def test_requires_ten_points(self):
         with pytest.raises(ValueError):

@@ -67,9 +67,15 @@ class TestSpecMetadata:
         assert b.einstein_constants == (0.0,)
         assert b.einstein_constants_exact == (Fraction(0),)
 
-    def test_irrational_mu_has_no_exact_constant(self):
-        b = BaseDomainSpec.disc(math.pi)
-        assert b.einstein_constants_exact == (None,)
+    def test_every_constant_is_exact(self):
+        # a float exponent is read as its short fraction where that
+        # reproduces it, else as the dyadic rational it is
+        assert BaseDomainSpec.disc(0.1).einstein_constants_exact == (Fraction(-20),)
+        for mu in (math.pi, 1.0000001, 1.000000001):
+            (c,) = BaseDomainSpec.disc(mu).einstein_constants_exact
+            assert c == Fraction(-2) / Fraction(mu) and c != -2
+        b = BaseDomainSpec(DomainKind.BALL, (1,), (1.0,), einstein_override=(-2.0,))
+        assert b.einstein_constants_exact == (Fraction(-2),)
 
     def test_inconsistent_override_warns(self):
         with pytest.warns(UserWarning, match="einstein"):

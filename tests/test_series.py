@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hartogs import series
+from hartogs.curvature import _potential_jets
 from hartogs.domains import (
     BaseDomainSpec,
     DomainKind,
     HartogsSpec,
     _exact,
+    coordinate_stack,
     hartogs_potential,
     sample_points,
 )
@@ -23,18 +25,17 @@ from hartogs.series import (
     Form,
     ResolvabilityVerdict,
     _cutoffs,
-    _polarized_potential,
     _sign_table,
     _sign_tables,
     block,
     cross_coefficient_audit,
     enumerate_indices,
     grade_indices,
+    origin_coefficients,
     pochhammer,
     power_deriv,
     resolvability,
     series_partial_sum,
-    torus_coefficients,
 )
 
 DISC = HartogsSpec(BaseDomainSpec.disc(1.0), 1)
@@ -591,28 +592,28 @@ class TestAudit:
     def test_disc_off_structure_vanishes(self):
         audit = cross_coefficient_audit(DISC)
         assert len(audit.pair_values) == 64  # every violating pair of degree <= 4
-        assert audit.max_off_structure <= 1e-5
+        assert audit.max_off_structure == 0.0
 
     def test_control_pair_matches_analytic(self):
         audit = cross_coefficient_audit(DISC)
         assert audit.control_expected == pytest.approx(1.0)  # Gamma(1)Gamma(2)
-        assert audit.control_value == pytest.approx(audit.control_expected, abs=1e-5)
+        assert audit.control_value == pytest.approx(audit.control_expected, rel=1e-14)
 
     def test_multifiber_block_matches_fd(self):
-        # d0 = 2: multinomial fiber expansion against the torus coefficients
+        # d0 = 2: multinomial fiber expansion against the origin coefficients
         spec = HartogsSpec(BaseDomainSpec.disc(1.0), 2)
         b = block(Form.EUCLIDEAN, spec, 2, 2)
         idx = {nu: k for k, nu in enumerate(b.fiber_indices)}
-        coefficients = torus_coefficients(Form.EUCLIDEAN, spec)
+        coefficients = origin_coefficients(Form.EUCLIDEAN, spec)
         for nu in ((2, 0), (1, 1)):
             m = nu + (0,)
-            assert b.diagonal[idx[nu]] == pytest.approx(coefficients[(m, m)].real, abs=1e-5)
+            assert b.diagonal[idx[nu]] == pytest.approx(coefficients[(m, m)].real, rel=1e-12)
 
 
 def _oracle_gaps(form, spec, h):
     """Largest |a_jk| over j != k, and the largest relative gap between the
     diagonal a_jj and its block() entry, through side degree ORACLE_DEGREE."""
-    coefficients = torus_coefficients(form, spec, h)
+    coefficients = origin_coefficients(form, spec, h)
     cross = max(abs(a) for (j, k), a in coefficients.items() if j != k)
     gaps = []
     for i in range(ORACLE_DEGREE + 1):
@@ -627,8 +628,12 @@ def _oracle_gaps(form, spec, h):
 
 
 class TestTorusOracle:
-    # round-off bound j! k! eps / r^(|j|+|k|) at side degree 4, times max |F|
-    CROSS_TOL = 1e-8
+    """The coefficients of the origin jet (:func:`origin_coefficients`),
+    which replaced the torus-FFT oracle, against the closed blocks."""
+
+    # circular symmetry leaves every cross coefficient of the jet exactly 0;
+    # diagonals carry the round-off of about 30 jet products
+    DIAGONAL_TOL = 1e-11
 
     @pytest.mark.parametrize("form", list(Form))
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
@@ -636,8 +641,8 @@ class TestTorusOracle:
         spec = HartogsSpec(BaseDomainSpec.disc(mu), 1)
         for h in (0.5, 1.0, 1.5, 2.7):
             cross, gap = _oracle_gaps(form, spec, h)
-            assert cross <= self.CROSS_TOL, (h, cross)
-            assert gap <= 1e-5, (h, gap)
+            assert cross == 0.0, (h, cross)
+            assert gap <= self.DIAGONAL_TOL, (h, gap)
 
     @pytest.mark.parametrize(
         "base",
@@ -648,36 +653,38 @@ class TestTorusOracle:
         spec = HartogsSpec(base, 1)
         for form in Form:
             cross, gap = _oracle_gaps(form, spec, 1.5)
-            assert cross <= self.CROSS_TOL and gap <= 1e-5, (form, cross, gap)
+            assert cross == 0.0 and gap <= self.DIAGONAL_TOL, (form, cross, gap)
 
     def test_known_entries(self):
         fiber = ((2, 0), (2, 0))
-        euclidean = torus_coefficients(Form.EUCLIDEAN, DISC)
-        assert euclidean[fiber] == pytest.approx(2.0, abs=1e-8)
+        euclidean = origin_coefficients(Form.EUCLIDEAN, DISC)
+        assert euclidean[fiber] == pytest.approx(2.0, rel=1e-14)
         # criterion 5's obstruction: 1 - (1 - t)^(3/2) has t^2 entry -1.5
-        hyperbolic = torus_coefficients(Form.HYPERBOLIC, DISC, h=1.5)
-        assert hyperbolic[fiber] == pytest.approx(-1.5, abs=1e-8)
+        hyperbolic = origin_coefficients(Form.HYPERBOLIC, DISC, h=1.5)
+        assert hyperbolic[fiber] == pytest.approx(-1.5, rel=1e-14)
 
     def test_polarized_potential_restates_the_potential(self):
+        # the jet's constant term against the factor kernels of domains
         for spec in (DISC, HartogsSpec(BaseDomainSpec.polydisc((0.5, 2.0)), 2, scale=1.5), FOCK):
             pts = sample_points(spec, 5, seed=3)
-            for p, potential in zip(pts, hartogs_potential(spec, pts)):
-                z = list(p)
-                value = _polarized_potential(spec, z, list(np.conj(z)), spec.scale)
+            jets = spec.scale * _potential_jets(spec, coordinate_stack(spec, pts), 2)
+            for value, potential in zip(jets[:, 0, 0], hartogs_potential(spec, pts)):
                 assert value == pytest.approx(potential, rel=1e-12)
 
-    def test_torus_cap(self):
+    def test_term_cap(self):
+        # n = 5: C(14, 4)^2 terms per product at side degree 4
         spec = HartogsSpec(BaseDomainSpec.ball(3, 1.0), 2)
-        with pytest.raises(CapabilityError, match="3486784401 points"):
-            torus_coefficients(Form.EUCLIDEAN, spec)
+        with pytest.raises(CapabilityError, match="1002001 terms"):
+            origin_coefficients(Form.EUCLIDEAN, spec)
 
     def test_rank_two_cartan_raises(self):
         spec = HartogsSpec(BaseDomainSpec.cartan_type_i(2, 2, 1.0), 1)
         with pytest.raises(CapabilityError, match="rank >= 2"):
-            torus_coefficients(Form.PROJECTIVE, spec)
+            origin_coefficients(Form.PROJECTIVE, spec)
 
-    def test_branch_guard(self):
-        # |<z0, w0> / phi| reaches 1 on the r = 1/4 torus once mu is large
+    def test_large_exponent_matches_blocks(self):
+        # the torus left the principal branch of the potential at mu = 60
         spec = HartogsSpec(BaseDomainSpec.disc(60.0), 1)
-        with pytest.raises(CapabilityError, match="principal branch"):
-            torus_coefficients(Form.EUCLIDEAN, spec)
+        for form in Form:
+            cross, gap = _oracle_gaps(form, spec, 1.5)
+            assert cross == 0.0 and gap <= self.DIAGONAL_TOL, (form, cross, gap)

@@ -232,7 +232,7 @@ def test_stacked_conjugate_jacobian_matches_single_points(name):
 
 def points_per_chunk(spec):
     """Points of one chunk of the Taylor-mode Ricci oracle."""
-    return max(1, RICCI_STACK_TERMS // taylor.product_terms(spec.total_dim))
+    return max(1, RICCI_STACK_TERMS // taylor.product_terms(spec.total_dim, curvature.RICCI_DEGREE))
 
 
 def near_boundary(spec, coords, margins):
@@ -268,9 +268,9 @@ def test_ricci_groups_stay_under_the_row_cap(name, monkeypatch):
     chunks = []
     jets = curvature._potential_jets
 
-    def recorded(spec, coords):
+    def recorded(spec, coords, degree):
         chunks.append(coords)
-        return jets(spec, coords)
+        return jets(spec, coords, degree)
 
     monkeypatch.setattr(curvature, "_potential_jets", recorded)
     ricci_numeric(spec, points)
@@ -278,7 +278,7 @@ def test_ricci_groups_stay_under_the_row_cap(name, monkeypatch):
     per_chunk = points_per_chunk(spec)
     assert [len(chunk) for chunk in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
     assert 0 < len(chunks[-1]) <= per_chunk
-    terms = taylor.product_terms(spec.total_dim)
+    terms = taylor.product_terms(spec.total_dim, curvature.RICCI_DEGREE)
     assert per_chunk == 1 or per_chunk * terms <= RICCI_STACK_TERMS < (per_chunk + 1) * terms
 
 

@@ -1,4 +1,4 @@
-"""The truncated Taylor algebra of bidegree (2, 2): products against
+"""The truncated Taylor algebra at side degrees 2 and 4: products against
 polynomial multiplication, the series functions against their identities,
 and the derivatives it reads against closed forms."""
 
@@ -9,14 +9,14 @@ from hartogs import taylor
 from hartogs.series import enumerate_indices
 
 
-def random_jets(rng, shape, n):
-    a = taylor.width(n)
+def random_jets(rng, shape, n, degree=2):
+    a = taylor.width(n, degree)
     return rng.standard_normal(shape + (a, a)) + 1j * rng.standard_normal(shape + (a, a))
 
 
-def brute_product(x, y, n):
+def brute_product(x, y, n, degree):
     """The truncated product of two single jets, monomial by monomial."""
-    side = enumerate_indices(n, 2)
+    side = enumerate_indices(n, degree)
     index = {m: i for i, m in enumerate(side)}
     out = np.zeros_like(x)
     for i, zi in enumerate(side):
@@ -33,7 +33,7 @@ def brute_product(x, y, n):
 def linear(points):
     """The jets of z_k = p_k + Z_k and w_k = conj(p_k) + W_k."""
     n = len(points)
-    a = taylor.width(n)
+    a = taylor.width(n, 2)
     z = np.zeros((n, a, a), dtype=np.complex128)
     w = np.zeros((n, a, a), dtype=np.complex128)
     for k, p in enumerate(points):
@@ -42,33 +42,72 @@ def linear(points):
     return z, w
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_product_is_truncated_polynomial_multiplication(n):
+# (n, side degree); the ids of the side-degree-2 cases are n alone
+N_AND_DEGREE = pytest.mark.parametrize(
+    "n, degree", [(1, 2), (2, 2), (3, 2), (1, 4), (2, 4)],
+    ids=["1", "2", "3", "1-degree4", "2-degree4"],
+)
+
+
+@N_AND_DEGREE
+def test_product_is_truncated_polynomial_multiplication(n, degree):
     rng = np.random.default_rng(n)
-    x, y = random_jets(rng, (3,), n), random_jets(rng, (3,), n)
-    prod = taylor.mul(x, y)
+    x, y = random_jets(rng, (3,), n, degree), random_jets(rng, (3,), n, degree)
+    prod = taylor.mul(x, y, degree)
     for r in range(3):
-        assert np.allclose(prod[r], brute_product(x[r], y[r], n), rtol=0, atol=1e-12)
+        brute = brute_product(x[r], y[r], n, degree)
+        assert np.allclose(prod[r], brute, rtol=0, atol=1e-12)
     # leading axes broadcast
-    assert np.array_equal(taylor.mul(x[:, None], y[None, :])[1, 2], taylor.mul(x[1], y[2]))
+    assert np.array_equal(
+        taylor.mul(x[:, None], y[None, :], degree)[1, 2], taylor.mul(x[1], y[2], degree)
+    )
 
 
 def test_product_terms():
-    # per side: pairs of monomials of degree <= 2 whose sum keeps degree <= 2
-    assert [taylor.product_terms(n) for n in (2, 3, 4, 5)] == [15**2, 28**2, 45**2, 66**2]
+    # per side: pairs of monomials whose degrees sum to at most the side degree
+    assert [taylor.product_terms(n, 2) for n in (2, 3, 4, 5)] == [15**2, 28**2, 45**2, 66**2]
+    assert [taylor.product_terms(n, 4) for n in (1, 2, 3)] == [225, 4_900, 44_100]
+    for n, degree in ((2, 2), (5, 2), (1, 4), (3, 4)):
+        assert len(taylor._product_plan(n, degree)[0]) == taylor.product_terms(n, degree)
 
 
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_log_and_exp_are_inverse(n):
+@pytest.mark.parametrize("degree", [2, 4])
+def test_monomials_follow_the_graded_order(degree):
+    for n in (1, 2, 3):
+        assert list(taylor.monomials(n, degree)) == enumerate_indices(n, degree)
+        assert len(taylor.monomials(n, degree)) == taylor.width(n, degree)
+
+
+def test_side_degree_tells_equal_widths_apart():
+    # a = 15 is n = 4 at side degree 2 and n = 2 at side degree 4
+    assert taylor.width(4, 2) == taylor.width(2, 4) == 15
+    rng = np.random.default_rng(5)
+    x, y = random_jets(rng, (1,), 2, 4), random_jets(rng, (1,), 2, 4)
+    assert np.allclose(
+        taylor.mul(x, y, 4)[0], brute_product(x[0], y[0], 2, 4), rtol=0, atol=1e-12
+    )
+    assert np.allclose(
+        taylor.mul(x, y, 2)[0], brute_product(x[0], y[0], 4, 2), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "n, degree", [(1, 2), (2, 2), (4, 2), (1, 4), (2, 4)],
+    ids=["1", "2", "4", "1-degree4", "2-degree4"],
+)
+def test_log_and_exp_are_inverse(n, degree):
     rng = np.random.default_rng(10 + n)
-    x = 0.3 * random_jets(rng, (4,), n)
+    x = 0.3 * random_jets(rng, (4,), n, degree)
     x[:, 0, 0] = 1.5 + 0.2j
-    assert np.allclose(taylor.exp(taylor.log(x)), x, rtol=0, atol=1e-13)
-    assert np.allclose(taylor.log(taylor.exp(x)), x, rtol=0, atol=1e-13)
-    y = 0.3 * random_jets(rng, (4,), n)
+    assert np.allclose(taylor.exp(taylor.log(x, degree), degree), x, rtol=0, atol=1e-13)
+    assert np.allclose(taylor.log(taylor.exp(x, degree), degree), x, rtol=0, atol=1e-13)
+    y = 0.3 * random_jets(rng, (4,), n, degree)
     y[:, 0, 0] = 0.8
     assert np.allclose(
-        taylor.log(taylor.mul(x, y)), taylor.log(x) + taylor.log(y), rtol=0, atol=1e-13
+        taylor.log(taylor.mul(x, y, degree), degree),
+        taylor.log(x, degree) + taylor.log(y, degree),
+        rtol=0,
+        atol=1e-13,
     )
 
 
@@ -76,37 +115,37 @@ def test_log_det_is_the_log_of_the_determinant():
     rng = np.random.default_rng(3)
     y = 0.2 * random_jets(rng, (5, 2, 2), 3)
     y[..., 0, 0] = [[1.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.9]]
-    det = taylor.mul(y[:, 0, 0], y[:, 1, 1]) - taylor.mul(y[:, 0, 1], y[:, 1, 0])
-    assert np.allclose(taylor.log_det(y), taylor.log(det), rtol=0, atol=1e-13)
-    assert np.array_equal(taylor.log_det(y[:, :1, :1]), taylor.log(y[:, 0, 0]))
+    det = taylor.mul(y[:, 0, 0], y[:, 1, 1], 2) - taylor.mul(y[:, 0, 1], y[:, 1, 0], 2)
+    assert np.allclose(taylor.log_det(y, 2), taylor.log(det, 2), rtol=0, atol=1e-13)
+    assert np.array_equal(taylor.log_det(y[:, :1, :1], 2), taylor.log(y[:, 0, 0], 2))
 
 
 def test_pairing_seeds_the_bilinear_form():
     p = np.array([[0.3 - 0.1j, 0.2j, -0.4]])
     z, w = linear(p[0])
-    expected = taylor.mul(z[0], w[2]) + taylor.mul(z[1], w[1])
-    assert np.array_equal(taylor.pairing(p, [0, 1], [2, 1])[0], expected)
+    expected = taylor.mul(z[0], w[2], 2) + taylor.mul(z[1], w[1], 2)
+    assert np.array_equal(taylor.pairing(p, [0, 1], [2, 1], 2)[0], expected)
 
 
 class TestHessianJets:
     def test_norm_squared_identity(self):
         p = np.array([[0.1 + 0.2j, -0.3j]])
-        g, dg, dbg, ddg = taylor.hessian_jets(taylor.pairing(p, [0, 1], [0, 1]))
+        g, dg, dbg, ddg = taylor.hessian_jets(taylor.pairing(p, [0, 1], [0, 1], 2), 2)
         assert np.array_equal(g[0], np.eye(2))
         assert not dg.any() and not dbg.any() and not ddg.any()
 
     def test_ball_potential_at_center(self):
         p = np.zeros((1, 2), dtype=np.complex128)
-        f = -taylor.log(taylor.shifted(-taylor.pairing(p, [0, 1], [0, 1]), 1.0))
-        assert np.allclose(taylor.hessian_jets(f)[0][0], np.eye(2), rtol=0, atol=1e-15)
+        f = -taylor.log(taylor.shifted(-taylor.pairing(p, [0, 1], [0, 1], 2), 1.0), 2)
+        assert np.allclose(taylor.hessian_jets(f, 2)[0][0], np.eye(2), rtol=0, atol=1e-15)
 
     def test_disc_values(self):
         # f = -log(1 - |z|^2): G = 1 / s^2, d G = 2 zbar / s^3 and
         # d dbar G = 2 / s^3 + 6 |z|^2 / s^4 with s = 1 - |z|^2
         z = 0.5 + 0.25j
         s = 1.0 - abs(z) ** 2
-        f = -taylor.log(taylor.shifted(-taylor.pairing(np.array([[z]]), [0], [0]), 1.0))
-        g, dg, dbg, ddg = (part[0] for part in taylor.hessian_jets(f))
+        f = -taylor.log(taylor.shifted(-taylor.pairing(np.array([[z]]), [0], [0], 2), 1.0), 2)
+        g, dg, dbg, ddg = (part[0] for part in taylor.hessian_jets(f, 2))
         assert g[0, 0] == pytest.approx(1 / s**2, rel=1e-14)
         assert dg[0, 0, 0] == pytest.approx(2 * np.conj(z) / s**3, rel=1e-14)
         assert dbg[0, 0, 0] == pytest.approx(2 * z / s**3, rel=1e-14)
@@ -120,9 +159,9 @@ def test_rows_match_one_row_stacks():
     y = 0.2 * random_jets(rng, (6, 2, 2), 3)
     y[..., 0, 0] = [[1.3, 0.2], [0.2, 0.9]]
     for op, arg in ((taylor.log, x), (taylor.exp, x), (taylor.log_det, y)):
-        out = op(arg)
+        out = op(arg, 2)
         for r in range(6):
-            assert np.array_equal(out[r], op(arg[r : r + 1])[0])
-    prod = taylor.mul(x, x[::-1])
+            assert np.array_equal(out[r], op(arg[r : r + 1], 2)[0])
+    prod = taylor.mul(x, x[::-1], 2)
     for r in range(6):
-        assert np.array_equal(prod[r], taylor.mul(x[r : r + 1], x[::-1][r : r + 1])[0])
+        assert np.array_equal(prod[r], taylor.mul(x[r : r + 1], x[::-1][r : r + 1], 2)[0])

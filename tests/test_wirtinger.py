@@ -102,7 +102,7 @@ class TestAgainstClosedForms:
 
         z = pts[:, 1:]
         closed_h = closed_base_hessians(base, z)
-        jet_h = taylor.hessian_jets(curvature._potential_jets(spec, pts))[0][:, 1:, 1:]
+        jet_h = taylor.hessian_jets(curvature._potential_jets(spec, pts, 2), 2)[0][:, 1:, 1:]
         assert np.max(np.abs(jet_h - closed_h)) < 1e-12
         value, grad, _, _ = phi_derivatives_stack(base, z)
         closed_g = -grad / value[:, None]  # gradient of -log phi
