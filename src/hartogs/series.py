@@ -49,6 +49,7 @@ from .domains import (
     coordinate_stack,
 )
 from .errors import CapabilityError
+from .taylor import _grade
 
 
 class Form(str, Enum):
@@ -62,37 +63,6 @@ class Form(str, Enum):
 # ---------------------------------------------------------------------------
 # Multi-index ordering
 # ---------------------------------------------------------------------------
-
-
-#: Most multi-indices of one degree that are enumerated; past it the index
-#: lists would be too large to use, and enumeration is a CapabilityError.
-_MAX_GRADE_INDICES = 100_000
-
-
-def _grade(var_count: int, deg: int):
-    """Multi-indices of degree ``deg`` in descending lexicographic order."""
-    count = math.comb(deg + var_count - 1, var_count - 1)
-    if count > _MAX_GRADE_INDICES:
-        raise CapabilityError(
-            f"{count} multi-indices of degree {deg} in {var_count} variables "
-            f"exceed the limit of {_MAX_GRADE_INDICES}"
-        )
-    if var_count == 1:
-        yield (deg,)
-        return
-    index = [deg] + [0] * (var_count - 1)
-    while True:
-        yield tuple(index)
-        # successor: the last nonzero entry before the end gives one unit to
-        # its right neighbour, which also takes over the end entry
-        pos = var_count - 2
-        while pos >= 0 and not index[pos]:
-            pos -= 1
-        if pos < 0:
-            return
-        tail, index[-1] = index[-1], 0
-        index[pos] -= 1
-        index[pos + 1] = tail + 1
 
 
 def grade_indices(var_count: int, deg: int) -> list[tuple[int, ...]]:

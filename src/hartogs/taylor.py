@@ -26,11 +26,42 @@ and logs and exponentials of constant terms run on Python complex numbers
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import CapabilityError
+
+#: Most multi-indices of one degree that are enumerated; past it the index
+#: lists would be too large to use, and enumeration is a CapabilityError.
+_MAX_GRADE_INDICES = 100_000
+
+
+def _grade(var_count: int, deg: int):
+    """Multi-indices of degree ``deg`` in descending lexicographic order."""
+    count = math.comb(deg + var_count - 1, var_count - 1)
+    if count > _MAX_GRADE_INDICES:
+        raise CapabilityError(
+            f"{count} multi-indices of degree {deg} in {var_count} variables "
+            f"exceed the limit of {_MAX_GRADE_INDICES}"
+        )
+    if var_count == 1:
+        yield (deg,)
+        return
+    index = [deg] + [0] * (var_count - 1)
+    while True:
+        yield tuple(index)
+        # successor: the last nonzero entry before the end gives one unit to
+        # its right neighbour, which also takes over the end entry
+        pos = var_count - 2
+        while pos >= 0 and not index[pos]:
+            pos -= 1
+        if pos < 0:
+            return
+        tail, index[-1] = index[-1], 0
+        index[pos] -= 1
+        index[pos + 1] = tail + 1
 
 
 def width(n: int, degree: int) -> int:
@@ -41,13 +72,9 @@ def width(n: int, degree: int) -> int:
 @lru_cache(maxsize=None)
 def monomials(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """Exponents of the side monomials in the jet layout: by degree, and
-    within a degree in descending lexicographic order, the order of
+    within a degree in descending lexicographic order, the graded order of
     :func:`hartogs.series.enumerate_indices`."""
-    return tuple(
-        tuple(factors.count(v) for v in range(n))
-        for k in range(degree + 1)
-        for factors in itertools.combinations_with_replacement(range(n), k)
-    )
+    return tuple(m for k in range(degree + 1) for m in _grade(n, k))
 
 
 @lru_cache(maxsize=None)
