@@ -74,10 +74,7 @@ def enumerate_indices(var_count: int, max_degree: int) -> list[tuple[int, ...]]:
     """All multi-indices of degree <= max_degree in the graded order."""
     if var_count < 1 or max_degree < 0:
         raise ValueError("need var_count >= 1 and max_degree >= 0")
-    out: list[tuple[int, ...]] = []
-    for deg in range(max_degree + 1):
-        out.extend(_grade(var_count, deg))
-    return out
+    return list(taylor.monomials(var_count, max_degree))
 
 
 def multi_factorial(m) -> float:

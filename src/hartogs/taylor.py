@@ -72,8 +72,8 @@ def width(n: int, degree: int) -> int:
 @lru_cache(maxsize=None)
 def monomials(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """Exponents of the side monomials in the jet layout: by degree, and
-    within a degree in descending lexicographic order, the graded order of
-    :func:`hartogs.series.enumerate_indices`."""
+    within a degree in descending lexicographic order (the graded order of
+    the series multi-indices)."""
     return tuple(m for k in range(degree + 1) for m in _grade(n, k))
 
 

@@ -71,13 +71,6 @@ def test_product_terms():
         assert len(taylor._product_plan(n, degree)[0]) == taylor.product_terms(n, degree)
 
 
-@pytest.mark.parametrize("degree", [2, 4])
-def test_monomials_follow_the_graded_order(degree):
-    for n in (1, 2, 3):
-        assert list(taylor.monomials(n, degree)) == enumerate_indices(n, degree)
-        assert len(taylor.monomials(n, degree)) == taylor.width(n, degree)
-
-
 def test_side_degree_tells_equal_widths_apart():
     # a = 15 is n = 4 at side degree 2 and n = 2 at side degree 4
     assert taylor.width(4, 2) == taylor.width(2, 4) == 15
