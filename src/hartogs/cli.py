@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import reporting
 from .config import parse_config
-from .curvature import VERDICT_TOLERANCE, verdicts
+from .curvature import verdicts
 from .domains import sample_points
 from .errors import HartogsError
 from .fixtures import run_acceptance
@@ -108,52 +108,46 @@ def cmd_curvature(args) -> int:
     return 0
 
 
-def _check_payload(parsed, args):
-    pts = sample_points(
-        parsed.spec, max(args.samples, 10), seed=args.seed,
-        margin_frac=0.1, min_margin=0.05,
+def _verdict_points(spec, args):
+    return sample_points(
+        spec, max(args.samples, 10), seed=args.seed, margin_frac=0.1, min_margin=0.05
     )
-    return verdicts(parsed.spec, pts), pts
 
 
-def cmd_check_einstein(args) -> int:
+# command -> (answer field, residual field, rule); only check-extremal
+# reports the extremal residual, so only it computes the stencil
+_CHECKS = {
+    "check-einstein": (
+        "is_einstein", "max_einstein_residual",
+        "Einstein iff every factor constant equals -(d+1)",
+    ),
+    "check-extremal": (
+        "is_extremal", "max_extremal_residual",
+        "extremal iff the scalar curvature is constant (tau = 0)",
+    ),
+}
+
+
+def cmd_check(args) -> int:
     parsed = _run_config(args)
-    v, pts = _check_payload(parsed, args)
+    answer, residual, rule = _CHECKS[args.command]
+    pts = _verdict_points(parsed.spec, args)
+    v = verdicts(parsed.spec, pts, include_extremal=args.command == "check-extremal")
     payload = reporting.with_schema(
         {
-            "command": "check-einstein",
+            "command": args.command,
             "spec": reporting.spec_summary(parsed.spec),
             "seed": args.seed,
             "samples": len(pts),
-            "is_einstein": v.is_einstein,
-            "residual": v.max_einstein_residual,
+            answer: getattr(v, answer),
+            "residual": getattr(v, residual),
             "tau": v.tau,
             "tolerance": v.tolerance,
-            "rule": "Einstein iff every factor constant equals -(d+1)",
+            "rule": rule,
         }
     )
     reporting.write_text(reporting.to_json(payload), args.out)
-    return 0 if v.is_einstein else 2
-
-
-def cmd_check_extremal(args) -> int:
-    parsed = _run_config(args)
-    v, pts = _check_payload(parsed, args)
-    payload = reporting.with_schema(
-        {
-            "command": "check-extremal",
-            "spec": reporting.spec_summary(parsed.spec),
-            "seed": args.seed,
-            "samples": len(pts),
-            "is_extremal": v.is_extremal,
-            "residual": v.max_extremal_residual,
-            "tau": v.tau,
-            "tolerance": v.tolerance,
-            "rule": "extremal iff the scalar curvature is constant (tau = 0)",
-        }
-    )
-    reporting.write_text(reporting.to_json(payload), args.out)
-    return 0 if v.is_extremal else 2
+    return 0 if getattr(v, answer) else 2
 
 
 def cmd_immersion(args) -> int:
@@ -233,10 +227,7 @@ def cmd_diastasis(args) -> int:
 def cmd_report(args) -> int:
     parsed = _run_config(args)
     spec = parsed.spec
-    pts = sample_points(
-        spec, max(args.samples, 10), seed=args.seed,
-        margin_frac=0.1, min_margin=0.05,
-    )
+    pts = _verdict_points(spec, args)
     v = verdicts(spec, pts)
     h_values = _parse_h_list(args.h)
     diastasis = [
@@ -300,8 +291,8 @@ def cmd_fixtures(args) -> int:
 
 _COMMANDS = {
     "curvature": cmd_curvature,
-    "check-einstein": cmd_check_einstein,
-    "check-extremal": cmd_check_extremal,
+    "check-einstein": cmd_check,
+    "check-extremal": cmd_check,
     "immersion": cmd_immersion,
     "diastasis": cmd_diastasis,
     "report": cmd_report,

@@ -2,23 +2,24 @@
 
 Grammar: UTF-8 text, ``#`` starts a comment, blank lines ignored. Keys:
 
-    base.kind               ball | polydisc | cartan_type_I | fock
-    base.dims               comma list; (m, n) for cartan_type_I
-    base.mu                 comma list of positive numbers, fractions allowed
-    fiber.dim               positive integer (default 1)
-    scale.h                 positive number (default 1)
-    base.genus              optional per-factor override (warned if off)
-    base.einstein_constant  optional per-factor override (warned if off)
-    facts.euclidean         yes | no | unknown  (user-supplied base facts,
-    facts.projective         for non-catalog bases; scale-independent)
+    base.kind          ball | polydisc | cartan_type_I | fock
+    base.dims          comma list; (m, n) for cartan_type_I
+    base.mu            comma list of positive numbers, fractions allowed
+    fiber.dim          positive integer (default 1)
+    scale.h            positive number (default 1)
+    facts.euclidean    yes | no | unknown  (user-supplied base facts,
+    facts.projective    for non-catalog bases; scale-independent)
     facts.hyperbolic
 
-Unknown keys are hard errors carrying the line number.
+A number is read exactly as written (1/3, 0.1 and 1e-3 are exact
+rationals), and its value must lie in the double range. The exponents stay
+exact, so the curvature verdicts are decided on them; the scale h is used
+as the nearest double. Unknown keys are hard errors carrying the line
+number.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -33,8 +34,6 @@ _KNOWN_KEYS = {
     "base.mu",
     "fiber.dim",
     "scale.h",
-    "base.genus",
-    "base.einstein_constant",
     "facts.euclidean",
     "facts.projective",
     "facts.hyperbolic",
@@ -49,21 +48,22 @@ class ParsedConfig:
     facts: BaseImmersionFacts | None
 
 
-def _parse_number(text: str, line: int) -> float:
+def _parse_number(text: str, line: int) -> Fraction:
     text = text.strip()
     try:
         if "/" in text:
             num, den = text.split("/")
-            value = float(Fraction(int(num), int(den)))
+            value = Fraction(int(num), int(den))
         else:
-            value = float(text)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"expected a number, got {text!r}", line=line) from None
+            value = Fraction(text)
+        float(value)  # OverflowError past the double range
+        return value
     except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {text!r}", line=line)
-    return value
+        pass
+    except (ValueError, ZeroDivisionError):
+        if text.lstrip("+-").lower() not in ("inf", "infinity", "nan"):
+            raise ConfigError(f"expected a number, got {text!r}", line=line) from None
+    raise ConfigError(f"expected a finite number, got {text!r}", line=line)
 
 
 def _parse_int(text: str, line: int) -> int:
@@ -109,15 +109,6 @@ def parse_config_text(text: str) -> ParsedConfig:
     mu_text, mu_line = entries["base.mu"]
     mus = _parse_list(mu_text, _parse_number, mu_line)
 
-    overrides = {}
-    for key, field in (
-        ("base.genus", "genus_override"),
-        ("base.einstein_constant", "einstein_override"),
-    ):
-        if key in entries:
-            value, line = entries[key]
-            overrides[field] = _parse_list(value, _parse_number, line)
-
     shape = None
     if kind is DomainKind.CARTAN_TYPE_I:
         if len(dims) != 2:
@@ -128,7 +119,7 @@ def parse_config_text(text: str) -> ParsedConfig:
         dims = (dims[0] * dims[1],)
 
     try:
-        base = BaseDomainSpec(kind, dims, mus, shape=shape, **overrides)
+        base = BaseDomainSpec(kind, dims, mus, shape=shape)
     except ValueError as exc:
         raise ConfigError(str(exc), line=dims_line) from None
 
@@ -139,7 +130,7 @@ def parse_config_text(text: str) -> ParsedConfig:
     scale = 1.0
     if "scale.h" in entries:
         value, line = entries["scale.h"]
-        scale = _parse_number(value, line)
+        scale = float(_parse_number(value, line))
     try:
         spec = HartogsSpec(base, fiber_dim, scale)
     except ValueError as exc:

@@ -33,7 +33,6 @@ from .domains import (
     DomainKind,
     HartogsSpec,
     coordinate_stack,
-    factor_determinant_constants,
     interior_margins,
     phi_derivatives_stack,
     phi_stack,
@@ -75,13 +74,6 @@ def tau_exact(base: BaseDomainSpec) -> Fraction:
     """tau = d(d+1) + sum c_i d_i in exact rational arithmetic."""
     d = base.dim
     return Fraction(d * (d + 1)) + sum(
-        c * di for c, di in zip(base.einstein_constants_exact, base.dims)
-    )
-
-
-def tau_value(base: BaseDomainSpec) -> float:
-    d = base.dim
-    return d * (d + 1) + sum(
         c * di for c, di in zip(base.einstein_constants, base.dims)
     )
 
@@ -118,11 +110,6 @@ def metric_stack(spec: HartogsSpec, points) -> np.ndarray:
     return _symmetrised(_metric_parts(spec, coordinate_stack(spec, points))[0])
 
 
-def _require_constants(base: BaseDomainSpec):
-    if any(c is None for c in base.einstein_constants):
-        raise HartogsError("base factor is missing an Einstein constant")
-
-
 def _fd_margins(spec: HartogsSpec, coords) -> np.ndarray:
     """The interior margins at an (N, n) stack of points, if every one is
     wide enough for the extremal stencil; else the first row that is not
@@ -155,7 +142,7 @@ def _potential_jets(spec: HartogsSpec, coords, degree: int) -> np.ndarray:
     d0 = spec.fiber_dim
     base = spec.base
     log_phi = 0.0
-    for sl, mu in zip(base.factor_slices, base.exponents):
+    for sl, mu in zip(base.factor_slices, base.float_exponents):
         cols = d0 + np.arange(sl.start, sl.stop)
         if base.kind is DomainKind.FOCK:
             log_phi = log_phi - mu * taylor.pairing(coords, cols, cols, degree)
@@ -215,7 +202,7 @@ def ricci_numeric(spec: HartogsSpec, points) -> np.ndarray:
 
 def _scalar_gradient(spec: HartogsSpec, z0, phi_val, phi_grad) -> np.ndarray:
     """Closed holomorphic gradient of the scalar curvature, one row per point."""
-    tau = tau_value(spec.base)
+    tau = float(tau_exact(spec.base))
     grad_fiber = -tau * np.conj(z0) / phi_val[:, None]
     grad_base = (tau * squared_norms(z0))[:, None] * phi_grad / row_power(phi_val, 2)[:, None]
     return np.concatenate([grad_fiber, grad_base], axis=1)
@@ -263,7 +250,7 @@ def extremal_check(spec: HartogsSpec, points) -> ExtremalCheck:
     coords = coordinate_stack(spec, points)
     residual = _extremal_residuals(spec, coords)
     v, margin, phi_val = _v_field(spec, coords)
-    tau = tau_value(spec.base)
+    tau = float(tau_exact(spec.base))
     witness = [  # in Python complex arithmetic, like row_power
         -tau * z01 * m**2 / f**2
         for z01, m, f in zip(coords[:, 0].tolist(), margin.tolist(), phi_val.tolist())
@@ -288,7 +275,9 @@ class CurvatureVerdicts:
     report: CurvatureReport = field(repr=False, compare=False)
 
 
-def verdicts(spec: HartogsSpec, sample, tol: float = VERDICT_TOLERANCE) -> CurvatureVerdicts:
+def verdicts(
+    spec: HartogsSpec, sample, tol: float = VERDICT_TOLERANCE, include_extremal: bool = True
+) -> CurvatureVerdicts:
     """Einstein / extremal / constant-scalar decisions over a point sample.
 
     The decisions are exact, on the rational factor constants c_i: Einstein
@@ -300,16 +289,17 @@ def verdicts(spec: HartogsSpec, sample, tol: float = VERDICT_TOLERANCE) -> Curva
     Einstein base (all c_i equal) the three decisions coincide, since
     tau = d (d + 1 + c); polydisc(1/2, 1) has tau = 0, so its metric is of
     constant scalar curvature and extremal but not Einstein. The sample's
-    :class:`CurvatureReport` rides along as ``report``.
+    :class:`CurvatureReport` rides along as ``report``; without
+    ``include_extremal`` it skips the extremal stencil, and the extremal
+    residual is NaN and left unchecked.
     """
     coords = coordinate_stack(spec, sample)
     if len(coords) < 10:
         raise ValueError("verdicts need at least 10 sample points")
-    rep = curvature_report(spec, coords)
-    base = spec.base
-    tau_zero = tau_exact(base) == 0
+    rep = curvature_report(spec, coords, include_extremal)
+    tau_zero = tau_exact(spec.base) == 0
     out = CurvatureVerdicts(
-        is_einstein=all(base.dim + 1 + c == 0 for c in base.einstein_constants_exact),
+        is_einstein=not any(spec.base.lambdas),
         is_extremal=tau_zero,
         is_constant_scalar=tau_zero,
         max_einstein_residual=float(rep.einstein_residual.max()),
@@ -321,7 +311,7 @@ def verdicts(spec: HartogsSpec, sample, tol: float = VERDICT_TOLERANCE) -> Curva
     )
     for name, yes, residual in (
         ("Einstein", out.is_einstein, out.max_einstein_residual),
-        ("extremal", out.is_extremal, out.max_extremal_residual),
+        ("extremal", out.is_extremal and include_extremal, out.max_extremal_residual),
         ("constant-scalar", out.is_constant_scalar, out.scalar_variance),
     ):
         if yes and not residual <= tol:
@@ -363,24 +353,22 @@ def curvature_report(spec: HartogsSpec, points, include_extremal: bool = True) -
     metric is extremal exactly when V is holomorphic), and is NaN without
     ``include_extremal``.
     """
-    _require_constants(spec.base)
     coords = coordinate_stack(spec, points)
     g, margin, factors, _, phi_val, _ = _metric_parts(spec, coords)
     g = _symmetrised(g)
     if np.count_nonzero(eigenvalues(g)[:, 0] <= 0):
         raise HartogsError("metric is not positive definite at an interior point")
-    n, d, d0 = spec.total_dim, spec.base.dim, spec.fiber_dim
-    tau = tau_value(spec.base)
+    n, d0 = spec.total_dim, spec.fiber_dim
+    tau = float(tau_exact(spec.base))
     det_closed = row_power(margin, -(n + 1))
     ric = -(n + 1) * g
     einstein = np.zeros(len(coords))
-    for sl, (phi_i, hess_i), c, const in zip(
+    for sl, (phi_i, hess_i), lam, const in zip(
         spec.base.factor_slices,
         factors,
-        spec.base.einstein_constants,
-        factor_determinant_constants(spec.base),
+        map(float, spec.base.lambdas),
+        map(float, spec.base.determinant_constants),
     ):
-        lam = d + 1 + c
         det_closed = det_closed * (row_power(phi_i, lam) * const)
         rows = slice(d0 + sl.start, d0 + sl.stop)
         ric[:, rows, rows] += lam * hess_i

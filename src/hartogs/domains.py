@@ -15,8 +15,10 @@ Supported factor shapes:
 * ``cartan_type_I``  phi = det(I - z z*)^mu on m x n matrices, genus m + n
 * ``fock``           phi = exp(-mu ||z||^2) on all of C^d (unbounded, flat)
 
-Genus and curvature constants are derived, not free: each factor's metric
-(from -log phi_i) is Einstein with constant -genus/mu (0 for ``fock``).
+Each exponent mu_i is held as an exact rational, and every factor constant
+is derived from it, not free: each factor's metric (from -log phi_i) is
+Einstein with constant c_i = -genus_i/mu_i (0 for ``fock``), and the
+curvature verdicts are decided on these rationals.
 
 A sample of points is an (N, n) complex128 stack, one point (z0, z) per
 row, fiber coordinates first; ``coordinate_stack`` checks one wherever it
@@ -26,11 +28,10 @@ enters the package, and ``sample_points`` draws one.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -58,34 +59,38 @@ def _exact(x: float) -> Fraction:
 
 @dataclass(frozen=True)
 class BaseDomainSpec:
-    """A base domain D with its defining potential metadata.
+    """A base domain D: its factors' kind, dimensions and exponents.
 
     ``dims`` lists per-factor complex dimensions. For ``cartan_type_I`` the
     matrix shape (m, n) is carried separately and dims holds (m * n,).
-    Overrides for genus / Einstein constants are accepted but warned about
-    when inconsistent with the derived values -genus/mu.
+    ``exponents`` holds each mu_i exactly, as a Fraction; a float given
+    here is read by :func:`_exact`. Every factor constant is derived from
+    (kind, dims, shape, exponents), none is a free parameter, and the
+    numerics read the float view ``float_exponents``.
     """
 
     kind: DomainKind
     dims: tuple[int, ...]
-    exponents: tuple[float, ...]
+    exponents: tuple[Fraction, ...]
     shape: tuple[int, int] | None = None
-    genus_override: tuple[float, ...] | None = None
-    einstein_override: tuple[float, ...] | None = None
 
     def __post_init__(self):
         kind = DomainKind(self.kind)
         object.__setattr__(self, "kind", kind)
         dims = tuple(int(d) for d in self.dims)
-        exps = tuple(float(m) for m in self.exponents)
+        exps = tuple(self.exponents)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "exponents", exps)
         if not dims or any(d < 1 for d in dims):
             raise ValueError("factor dimensions must be positive integers")
         if len(exps) != len(dims):
             raise ValueError("need one exponent per factor")
-        if not all(m > 0 and math.isfinite(m) for m in exps):
+        try:
+            finite = all(0 < float(m) < math.inf for m in exps)
+        except OverflowError:  # an exact exponent past the double range
+            finite = False
+        if not finite:
             raise ValueError("exponents must be positive and finite")
+        object.__setattr__(self, "exponents", tuple(map(_exact, exps)))
         if kind is DomainKind.POLYDISC:
             if any(d != 1 for d in dims):
                 raise ValueError("polydisc factors are one-dimensional discs")
@@ -104,41 +109,6 @@ class BaseDomainSpec:
                 raise ValueError("dims must equal m * n for cartan_type_I")
         elif self.shape is not None:
             raise ValueError("shape is only meaningful for cartan_type_I")
-        for name, override in (
-            ("genus", self.genus_override),
-            ("einstein constant", self.einstein_override),
-        ):
-            if override is None:
-                continue
-            override = tuple(float(v) for v in override)
-            object.__setattr__(
-                self,
-                "genus_override" if name == "genus" else "einstein_override",
-                override,
-            )
-            if len(override) != len(dims):
-                raise ValueError(f"need one {name} override per factor")
-            if not all(math.isfinite(v) for v in override):
-                raise ValueError(f"{name} overrides must be finite")
-        self._warn_on_inconsistent_overrides()
-
-    def _warn_on_inconsistent_overrides(self):
-        derived_genus = self._derived_genus()
-        if self.genus_override is not None:
-            for got, want in zip(self.genus_override, derived_genus):
-                if want is not None and not math.isclose(got, want, rel_tol=1e-12):
-                    warnings.warn(
-                        f"genus override {got} differs from derived value {want}",
-                        stacklevel=3,
-                    )
-        if self.einstein_override is not None:
-            for got, want in zip(self.einstein_override, self._derived_einstein()):
-                if not math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15):
-                    warnings.warn(
-                        f"einstein constant override {got} differs from "
-                        f"derived value -genus/mu = {want}",
-                        stacklevel=3,
-                    )
 
     # -- constructors -------------------------------------------------------
 
@@ -177,7 +147,14 @@ class BaseDomainSpec:
     def bounded(self) -> bool:
         return self.kind is not DomainKind.FOCK
 
-    def _derived_genus(self) -> tuple:
+    @cached_property
+    def float_exponents(self) -> tuple[float, ...]:
+        """The exponents as the floats the kernels and tables compute with."""
+        return tuple(map(float, self.exponents))
+
+    @cached_property
+    def genus(self) -> tuple[int | None, ...]:
+        """Per-factor genus; None for the flat (fock) factor."""
         if self.kind is DomainKind.BALL:
             return (self.dims[0] + 1,)
         if self.kind is DomainKind.POLYDISC:
@@ -187,38 +164,27 @@ class BaseDomainSpec:
             return (m + n,)
         return (None,)
 
-    def _derived_einstein(self) -> tuple[float, ...]:
-        if self.kind is DomainKind.FOCK:
-            return (0.0,)
+    @cached_property
+    def einstein_constants(self) -> tuple[Fraction, ...]:
+        """Per-factor Ricci constants c_i = -genus_i/mu_i of the base
+        metrics (0 for fock), exactly."""
         return tuple(
-            -g / mu for g, mu in zip(self._derived_genus(), self.exponents)
+            Fraction(0) if g is None else -g / mu
+            for g, mu in zip(self.genus, self.exponents)
         )
 
-    @property
-    def genus(self) -> tuple:
-        """Per-factor genus; None for the flat (fock) factor."""
-        if self.genus_override is not None:
-            return self.genus_override
-        return self._derived_genus()
+    @cached_property
+    def lambdas(self) -> tuple[Fraction, ...]:
+        """lambda_i = d + 1 + c_i, the weight of the factor metric g^(D_i)
+        in the Hartogs Ricci tensor; Einstein iff every one is 0."""
+        return tuple(self.dim + 1 + c for c in self.einstein_constants)
 
-    @property
-    def einstein_constants(self) -> tuple[float, ...]:
-        """Per-factor Ricci constants of the base metrics, -genus/mu."""
-        if self.einstein_override is not None:
-            return self.einstein_override
-        return self._derived_einstein()
-
-    @property
-    def einstein_constants_exact(self) -> tuple[Fraction, ...]:
-        """Per-factor Ricci constants as exact rationals, -genus/mu on the
-        exponents as :func:`_exact` reads them (every float is one)."""
-        if self.einstein_override is not None:
-            return tuple(map(_exact, self.einstein_override))
-        if self.kind is DomainKind.FOCK:
-            return (Fraction(0),)
-        return tuple(
-            Fraction(-g) / _exact(mu) for g, mu in zip(self._derived_genus(), self.exponents)
-        )
+    @cached_property
+    def determinant_constants(self) -> tuple[Fraction, ...]:
+        """det g^(D_i) * phi_i^(-c_i), constant for every catalog kind: its
+        value at the origin, where phi_i = 1 and the factor Hessian is
+        mu_i I, is mu_i^(d_i)."""
+        return tuple(mu**d for d, mu in zip(self.dims, self.exponents))
 
     @cached_property
     def factor_slices(self) -> tuple[slice, ...]:
@@ -373,7 +339,7 @@ def _factor_stacks(base: BaseDomainSpec, z, derivatives: bool) -> list[tuple]:
     kernel = _KERNELS[base.kind]
     return [
         kernel(np.ascontiguousarray(z[:, sl]), mu, base.shape, derivatives)
-        for sl, mu in zip(base.factor_slices, base.exponents)
+        for sl, mu in zip(base.factor_slices, base.float_exponents)
     ]
 
 
@@ -419,21 +385,6 @@ def hartogs_potential(spec: HartogsSpec, points) -> np.ndarray:
     to +inf as the margin vanishes, and a row that is not interior raises."""
     margins = interior_margins(spec, coordinate_stack(spec, points))
     return np.array([-spec.scale * math.log(m) for m in margins.tolist()])
-
-
-@lru_cache(maxsize=None)
-def factor_determinant_constants(base: BaseDomainSpec) -> tuple[float, ...]:
-    """Constants det g^(D_i)(0) * phi_i(0)^(-c_i), measured once at the origin.
-
-    For every catalog kind the pluriharmonic correction in
-    det g^(D_i) = const * phi_i^(c_i) is a constant, and phi_i(0) = 1, so the
-    constant is the origin determinant of the factor Hessian (mu_i^(d_i)).
-    """
-    origin = np.zeros((1, base.dim), dtype=np.complex128)
-    return tuple(
-        float(np.real(np.linalg.det(h[0])))
-        for _, _, h in _factor_stacks(base, origin, derivatives=True)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def catalog_facts(base: BaseDomainSpec) -> BaseImmersionFacts:
     return BaseImmersionFacts(
         euclidean=YES,
         projective=lambda h: YES,
-        hyperbolic=lambda h, mu=mu: YES if _exact(h) * _exact(mu) <= 1 else NO,
+        hyperbolic=lambda h, mu=mu: YES if _exact(h) * mu <= 1 else NO,
         provenance="catalog",
     )
 

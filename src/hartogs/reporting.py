@@ -85,7 +85,7 @@ def spec_summary(spec: HartogsSpec) -> dict:
     return {
         "kind": base.kind.value,
         "dims": list(base.dims),
-        "mu": list(base.exponents),
+        "mu": list(base.float_exponents),
         "shape": list(base.shape) if base.shape else None,
         "fiber_dim": spec.fiber_dim,
         "scale_h": spec.scale,

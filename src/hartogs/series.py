@@ -140,7 +140,7 @@ class _BaseTable:
         key = (idx, s, k)
         value = self._values.get(key)
         if value is None:
-            mu = self._base.exponents[idx]
+            mu = self._base.float_exponents[idx]
             value = (s * mu) ** k if self._fock else pochhammer(mu * s, k)
             self._values[key] = value
         return value
@@ -160,7 +160,7 @@ class _BaseTable:
         if len(supported) != 1:
             return 0.0
         idx, part = supported[0]
-        mu = self._base.exponents[idx]
+        mu = self._base.float_exponents[idx]
         k = sum(part)
         if self._fock:
             return mu if k == 1 else 0.0
@@ -375,7 +375,7 @@ def _sign_tables(form: Form, spec: HartogsSpec, h: float, t: int):
     factors = [
         (degrees(d), *_cutoffs([mu.numerator * (sigma * q + e * p) for sigma in range(t + 1)],
                                mu.denominator * q, fock, t + 1))
-        for d, mu in zip(base.dims, map(_exact, base.exponents))
+        for d, mu in zip(base.dims, base.exponents)
     ]
     # rows with equal sign data form consecutive runs, and every row of a run
     # reads a prefix of the counts of its first row, which has the most live

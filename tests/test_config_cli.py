@@ -2,6 +2,7 @@ import json
 import math
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -95,8 +96,6 @@ class TestConfigParsing:
             "base.mu = " + "9" * 400 + "/1",
             "scale.h = nan",
             "scale.h = -inf",
-            "base.genus = nan",
-            "base.einstein_constant = inf",
         ],
     )
     def test_non_finite_numbers_rejected(self, line):
@@ -121,12 +120,24 @@ class TestConfigParsing:
         assert parsed.facts.hyperbolic_at(0.5) == "no"
         assert parsed.facts.provenance == "user_supplied"
 
-    def test_override_warning(self):
-        with pytest.warns(UserWarning):
-            parse_config_text(
-                "base.kind = ball\nbase.dims = 1\nbase.mu = 1\n"
-                "base.einstein_constant = -1\n"
-            )
+    def test_exponents_are_exact(self):
+        parsed = parse_config_text(
+            "base.kind = polydisc\nbase.dims = 1,1\n"
+            "base.mu = 10000001/20000003, 0.1\n"
+        )
+        assert parsed.spec.base.exponents == (Fraction(10000001, 20000003), Fraction(1, 10))
+        assert parsed.spec.base.float_exponents == (10000001 / 20000003, 0.1)
+
+    def test_underflowing_exponent_is_rejected(self):
+        with pytest.raises(ConfigError, match="positive"):
+            parse_config_text("base.kind = ball\nbase.dims = 1\nbase.mu = 1e-400\n")
+
+    @pytest.mark.parametrize("line", ["base.genus = 7", "base.einstein_constant = -1"])
+    def test_override_keys_are_unknown(self, line):
+        # the factor constants are derived from the exponents, not supplied
+        with pytest.raises(ConfigError, match=f"unknown key '{line.split()[0]}'") as err:
+            parse_config_text(f"base.kind = ball\nbase.dims = 1\nbase.mu = 1\n{line}\n")
+        assert err.value.line == 4
 
 
 @pytest.fixture()
@@ -453,6 +464,35 @@ class TestCli:
         curvature = json.loads(out.read_text())["curvature"]
         assert curvature["is_constant_scalar"] is True
         assert curvature["is_einstein"] is False
+
+    @pytest.mark.parametrize(
+        "mu, einstein_exit",
+        [
+            # tau = 6 - 2/mu_1 - 2/mu_2 = 0 only in exact arithmetic
+            ("10000001/20000003, 10000001/10000000", 2),
+            # lambda_i = 3 - 2/mu_i = 0: Einstein, hence extremal
+            ("2/3, 2/3", 0),
+        ],
+    )
+    def test_checks_read_exact_exponents(self, mu, einstein_exit, tmp_path, capsys):
+        cfg = tmp_path / "poly.cfg"
+        cfg.write_text(
+            f"base.kind = polydisc\nbase.dims = 1,1\nbase.mu = {mu}\nfiber.dim = 1\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.json"
+        assert main(["check-extremal", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["tau"] == 0.0
+        assert main(["check-einstein", "--config", str(cfg), "--out", str(out)]) == einstein_exit
+        assert capsys.readouterr().err == ""
+
+    def test_override_key_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "genus.cfg"
+        cfg.write_text(DISC_CONFIG + "base.genus = 2\n", encoding="utf-8")
+        assert main(["check-einstein", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "unknown key 'base.genus'" in err
+        assert "line 7" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["check-einstein", "check-extremal"])
     @pytest.mark.parametrize("mu", ["1.0000001", "1.000000001"])

@@ -13,7 +13,6 @@ from hartogs.curvature import (
     metric_stack,
     ricci_numeric,
     tau_exact,
-    tau_value,
     verdicts,
 )
 from hartogs.domains import (
@@ -51,9 +50,13 @@ class TestTau:
         assert tau_exact(BaseDomainSpec.polydisc((1.0, 2.0))) == Fraction(3)
 
     def test_float_agrees(self):
-        for base in (b.base for b in SPEC_GRID):
-            exact = tau_exact(base)
-            assert tau_value(base) == pytest.approx(float(exact), abs=1e-12)
+        # the reported tau is the double nearest the exact one, and at the
+        # origin (F = phi) the trace pairing reads s = tau - n(n+1)
+        for spec in SPEC_GRID:
+            n = spec.total_dim
+            rep = closed(spec, [[0.0] * n])
+            assert rep.tau == float(tau_exact(spec.base))
+            assert rep.scalar_trace[0] == pytest.approx(rep.tau - n * (n + 1), abs=1e-12)
 
 
 class TestMetric:
@@ -98,7 +101,14 @@ class TestDeterminant:
         p = [0.0, 0.0, 0.0]
         assert closed(spec, [p]).det_closed[0] == pytest.approx(2.0, rel=1e-13)
 
-    @pytest.mark.parametrize("spec", SPEC_GRID)
+    @pytest.mark.parametrize(
+        "spec",
+        SPEC_GRID + [
+            # constants mu^d of the determinant off 1
+            HartogsSpec(BaseDomainSpec.disc(2.0), 1),
+            HartogsSpec(BaseDomainSpec.ball(2, 3.0), 1),
+        ],
+    )
     def test_identity_against_direct_determinant(self, spec):
         rep = closed(spec, sample_points(spec, 25, seed=3))
         for p, det, direct in zip(rep.coords, rep.det_closed, rep.det_direct):
@@ -237,14 +247,21 @@ class TestVerdicts:
         # a closed-form defect: the unit ball is Einstein, its residual is not 0
         report = curvature.curvature_report
 
-        def defective(spec, points):
-            rep = report(spec, points)
+        def defective(*args):
+            rep = report(*args)
             return dataclasses.replace(rep, einstein_residual=rep.einstein_residual + 1e-3)
 
         monkeypatch.setattr(curvature, "curvature_report", defective)
         pts = sample_points(B2, 12, seed=8, margin_frac=0.1, min_margin=0.05)
         with pytest.raises(HartogsError, match="exact Einstein verdict with residual 1.000e-03"):
             verdicts(B2, pts)
+
+    def test_without_the_extremal_stencil(self):
+        # the unit ball is exactly extremal; its skipped residual is not checked
+        pts = sample_points(B2, 12, seed=8, margin_frac=0.1, min_margin=0.05)
+        v = verdicts(B2, pts, include_extremal=False)
+        assert v.is_einstein and v.is_extremal and math.isnan(v.max_extremal_residual)
+        assert v.max_einstein_residual == verdicts(B2, pts).max_einstein_residual
 
     def test_exact_no_under_the_tolerance_is_no(self):
         # lambda = tau = 2 - 2/mu: both residuals scale with it

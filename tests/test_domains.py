@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hartogs.curvature import tau_exact
 from hartogs.domains import (
     MIN_INTERIOR_MARGIN,
     BaseDomainSpec,
     DomainKind,
     HartogsSpec,
     coordinate_stack,
-    factor_determinant_constants,
     hartogs_potential,
     phi_derivatives_stack,
     phi_stack,
@@ -42,13 +42,11 @@ class TestSpecMetadata:
     def test_ball_constants(self):
         b = BaseDomainSpec.ball(2, 1.0)
         assert b.genus == (3,)
-        assert b.einstein_constants == (-3.0,)
-        assert b.einstein_constants_exact == (Fraction(-3),)
+        assert b.einstein_constants == (Fraction(-3),)
 
     def test_disc_mu_half(self):
         b = BaseDomainSpec.disc(0.5)
-        assert b.einstein_constants == (-4.0,)
-        assert b.einstein_constants_exact == (Fraction(-4),)
+        assert b.einstein_constants == (Fraction(-4),)
 
     def test_polydisc_constants(self):
         b = BaseDomainSpec.polydisc((1.0, 2.0))
@@ -64,35 +62,26 @@ class TestSpecMetadata:
     def test_fock_is_flat_and_unbounded(self):
         b = BaseDomainSpec.fock(1, 1.0)
         assert not b.bounded
-        assert b.einstein_constants == (0.0,)
-        assert b.einstein_constants_exact == (Fraction(0),)
+        assert b.einstein_constants == (Fraction(0),)
 
     def test_every_constant_is_exact(self):
         # a float exponent is read as its short fraction where that
         # reproduces it, else as the dyadic rational it is
-        assert BaseDomainSpec.disc(0.1).einstein_constants_exact == (Fraction(-20),)
+        assert BaseDomainSpec.disc(0.1).einstein_constants == (Fraction(-20),)
         for mu in (math.pi, 1.0000001, 1.000000001):
-            (c,) = BaseDomainSpec.disc(mu).einstein_constants_exact
+            (c,) = BaseDomainSpec.disc(mu).einstein_constants
             assert c == Fraction(-2) / Fraction(mu) and c != -2
-        b = BaseDomainSpec(DomainKind.BALL, (1,), (1.0,), einstein_override=(-2.0,))
-        assert b.einstein_constants_exact == (Fraction(-2),)
-
-    def test_inconsistent_override_warns(self):
-        with pytest.warns(UserWarning, match="einstein"):
-            BaseDomainSpec(
-                DomainKind.BALL, (1,), (1.0,), einstein_override=(-1.0,)
-            )
-
-    def test_consistent_override_is_silent(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            BaseDomainSpec(DomainKind.BALL, (1,), (1.0,), einstein_override=(-2.0,))
+        # an exact exponent is kept as given, past any short-fraction reading
+        b = BaseDomainSpec.polydisc((Fraction(10000001, 20000003), Fraction(10000001, 10000000)))
+        assert b.exponents == (Fraction(10000001, 20000003), Fraction(10000001, 10000000))
+        assert tau_exact(b) == 0
+        assert BaseDomainSpec.ball(2, 3.0).determinant_constants == (Fraction(9),)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             BaseDomainSpec.ball(1, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            BaseDomainSpec.disc(Fraction(10**400))  # exact, past the double range
         with pytest.raises(ValueError):
             BaseDomainSpec(DomainKind.POLYDISC, (2,), (1.0,))
         with pytest.raises(ValueError):
@@ -107,10 +96,6 @@ class TestSpecMetadata:
             BaseDomainSpec.disc(bad)
         with pytest.raises(ValueError, match="finite"):
             BaseDomainSpec.polydisc((1.0, bad))
-        with pytest.raises(ValueError, match="finite"):
-            BaseDomainSpec(DomainKind.BALL, (1,), (1.0,), genus_override=(bad,))
-        with pytest.raises(ValueError, match="finite"):
-            BaseDomainSpec(DomainKind.BALL, (1,), (1.0,), einstein_override=(bad,))
         with pytest.raises(ValueError, match="finite"):
             HartogsSpec(BaseDomainSpec.disc(1.0), 1, scale=bad)
 
@@ -238,17 +223,6 @@ class TestClosedHessians:
         assert grad[0] == pytest.approx(d1, rel=1e-12)
         assert grad[1] == pytest.approx(d2, rel=1e-12)
         assert np.allclose(hess, hess.conj().T)
-
-    def test_determinant_constants_are_mu_powers(self):
-        assert factor_determinant_constants(BaseDomainSpec.disc(2.0)) == pytest.approx(
-            (2.0,)
-        )
-        assert factor_determinant_constants(
-            BaseDomainSpec.ball(2, 3.0)
-        ) == pytest.approx((9.0,))
-        assert factor_determinant_constants(
-            BaseDomainSpec.polydisc((1.0, 2.0))
-        ) == pytest.approx((1.0, 2.0))
 
 
 SAMPLER_SPECS = {
