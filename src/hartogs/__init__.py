@@ -2,8 +2,7 @@
 
 Builds the metric of a bounded pseudoconvex Hartogs domain from its defining
 potential, verifies the closed-form curvature identities (determinant, Ricci,
-scalar, Einstein / extremal criteria) against Taylor-mode and finite-difference
-oracles, and decides Kahler immersibility into the three complex space forms
+scalar, Einstein / extremal criteria) against Taylor-mode oracles, and decides Kahler immersibility into the three complex space forms
 through diastasis coefficient matrices.
 """
 
@@ -24,7 +23,6 @@ from .domains import (
     hartogs_potential,
     sample_points,
 )
-from .hermitian import solve_hermitian
 from .immersion import (
     Answer,
     BaseImmersionFacts,
@@ -75,7 +73,6 @@ __all__ = [
     "ricci_numeric",
     "sample_points",
     "series_partial_sum",
-    "solve_hermitian",
     "table_one",
     "tau_exact",
     "verdicts",

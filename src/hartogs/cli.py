@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 
 from . import reporting
-from .config import parse_config
+from .config import _parse_number, parse_config
 from .curvature import verdicts
 from .domains import sample_points
-from .errors import HartogsError
+from .errors import ConfigError, HartogsError
 from .fixtures import run_acceptance
 from .immersion import Answer, ImmersionTarget, cross_check, decide, table_one
 from .series import Form, blocks, resolvability
@@ -71,11 +70,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_h_list(text: str) -> list[float]:
+    """The scales of ``--h``, each in the number grammar of a config
+    (1/3, 0.1, 1e-3), as the nearest doubles."""
     values = []
     for part in text.split(","):
-        h = float(part)
-        if not (h > 0 and math.isfinite(h)):
-            raise ValueError("all h values must be positive and finite")
+        try:
+            h = float(_parse_number(part, None))
+        except ConfigError:
+            h = 0.0
+        if not h > 0:
+            raise ValueError(f"all h values must be positive and finite, got {part.strip()!r}")
         values.append(h)
     return values
 
@@ -115,7 +119,7 @@ def _verdict_points(spec, args):
 
 
 # command -> (answer field, residual field, rule); only check-extremal
-# reports the extremal residual, so only it computes the stencil
+# reports the extremal residual, so only it computes the extremal jets
 _CHECKS = {
     "check-einstein": (
         "is_einstein", "max_einstein_residual",

@@ -121,7 +121,8 @@ def parse_config_text(text: str) -> ParsedConfig:
     try:
         base = BaseDomainSpec(kind, dims, mus, shape=shape)
     except ValueError as exc:
-        raise ConfigError(str(exc), line=dims_line) from None
+        line = mu_line if str(exc).startswith("exponents") else dims_line
+        raise ConfigError(str(exc), line=line) from None
 
     fiber_dim = 1
     if "fiber.dim" in entries:

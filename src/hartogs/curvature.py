@@ -12,9 +12,9 @@ margin F = phi - ||z0||^2 and per-factor Einstein constants c_i:
                 lambda_i = d + 1 + c_i
 * scalar:       s = tau (F / phi) - n (n+1),  tau = d(d+1) + sum c_i d_i
 
-The numeric Ricci (-ddbar log det g of the potential's Taylor-mode jet) and
-the extremal-condition residual (finite differences) act as independent
-oracles for the closed forms.
+The numeric Ricci (-ddbar log det g of the potential's Taylor-mode jet)
+acts as an independent oracle for the closed forms, and the
+extremal-condition residual is read from the same Taylor-mode jets.
 Every entry takes an (N, n) stack of points, fiber coordinates first, and
 gives one value, or one n x n matrix, per row.
 """
@@ -40,31 +40,22 @@ from .domains import (
     row_power,
     squared_norms,
 )
-from .errors import BoundaryViolationError, HartogsError
-from .hermitian import eigenvalues, hermitian_part, solve_hermitian
-from .wirtinger import conjugate_jacobian
-
-#: Smallest interior margin accepted by the finite-difference extremal oracle.
-MIN_FD_MARGIN = 0.01
-
-#: Extremal stencil step: Richardson steps 1e-3 / 2 and 1e-3, below
-#: margin / 8 at every point that keeps MIN_FD_MARGIN.
-_EXTREMAL_STEP = 1e-3
-
-#: Most stencil rows the extremal oracle evaluates as one stack. A sample is
-#: split into consecutive groups of points (8n rows each) that stay under
-#: it, so peak memory does not grow with the sample size.
-EXTREMAL_STACK_ROWS = 256
+from .errors import HartogsError
+from .hermitian import eigenvalues, hermitian_part
 
 #: Most terms (product terms of the jet algebra times points) one product
-#: of the Taylor-mode Ricci oracle holds. A sample is split into consecutive
-#: chunks of points that stay under it; a point whose product alone is
-#: longer runs by itself.
-RICCI_STACK_TERMS = 4096
+#: of a Taylor-mode oracle holds. A sample is split into consecutive chunks
+#: of points that stay under it, so peak memory does not grow with the
+#: sample size; a point whose product alone is longer runs by itself.
+JET_STACK_TERMS = 4096
 
-#: Side degree of the Ricci oracle's jets: Ric reads mixed partials of the
+#: Bidegree of the Ricci oracle's jets: Ric reads mixed partials of the
 #: potential through bidegree (2, 2).
-RICCI_DEGREE = 2
+RICCI_BIDEGREE = (2, 2)
+
+#: Bidegree of the extremal residual's jets: V and dV/dzbar read one
+#: holomorphic and up to two antiholomorphic derivatives.
+EXTREMAL_BIDEGREE = (1, 2)
 
 #: Default residual tolerance for the Einstein / extremal / scalar verdicts.
 VERDICT_TOLERANCE = 1e-6
@@ -81,7 +72,7 @@ def tau_exact(base: BaseDomainSpec) -> Fraction:
 def _metric_parts(spec: HartogsSpec, coords: np.ndarray):
     """Block-formula metrics of an (N, n) coordinate stack, not yet
     symmetrised, with what they were built from: the margins, the per-factor
-    (phi_i, ddbar u_i), the fiber rows, phi and its gradient."""
+    (phi_i, ddbar u_i) and phi."""
     d0 = spec.fiber_dim
     z0 = np.ascontiguousarray(coords[:, :d0])
     phi_val, phi_grad, phi_hess, factors = phi_derivatives_stack(spec.base, coords[:, d0:])
@@ -94,7 +85,7 @@ def _metric_parts(spec: HartogsSpec, coords: np.ndarray):
     g[:, d0:, :d0] = -(phi_grad[:, :, None] * z0[:, None, :])
     g[:, d0:, d0:] = phi_grad[:, :, None] * np.conj(phi_grad)[:, None, :] - f * phi_hess
     g /= row_power(margin, 2)[:, None, None]
-    return g, margin, factors, z0, phi_val, phi_grad
+    return g, margin, factors, phi_val
 
 
 def _symmetrised(g: np.ndarray) -> np.ndarray:
@@ -110,34 +101,19 @@ def metric_stack(spec: HartogsSpec, points) -> np.ndarray:
     return _symmetrised(_metric_parts(spec, coordinate_stack(spec, points))[0])
 
 
-def _fd_margins(spec: HartogsSpec, coords) -> np.ndarray:
-    """The interior margins at an (N, n) stack of points, if every one is
-    wide enough for the extremal stencil; else the first row that is not
-    raises."""
-    d0 = spec.fiber_dim
-    margins = phi_stack(spec.base, coords[:, d0:]) - squared_norms(coords[:, :d0])
-    narrow = margins[margins < MIN_FD_MARGIN][:1]
-    require_interior(narrow)
-    if len(narrow):
-        margin = float(narrow[0])
-        raise BoundaryViolationError(
-            f"margin {margin:.3e} too small for the extremal stencil", margin=margin
-        )
-    return margins
-
-
-def _potential_jets(spec: HartogsSpec, coords, degree: int) -> np.ndarray:
+def _potential_jets(spec: HartogsSpec, coords, bidegree: tuple[int, int]):
     """F = -log(phi(z, w) - <z0, w0>) at (p + Z, conj(p) + W) as a jet of
-    side degree ``degree``, one per row p of an (N, n) stack.
+    ``bidegree``, one per row p of an (N, n) stack, with the jet of log phi
+    it is built from.
 
     The polarized potential, with <a, b> = sum a_k b_k, stated once for
     every catalog base without the factor kernels of :mod:`hartogs.domains`:
     a fock factor contributes -mu <z_i, w_i>, every other one
     mu log det(I - Z_i W_i^T) with its m x k coordinate matrices (m = 1 for
     ball and polydisc factors). The Ricci oracle runs it around sample
-    points at side degree ``RICCI_DEGREE``, and
-    :func:`hartogs.series.origin_coefficients` around the origin at side
-    degree 4.
+    points at ``RICCI_BIDEGREE``, the extremal residual at
+    ``EXTREMAL_BIDEGREE``, and :func:`hartogs.series.origin_coefficients`
+    around the origin at (4, 4).
     """
     d0 = spec.fiber_dim
     base = spec.base
@@ -145,27 +121,35 @@ def _potential_jets(spec: HartogsSpec, coords, degree: int) -> np.ndarray:
     for sl, mu in zip(base.factor_slices, base.float_exponents):
         cols = d0 + np.arange(sl.start, sl.stop)
         if base.kind is DomainKind.FOCK:
-            log_phi = log_phi - mu * taylor.pairing(coords, cols, cols, degree)
+            log_phi = log_phi - mu * taylor.pairing(coords, cols, cols, bidegree)
             continue
         cols = cols.reshape(base.shape or (1, len(cols)))
         m = len(cols)
         y = -np.stack(
-            [np.stack([taylor.pairing(coords, zi, wj, degree) for wj in cols], axis=1)
+            [np.stack([taylor.pairing(coords, zi, wj, bidegree) for wj in cols], axis=1)
              for zi in cols],
             axis=1,
         )
         y[..., 0, 0] += np.eye(m)
-        log_phi = log_phi + mu * taylor.log_det(y, degree)
+        log_phi = log_phi + mu * taylor.log_det(y, bidegree)
     fiber = np.arange(d0)
-    phi = taylor.exp(log_phi, degree)
-    return -taylor.log(phi - taylor.pairing(coords, fiber, fiber, degree), degree)
+    phi = taylor.exp(log_phi, bidegree)
+    f = -taylor.log(phi - taylor.pairing(coords, fiber, fiber, bidegree), bidegree)
+    return f, log_phi
+
+
+def _jet_chunks(spec: HartogsSpec, rows: int, bidegree: tuple[int, int]) -> list[slice]:
+    """Consecutive chunks of ``rows`` points whose jet products of
+    ``bidegree`` hold at most ``JET_STACK_TERMS`` terms."""
+    per_chunk = max(1, JET_STACK_TERMS // taylor.product_terms(spec.total_dim, bidegree))
+    return [slice(start, start + per_chunk) for start in range(0, rows, per_chunk)]
 
 
 def _ricci_of_potential(f: np.ndarray) -> np.ndarray:
     """-d_a d_bbar log det G from the jet f of a potential, G its mixed
     Hessian: -(tr(G^-1 d_a d_bbar G) - tr(G^-1 d_a G G^-1 d_bbar G)),
     contracted with elementwise products and sums."""
-    g, dg, dbg, ddg = taylor.hessian_jets(f, RICCI_DEGREE)
+    g, dg, dbg, ddg = taylor.hessian_jets(f, RICCI_BIDEGREE)
     g_inv = np.linalg.inv(g)
     # G^-1 d_a G and G^-1 d_bbar G, one matrix per a and per b
     left = (g_inv[:, None, :, :, None] * dg[:, :, None, :, :]).sum(axis=3)
@@ -180,57 +164,57 @@ def ricci_numeric(spec: HartogsSpec, points) -> np.ndarray:
     Taylor-mode arithmetic; oracle for the closed Ricci tensor of
     :func:`curvature_report`.
 
-    The potential runs as a jet of side degree 2 (:mod:`hartogs.taylor`)
+    The potential runs as a jet of bidegree (2, 2) (:mod:`hartogs.taylor`)
     from the polarized formula, independently of the closed metric, and
     the Ricci is read from its coefficients, so there is no step size and
     no margin rule: every interior point is accepted, and agreement with
     the closed form is at round-off level (within 1e-9 relative, margins
     of 1e-3 included). Consecutive points run as one chunk whose jet
-    products hold at most ``RICCI_STACK_TERMS`` terms, and each row gives
+    products hold at most ``JET_STACK_TERMS`` terms, and each row gives
     the same floats as the one-row stack of its point.
     """
     coords = coordinate_stack(spec, points)
     interior_margins(spec, coords)
     n = spec.total_dim
-    per_chunk = max(1, RICCI_STACK_TERMS // taylor.product_terms(n, RICCI_DEGREE))
     ric = np.empty((len(coords), n, n), dtype=np.complex128)
-    for start in range(0, len(coords), per_chunk):
-        chunk = slice(start, start + per_chunk)
-        ric[chunk] = _ricci_of_potential(_potential_jets(spec, coords[chunk], RICCI_DEGREE))
+    for chunk in _jet_chunks(spec, len(coords), RICCI_BIDEGREE):
+        f, _ = _potential_jets(spec, coords[chunk], RICCI_BIDEGREE)
+        ric[chunk] = _ricci_of_potential(f)
     return hermitian_part(ric, 1e-9 * (1.0 + np.abs(ric).max(axis=(1, 2))))
 
 
-def _scalar_gradient(spec: HartogsSpec, z0, phi_val, phi_grad) -> np.ndarray:
-    """Closed holomorphic gradient of the scalar curvature, one row per point."""
-    tau = float(tau_exact(spec.base))
-    grad_fiber = -tau * np.conj(z0) / phi_val[:, None]
-    grad_base = (tau * squared_norms(z0))[:, None] * phi_grad / row_power(phi_val, 2)[:, None]
-    return np.concatenate([grad_fiber, grad_base], axis=1)
+def _extremal_of_jets(f: np.ndarray, log_phi: np.ndarray, tau: float):
+    """max |dV/dzbar| and V at every point of the jets f of the potential
+    and log phi, of bidegree ``EXTREMAL_BIDEGREE``.
 
-
-def _v_field(spec: HartogsSpec, coords):
-    """V^a = sum_b g^(b abar) ds/dzbar_b at every row of an (N, n) stack,
-    with the margins and phi it is built from."""
-    g, margin, _, z0, phi_val, phi_grad = _metric_parts(spec, coords)
-    v = np.conj(solve_hermitian(_symmetrised(g), _scalar_gradient(spec, z0, phi_val, phi_grad)))
-    return v, margin, phi_val
-
-
-def _extremal_residuals(spec: HartogsSpec, coords) -> np.ndarray:
-    """max |dV/dzbar| at every row of an (N, n) stack of points.
-
-    The metric is extremal exactly when dV/dzbar vanishes. The conjugate
-    Jacobian comes from finite differences; the stencils of consecutive
-    points run as one stack of at most ``EXTREMAL_STACK_ROWS`` rows.
+    With G_ab = d_a d_bbar F and s + n(n+1) = tau (phi - <z0, w0>) / phi =
+    tau exp(-F - log phi), V solves G^T V = dbar s, and its zbar_c
+    derivative G^T d_c V = d_c dbar s - sum_a (d_c G)_ab V_a.
     """
-    _fd_margins(spec, coords)
-    per_group = max(1, EXTREMAL_STACK_ROWS // (8 * spec.total_dim))
+    df, ddf = taylor.conjugate_derivatives(f, EXTREMAL_BIDEGREE)
+    s = tau * taylor.exp(-f - log_phi, EXTREMAL_BIDEGREE)
+    ds, dds = taylor.conjugate_derivatives(s, EXTREMAL_BIDEGREE)
+    g_t = df[:, 1:].swapaxes(1, 2)
+    v = np.linalg.solve(g_t, ds[:, 0, :, None])[..., 0]
+    dv = np.linalg.solve(g_t, dds[:, 0] - (ddf[:, 1:] * v[:, :, None, None]).sum(axis=1))
+    return np.abs(dv).max(axis=(1, 2)), v
+
+
+def _extremal_field(spec: HartogsSpec, coords):
+    """max |dV/dzbar| and V^a = sum_b g^(b abar) ds/dzbar_b at every row of
+    an (N, n) stack of interior points, from the Taylor-mode jets of the
+    potential in chunks of ``JET_STACK_TERMS`` terms; each row gives the
+    same floats as its one-row stack.
+
+    The metric is extremal exactly when dV/dzbar vanishes.
+    """
+    tau = float(tau_exact(spec.base))
     residual = np.empty(len(coords))
-    for start in range(0, len(coords), per_group):
-        group = slice(start, start + per_group)
-        jac = conjugate_jacobian(lambda q: _v_field(spec, q)[0], coords[group], _EXTREMAL_STEP)
-        residual[group] = np.abs(jac).max(axis=(1, 2))
-    return residual
+    v = np.empty(coords.shape, dtype=np.complex128)
+    for chunk in _jet_chunks(spec, len(coords), EXTREMAL_BIDEGREE):
+        f, log_phi = _potential_jets(spec, coords[chunk], EXTREMAL_BIDEGREE)
+        residual[chunk], v[chunk] = _extremal_of_jets(f, log_phi, tau)
+    return residual, v
 
 
 @dataclass(frozen=True)
@@ -246,10 +230,11 @@ class ExtremalCheck:
 def extremal_check(spec: HartogsSpec, points) -> ExtremalCheck:
     """The extremal residual of :func:`curvature_report` at every point, with
     the closed witness -tau z01 (phi - ||z0||^2)^2 / phi^2 for the first
-    fiber component of V, which is computed through the linear-solve path."""
+    fiber component of V, which is computed through the jet solve."""
     coords = coordinate_stack(spec, points)
-    residual = _extremal_residuals(spec, coords)
-    v, margin, phi_val = _v_field(spec, coords)
+    margin = interior_margins(spec, coords)
+    phi_val = phi_stack(spec.base, coords[:, spec.fiber_dim :])
+    residual, v = _extremal_field(spec, coords)
     tau = float(tau_exact(spec.base))
     witness = [  # in Python complex arithmetic, like row_power
         -tau * z01 * m**2 / f**2
@@ -260,6 +245,15 @@ def extremal_check(spec: HartogsSpec, points) -> ExtremalCheck:
         witness_closed=np.array(witness, dtype=np.complex128),
         fiber_component=v[:, 0],
     )
+
+
+def _spread(values: np.ndarray) -> float:
+    """The variance of a sample, as ``np.var`` gives it, from the sample
+    scaled by a power of two before squaring: exact scaling keeps every
+    float of ``np.var``, and a spread past the double range is inf in
+    Python float arithmetic instead of a numpy overflow warning."""
+    scale = math.ldexp(0.5, math.frexp(float(np.abs(values).max()))[1])
+    return float(np.var(values / scale)) * scale * scale
 
 
 @dataclass(frozen=True)
@@ -290,7 +284,7 @@ def verdicts(
     tau = d (d + 1 + c); polydisc(1/2, 1) has tau = 0, so its metric is of
     constant scalar curvature and extremal but not Einstein. The sample's
     :class:`CurvatureReport` rides along as ``report``; without
-    ``include_extremal`` it skips the extremal stencil, and the extremal
+    ``include_extremal`` it skips the extremal jets, and the extremal
     residual is NaN and left unchecked.
     """
     coords = coordinate_stack(spec, sample)
@@ -304,7 +298,7 @@ def verdicts(
         is_constant_scalar=tau_zero,
         max_einstein_residual=float(rep.einstein_residual.max()),
         max_extremal_residual=float(rep.extremal_residual.max()),
-        scalar_variance=float(np.var(rep.scalar_closed)),
+        scalar_variance=_spread(rep.scalar_closed),
         tau=rep.tau,
         tolerance=tol,
         report=rep,
@@ -347,14 +341,14 @@ def curvature_report(spec: HartogsSpec, points, include_extremal: bool = True) -
     ``det_direct`` is det g and ``scalar_trace`` the trace pairing
     tr(g^-1 Ric) with the closed Ricci. ``einstein_residual`` is the
     max-norm of Ric + (n+1) g = blockdiag(0, lambda_i g^(D_i)), from the
-    closed Ricci, so the Einstein verdict does not inherit finite-difference
-    noise. ``extremal_residual`` is max |dV/dzbar| by finite differences,
-    with V the holomorphic gradient field of the scalar curvature (the
-    metric is extremal exactly when V is holomorphic), and is NaN without
+    closed Ricci. ``extremal_residual`` is max |dV/dzbar|, read from
+    Taylor-mode jets of bidegree (1, 2) at every interior point, with V the
+    holomorphic gradient field of the scalar curvature (the metric is
+    extremal exactly when V is holomorphic), and is NaN without
     ``include_extremal``.
     """
     coords = coordinate_stack(spec, points)
-    g, margin, factors, _, phi_val, _ = _metric_parts(spec, coords)
+    g, margin, factors, phi_val = _metric_parts(spec, coords)
     g = _symmetrised(g)
     if np.count_nonzero(eigenvalues(g)[:, 0] <= 0):
         raise HartogsError("metric is not positive definite at an interior point")
@@ -375,7 +369,7 @@ def curvature_report(spec: HartogsSpec, points, include_extremal: bool = True) -
         einstein = np.maximum(einstein, abs(lam) * np.abs(hess_i).max(axis=(1, 2)))
     ric = hermitian_part(ric, 1e-11 * (1.0 + np.abs(ric).max(axis=(1, 2))))
     extremal = (
-        _extremal_residuals(spec, coords) if include_extremal
+        _extremal_field(spec, coords)[0] if include_extremal
         else np.full(len(coords), math.nan)
     )
     return CurvatureReport(

@@ -6,7 +6,7 @@ class HartogsError(Exception):
 
 
 class BoundaryViolationError(HartogsError):
-    """A point (or a finite-difference stencil around it) left the domain."""
+    """A point left the domain."""
 
     def __init__(self, message, margin=None):
         super().__init__(message)
@@ -25,14 +25,6 @@ class ConfigError(HartogsError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class NotPositiveDefiniteError(HartogsError):
-    """A linear solve requires a positive definite matrix."""
-
-    def __init__(self, message, min_eigenvalue=None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
 
 
 class EigenSolverError(HartogsError):

@@ -522,7 +522,7 @@ def series_partial_sum(spec: HartogsSpec, points, truncation_degree: int) -> np.
 #: covers every pair of total degree |j| + |k| at most this.
 ORACLE_DEGREE = 4
 
-#: Most terms of one product of the oracle's jets (n <= 3 at side degree 4).
+#: Most terms of one product of the oracle's jets (n <= 3 at bidegree (4, 4)).
 MAX_ORACLE_TERMS = 100_000
 
 
@@ -534,7 +534,7 @@ def origin_coefficients(form: Form, spec: HartogsSpec, h: float | None = None) -
     :func:`hartogs.curvature._potential_jets`, exp(F) - 1 and 1 - exp(-F)
     expand as sum c_jk z^j w^k, with a_jk = j! k! c_jk the Euclidean,
     projective and hyperbolic matrix entries (Calabi). All of them are the
-    coefficients of one jet of side degree ORACLE_DEGREE seeded at the
+    coefficients of one jet of bidegree (ORACLE_DEGREE, ORACLE_DEGREE) seeded at the
     origin (:mod:`hartogs.taylor`), exact up to round-off: there is no
     radius, no aliasing and no branch to leave, since phi(0) = 1. The jet
     restates the potential without the Pochhammer tables of the closed
@@ -546,17 +546,18 @@ def origin_coefficients(form: Form, spec: HartogsSpec, h: float | None = None) -
     form = Form(form)
     h = _scale(spec, h)
     n = spec.total_dim
-    terms = taylor.product_terms(n, ORACLE_DEGREE)
+    bidegree = (ORACLE_DEGREE, ORACLE_DEGREE)
+    terms = taylor.product_terms(n, bidegree)
     if terms > MAX_ORACLE_TERMS:
         raise CapabilityError(
             f"the coefficient jet's products would hold {terms} terms for {n} "
             f"variables, more than the limit of {MAX_ORACLE_TERMS}"
         )
-    f = h * _potential_jets(spec, np.zeros((1, n), dtype=np.complex128), ORACLE_DEGREE)
+    f = h * _potential_jets(spec, np.zeros((1, n), dtype=np.complex128), bidegree)[0]
     if form is Form.PROJECTIVE:
-        f = taylor.shifted(taylor.exp(f, ORACLE_DEGREE), -1.0)
+        f = taylor.shifted(taylor.exp(f, bidegree), -1.0)
     elif form is Form.HYPERBOLIC:
-        f = taylor.shifted(-taylor.exp(-f, ORACLE_DEGREE), 1.0)
+        f = taylor.shifted(-taylor.exp(-f, bidegree), 1.0)
     indices = taylor.monomials(n, ORACLE_DEGREE)
     return {
         (j, k): complex(f[0, a, b]) * multi_factorial(j) * multi_factorial(k)

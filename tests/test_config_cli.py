@@ -129,8 +129,9 @@ class TestConfigParsing:
         assert parsed.spec.base.float_exponents == (10000001 / 20000003, 0.1)
 
     def test_underflowing_exponent_is_rejected(self):
-        with pytest.raises(ConfigError, match="positive"):
+        with pytest.raises(ConfigError, match="positive") as err:
             parse_config_text("base.kind = ball\nbase.dims = 1\nbase.mu = 1e-400\n")
+        assert err.value.line == 3
 
     @pytest.mark.parametrize("line", ["base.genus = 7", "base.einstein_constant = -1"])
     def test_override_keys_are_unknown(self, line):
@@ -507,6 +508,30 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == ""
         assert not caught
+
+    @pytest.mark.parametrize("command", ["check-einstein", "check-extremal"])
+    def test_checks_at_an_extreme_exponent_answer_no_quietly(self, command, tmp_path, capsys):
+        # mu = 1e-300: c = tau - 2 = -2e300, so the scalar curvature spreads
+        # past the double range; an exact "no", with nothing on stderr
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(DISC_CONFIG.replace("base.mu = 1", "base.mu = 1e-300"), encoding="utf-8")
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == ""
+        assert not caught
+        assert math.isfinite(json.loads(out.read_text())["residual"])
+
+    @pytest.mark.parametrize("h, code", [("1/3", 0), ("0.3333334", 2)])
+    def test_h_reads_the_config_number_grammar(self, h, code, tmp_path):
+        # disc(3) x C immerses into CH iff h mu <= 1
+        cfg = tmp_path / "disc3.cfg"
+        cfg.write_text(DISC_CONFIG.replace("base.mu = 1", "base.mu = 3"), encoding="utf-8")
+        argv = ["immersion", "--config", str(cfg), "--target", "CH", "--h", h, "--truncation",
+                "4", "--out", str(tmp_path / "out.json")]
+        assert main(argv) == code
 
     def test_config_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

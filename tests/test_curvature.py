@@ -18,6 +18,7 @@ from hartogs.curvature import (
 from hartogs.domains import (
     BaseDomainSpec,
     HartogsSpec,
+    phi_derivatives_stack,
     phi_stack,
     sample_points,
 )
@@ -38,8 +39,17 @@ SPEC_GRID = [
 
 
 def closed(spec, pts):
-    """The closed identities at a sample, without the extremal stencil."""
+    """The closed identities at a sample, without the extremal jets."""
     return curvature_report(spec, pts, include_extremal=False)
+
+
+def closed_base_hessians(base, z):
+    """Mixed Hessians of -log phi per row of a stack, block diagonal by factor."""
+    *_, factors = phi_derivatives_stack(base, z)
+    hess = np.zeros((len(z), base.dim, base.dim), dtype=np.complex128)
+    for sl, (_, factor_hess) in zip(base.factor_slices, factors):
+        hess[:, sl, sl] = factor_hess
+    return hess
 
 
 class TestTau:
@@ -80,8 +90,37 @@ class TestMetric:
     def test_matches_potential_hessian(self, spec):
         # the mixed Hessian of the potential, read from its Taylor-mode jet
         pts = sample_points(spec, 5, seed=21, margin_frac=0.15, min_margin=0.06)
-        hessians = taylor.hessian_jets(curvature._potential_jets(spec, pts, 2), 2)[0]
+        jets, _ = curvature._potential_jets(spec, pts, (2, 2))
+        hessians = taylor.hessian_jets(jets, (2, 2))[0]
         assert np.max(np.abs(hessians - metric_stack(spec, pts))) < 1e-11
+
+
+class TestAgainstClosedForms:
+    @pytest.mark.parametrize(
+        "base",
+        [
+            BaseDomainSpec.disc(1.0),
+            BaseDomainSpec.ball(2, 1.0),
+            BaseDomainSpec.polydisc((1.0, 2.0)),
+            BaseDomainSpec.cartan_type_i(2, 2, 1.0),
+            BaseDomainSpec.fock(1, 1.0),
+        ],
+    )
+    def test_hessian_and_gradient_match_closed(self, base):
+        # at zero fiber the potential is -log phi: its Taylor-mode jet's
+        # linear Z coefficients are the gradient of -log phi and its mixed
+        # Hessian the base block ddbar(-log phi)
+        spec = HartogsSpec(base, 1)
+        pts = sample_points(spec, 6, seed=9, margin_frac=0.1, min_margin=0.05)
+        pts[:, 0] = 0.0
+        z = pts[:, 1:]
+        jets, _ = curvature._potential_jets(spec, pts, (2, 2))
+        jet_h = taylor.hessian_jets(jets, (2, 2))[0][:, 1:, 1:]
+        assert np.max(np.abs(jet_h - closed_base_hessians(base, z))) < 1e-12
+        value, grad, _, _ = phi_derivatives_stack(base, z)
+        closed_g = -grad / value[:, None]  # gradient of -log phi
+        jet_g = jets[:, 2 : 2 + base.dim, 0]
+        assert np.max(np.abs(jet_g - closed_g)) <= 1e-12 * np.max(np.abs(closed_g))
 
 
 class TestDeterminant:
@@ -214,6 +253,22 @@ class TestExtremal:
         assert abs(chk.fiber_component[0] - chk.witness_closed[0]) < 1e-3
         assert abs(chk.witness_closed[0]) > 1e-3  # non-degenerate control
 
+    def test_tau_zero_residual_is_exactly_zero(self):
+        spec = HartogsSpec(BaseDomainSpec.polydisc((0.5, 1.0)), 1)
+        chk = extremal_check(spec, sample_points(spec, 8, seed=6))
+        assert not chk.residual.any() and not chk.fiber_component.any()
+
+    def test_thin_margins(self):
+        # margins down to 8e-8: no step, so no margin rule beyond interiority
+        spec = HartogsSpec(BaseDomainSpec.disc(30.0), 1)
+        pts = sample_points(spec, 20, seed=1)
+        residual = curvature_report(spec, pts).extremal_residual
+        assert (residual > 1e-3).all() and np.isfinite(residual).all()
+        chk = extremal_check(spec, pts)
+        assert np.array_equal(chk.residual, residual)
+        gap = np.abs(chk.fiber_component - chk.witness_closed)
+        assert (gap <= 1e-12 * np.abs(chk.witness_closed)).all()
+
     def test_einstein_residual_fiber_rotation_invariant(self):
         p = [0.3 + 0.1j, 0.2]
         rot = np.exp(0.7j)
@@ -283,6 +338,16 @@ class TestVerdicts:
         from hartogs.curvature import tau_exact
 
         assert v.is_einstein == (tau_exact(spec.base) == 0)
+
+
+def test_spread_is_the_variance_without_overflow():
+    rng = np.random.default_rng(0)
+    for scale in (1e-300, 1e-10, 1.0, 1e100, 1e150):
+        x = scale * (rng.standard_normal(12) - 6.0)
+        assert curvature._spread(x) == pytest.approx(np.var(x), rel=1e-12)
+    assert curvature._spread(np.full(10, -6.0)) == 0.0
+    # past the double range: inf, and no overflow warning (an error here)
+    assert curvature._spread(np.array([1e300, -1e300] * 5)) == math.inf
 
 
 def test_report_checks_its_points():

@@ -5,12 +5,8 @@ from hypothesis import strategies as st
 
 from hartogs.curvature import curvature_report
 from hartogs.domains import BaseDomainSpec, HartogsSpec, sample_points
-from hartogs.errors import EigenSolverError, NotPositiveDefiniteError
-from hartogs.hermitian import (
-    eigenvalues,
-    hermitian_part,
-    solve_hermitian,
-)
+from hartogs.errors import EigenSolverError
+from hartogs.hermitian import eigenvalues, hermitian_part
 
 B2 = HartogsSpec(BaseDomainSpec.disc(1.0), 1)  # the unit ball in C^2
 
@@ -87,31 +83,6 @@ class TestPsdCheck:
         with pytest.raises(EigenSolverError) as err:
             eigenvalues(np.eye(4)[None])
         assert err.value.dim == 4
-
-
-class TestSolve:
-    def test_identity(self):
-        x = solve_hermitian(np.eye(2)[None], [[1.0, 2.0]])
-        assert np.allclose(x, [[1.0, 2.0]])
-
-    def test_diagonal(self):
-        x = solve_hermitian(np.diag([2.0, 4.0])[None], [[2.0, 4.0]])
-        assert np.allclose(x, [[1.0, 1.0]])
-
-    def test_rejects_indefinite(self):
-        stack = np.array([np.eye(2), np.diag([1.0, -2.0])])
-        with pytest.raises(NotPositiveDefiniteError) as err:
-            solve_hermitian(stack, [[1.0, 1.0], [1.0, 1.0]])
-        assert err.value.min_eigenvalue == pytest.approx(-2.0)
-
-    def test_roundtrip_residual(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        m = a @ a.conj().T + 0.1 * np.eye(6)
-        m = hermitian_part(m[None], closed_budget(m[None]))
-        rhs = rng.normal(size=(1, 6)) + 1j * rng.normal(size=(1, 6))
-        x = solve_hermitian(m, rhs)
-        assert np.linalg.norm(m[0] @ x[0] - rhs[0]) <= 1e-10 * np.linalg.norm(rhs)
 
 
 @settings(max_examples=60, deadline=None)

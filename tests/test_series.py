@@ -667,12 +667,12 @@ class TestTorusOracle:
         # the jet's constant term against the factor kernels of domains
         for spec in (DISC, HartogsSpec(BaseDomainSpec.polydisc((0.5, 2.0)), 2, scale=1.5), FOCK):
             pts = sample_points(spec, 5, seed=3)
-            jets = spec.scale * _potential_jets(spec, coordinate_stack(spec, pts), 2)
+            jets = spec.scale * _potential_jets(spec, coordinate_stack(spec, pts), (2, 2))[0]
             for value, potential in zip(jets[:, 0, 0], hartogs_potential(spec, pts)):
                 assert value == pytest.approx(potential, rel=1e-12)
 
     def test_term_cap(self):
-        # n = 5: C(14, 4)^2 terms per product at side degree 4
+        # n = 5: C(14, 4)^2 terms per product at bidegree (4, 4)
         spec = HartogsSpec(BaseDomainSpec.ball(3, 1.0), 2)
         with pytest.raises(CapabilityError, match="1002001 terms"):
             origin_coefficients(Form.EUCLIDEAN, spec)

@@ -1,11 +1,11 @@
 """Row consistency of the point-stack kernels.
 
-Points travel as (N, n) stacks, the extremal oracle evaluates the stencils
-of a group of points as one stack and the Ricci oracle a chunk of points as
-one stack of jets, so row r of a stack must give the same floats as the
-one-row stack of that point, and a row of a ``curvature_report`` or of
-``ricci_numeric`` the same values as that point alone, however the sample
-splits into extremal row groups or Ricci chunks. This pins the arithmetic
+Points travel as (N, n) stacks, and the extremal residual and the Ricci
+oracle each evaluate a chunk of points as one stack of jets, so row r of a
+stack must give the same floats as the one-row stack of that point, and a
+row of a ``curvature_report`` or of ``ricci_numeric`` the same values as
+that point alone, however the sample splits into jet chunks. This pins the
+arithmetic
 rules of the kernels: squared norms as stacked matmuls on C-contiguous rows,
 powers, logs and exponentials on Python numbers row by row, jet products as
 gathers and ``reduceat`` sums, and stacked LAPACK calls.
@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 from hartogs import cli, curvature, domains, reporting, taylor
 from hartogs.curvature import (
-    EXTREMAL_STACK_ROWS,
-    RICCI_STACK_TERMS,
+    EXTREMAL_BIDEGREE,
+    JET_STACK_TERMS,
+    RICCI_BIDEGREE,
     curvature_report,
     extremal_check,
     metric_stack,
@@ -38,7 +39,6 @@ from hartogs.domains import (
 )
 from hartogs.errors import BoundaryViolationError
 from hartogs.series import series_partial_sum
-from hartogs.wirtinger import conjugate_jacobian
 
 SPECS = {
     "ball": HartogsSpec(BaseDomainSpec.ball(2, 1.0), 2),
@@ -184,55 +184,22 @@ def test_report_evaluates_the_factors_once(name, monkeypatch):
         assert calls == [rows]
 
 
-def points_per_group(spec):
-    """Points of one extremal row group: 8n stencil rows each."""
-    return EXTREMAL_STACK_ROWS // (8 * spec.total_dim)
+def points_per_chunk(spec, bidegree=RICCI_BIDEGREE):
+    """Points of one chunk of jets of this bidegree."""
+    return max(1, JET_STACK_TERMS // taylor.product_terms(spec.total_dim, bidegree))
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_extremal_rows_across_row_groups(name):
-    spec = SPECS[name]
-    points = sample_points(spec, 2 * points_per_group(spec) + 3, seed=5, min_margin=0.05)
-    report = curvature_report(spec, points)
-    for r, p in enumerate(points):
-        single = curvature_report(spec, [p])
-        for field in REPORT_FIELDS:
-            assert np.array_equal(getattr(report, field)[r], getattr(single, field)[0])
+def recorded_jets(monkeypatch):
+    """(rows, bidegree) of every potential jet the curvature module builds."""
+    calls = []
+    jets = curvature._potential_jets
 
+    def recorded(spec, coords, bidegree):
+        calls.append((len(coords), bidegree))
+        return jets(spec, coords, bidegree)
 
-def test_extremal_groups_stay_under_the_row_cap(monkeypatch):
-    spec = SPECS["cartan_2x2"]
-    points = sample_points(spec, 20, seed=2, min_margin=0.05)
-    stacks = []
-
-    def recorded(f, centres, step):
-        stacks.append(len(centres))
-        return conjugate_jacobian(f, centres, step)
-
-    monkeypatch.setattr(curvature, "conjugate_jacobian", recorded)
-    curvature_report(spec, points)
-    assert sum(stacks) == len(points) and len(stacks) == 4
-    assert all(8 * spec.total_dim * rows <= EXTREMAL_STACK_ROWS for rows in stacks)
-
-
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_stacked_conjugate_jacobian_matches_single_points(name):
-    spec = SPECS[name]
-    coords = interior_stack(spec, 7, seed=11)
-
-    def field(q):
-        # a vector field of the metric stack, one row per point
-        return metric_stack(spec, q)[:, 0, :] / np.arange(1, spec.total_dim + 1)
-
-    stacked = conjugate_jacobian(field, coords)
-    assert stacked.shape == (7, spec.total_dim, spec.total_dim)
-    for r, row in enumerate(coords):
-        assert np.array_equal(stacked[r], conjugate_jacobian(field, row[None, :])[0])
-
-
-def points_per_chunk(spec):
-    """Points of one chunk of the Taylor-mode Ricci oracle."""
-    return max(1, RICCI_STACK_TERMS // taylor.product_terms(spec.total_dim, curvature.RICCI_DEGREE))
+    monkeypatch.setattr(curvature, "_potential_jets", recorded)
+    return calls
 
 
 def near_boundary(spec, coords, margins):
@@ -245,6 +212,36 @@ def near_boundary(spec, coords, margins):
             coords[r, : spec.fiber_dim] = 0.0
             coords[r, 0] = math.sqrt(phis[r] - margin)
     return coords
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_extremal_rows_across_row_groups(name):
+    # rows on both sides of every jet chunk boundary, every other one close
+    # to the boundary of the domain, equal their one-row stacks
+    spec = SPECS[name]
+    rows = 2 * points_per_chunk(spec, EXTREMAL_BIDEGREE) + 3
+    margins = [1e-3 * (r + 1) if r % 2 else None for r in range(rows)]
+    points = near_boundary(spec, sample_points(spec, rows, seed=5, min_margin=0.05), margins)
+    report = curvature_report(spec, points)
+    check = extremal_check(spec, points)
+    assert np.array_equal(check.residual, report.extremal_residual)
+    for r, p in enumerate(points):
+        single = curvature_report(spec, [p])
+        for field in REPORT_FIELDS:
+            assert np.array_equal(getattr(report, field)[r], getattr(single, field)[0])
+        assert check.fiber_component[r] == extremal_check(spec, [p]).fiber_component[0]
+
+
+def test_extremal_groups_stay_under_the_row_cap(monkeypatch):
+    # consecutive chunks of points, each as large as the term cap allows
+    spec = SPECS["cartan_2x2"]
+    points = sample_points(spec, 20, seed=2, min_margin=0.05)
+    calls = recorded_jets(monkeypatch)
+    curvature_report(spec, points)
+    per_chunk = points_per_chunk(spec, EXTREMAL_BIDEGREE)
+    assert calls == [(per_chunk, EXTREMAL_BIDEGREE)] * 4
+    terms = taylor.product_terms(spec.total_dim, EXTREMAL_BIDEGREE)
+    assert per_chunk * terms <= JET_STACK_TERMS < (per_chunk + 1) * terms
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -268,9 +265,9 @@ def test_ricci_groups_stay_under_the_row_cap(name, monkeypatch):
     chunks = []
     jets = curvature._potential_jets
 
-    def recorded(spec, coords, degree):
+    def recorded(spec, coords, bidegree):
         chunks.append(coords)
-        return jets(spec, coords, degree)
+        return jets(spec, coords, bidegree)
 
     monkeypatch.setattr(curvature, "_potential_jets", recorded)
     ricci_numeric(spec, points)
@@ -278,43 +275,26 @@ def test_ricci_groups_stay_under_the_row_cap(name, monkeypatch):
     per_chunk = points_per_chunk(spec)
     assert [len(chunk) for chunk in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
     assert 0 < len(chunks[-1]) <= per_chunk
-    terms = taylor.product_terms(spec.total_dim, curvature.RICCI_DEGREE)
-    assert per_chunk == 1 or per_chunk * terms <= RICCI_STACK_TERMS < (per_chunk + 1) * terms
-
-
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_one_stencil_leaving_the_domain_fails_the_stack(name):
-    spec = SPECS[name]
-    coords = near_boundary(spec, interior_stack(spec, 5, seed=6), [None] * 4 + [1e-3])
-    steps = [1e-4] * 4 + [1e-2]
-
-    def potential(q):
-        return hartogs_potential(spec, q)
-
-    conjugate_jacobian(potential, coords, 1e-4)  # every stencil interior
-    with pytest.raises(BoundaryViolationError):
-        conjugate_jacobian(potential, coords, steps)
+    terms = taylor.product_terms(spec.total_dim, RICCI_BIDEGREE)
+    assert per_chunk == 1 or per_chunk * terms <= JET_STACK_TERMS < (per_chunk + 1) * terms
 
 
 def test_report_command_builds_one_report(monkeypatch, tmp_path):
     config = tmp_path / "ball.cfg"
     config.write_text("base.kind = ball\nbase.dims = 2\nbase.mu = 1\nfiber.dim = 1\n")
-    reports, centres = [], []
-    build, stencil = curvature.curvature_report, curvature.conjugate_jacobian
+    reports = []
+    build = curvature.curvature_report
 
     def counted_report(spec, points, *args, **kwargs):
         reports.append(len(points))
         return build(spec, points, *args, **kwargs)
 
-    def counted_stencil(f, points, step):
-        centres.append(len(points))
-        return stencil(f, points, step)
-
     for module in (curvature, reporting):
         monkeypatch.setattr(module, "curvature_report", counted_report)
-    monkeypatch.setattr(curvature, "conjugate_jacobian", counted_stencil)
+    jets = recorded_jets(monkeypatch)
     out = tmp_path / "report.json"
     argv = ["report", "--config", str(config), "--samples", "12", "--truncation", "3"]
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert reports == [12]
-    assert sum(centres) == 12
+    # the 12 points fit one chunk of extremal jets: n = 3 takes 20 per chunk
+    assert jets == [(12, EXTREMAL_BIDEGREE)]
