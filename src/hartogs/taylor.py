@@ -93,17 +93,16 @@ def _side(n: int, degree: int) -> dict:
     return {m: i for i, m in enumerate(monomials(n, degree))}
 
 
-@lru_cache(maxsize=None)
-def _side_products(n: int, degree: int) -> tuple[tuple[int, int, int], ...]:
+def _side_products(n: int, degree: int) -> list[tuple[int, int, int]]:
     """(left, right, target) side indices of every pair of monomials whose
     degrees sum to at most ``degree``."""
     side = _side(n, degree)
-    return tuple(
+    return [
         (i, j, side[m])
         for a, i in side.items()
         for b, j in side.items()
         if (m := tuple(x + y for x, y in zip(a, b))) in side
-    )
+    ]
 
 
 @lru_cache(maxsize=None)

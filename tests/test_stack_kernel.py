@@ -245,6 +245,17 @@ def test_extremal_groups_stay_under_the_row_cap(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
+def test_one_exterior_row_fails_the_extremal_stack(name):
+    # the last row at margin 1e-3 is accepted; moved outside, it fails the stack
+    spec = SPECS[name]
+    coords = near_boundary(spec, interior_stack(spec, 5, seed=6), [None] * 4 + [1e-3])
+    extremal_check(spec, coords)
+    coords[-1, : spec.fiber_dim] *= 2.0
+    with pytest.raises(BoundaryViolationError):
+        extremal_check(spec, coords)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
 def test_ricci_rows_across_row_groups(name):
     # rows on both sides of every chunk boundary, every other one close to
     # the boundary of the domain, equal their one-row stacks
