@@ -14,14 +14,21 @@ This is Taylor-mode differentiation (Griewank-Walther, *Evaluating
 Derivatives*, 2nd ed., SIAM 2008, ch. 13): seeding z_k = p_k + Z_k and
 w_k = conj(p_k) + W_k and running a formula on jets gives every mixed
 partial d^j_z d^k_w of it at (p, conj(p)) up to bidegree (dz, dw), exactly
-up to round-off, as j! k! c[j, k]. A jet without constant term is
-nilpotent, N^(dz+dw+1) = 0, so f(x0 + N) is the finite series
-sum_(j<=dz+dw) f^(j)(x0) N^j / j!.
+up to round-off, as j! k! c[j, k].
 
-Each row gives the same floats as its one-row stack: products are one
-gather of each operand and one ``np.add.reduceat``, sums are elementwise,
-and logs and exponentials of constant terms run on Python complex numbers
-(``cmath``), row by row.
+log and exp are the Euler-operator recurrences of Taylor arithmetic (ibid.):
+with E the total-degree operator, y = exp(x) solves E y = y E x and
+L = log(1 + u) solves (1 + u) E L = E u, which give the part of total
+degree t = |j| + |k| from the lower ones, t = 1 .. dz + dw. Products only
+raise both degrees, so truncation to the (dz, dw) box needs no care.
+log det of a matrix of jets sums the logs of its LU pivots. Every product
+reads one plan of flat operand indices per (n, bidegree), built with numpy
+from mixed-radix keys of the monomial exponents.
+
+Each row gives the same floats as its one-row stack: every product and
+recurrence step is one gather of each operand and one ``np.add.reduceat``,
+sums are elementwise, and logs and exponentials of constant terms run on
+Python complex numbers (``cmath``), row by row.
 """
 
 from __future__ import annotations
@@ -87,45 +94,59 @@ def _variables(a: int, degree: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
-def _side(n: int, degree: int) -> dict:
-    """Index of each side monomial in the jet layout."""
-    return {m: i for i, m in enumerate(monomials(n, degree))}
-
-
-def _side_products(n: int, degree: int) -> list[tuple[int, int, int]]:
-    """(left, right, target) side indices of every pair of monomials whose
-    degrees sum to at most ``degree``."""
-    side = _side(n, degree)
-    return [
-        (i, j, side[m])
-        for a, i in side.items()
-        for b, j in side.items()
-        if (m := tuple(x + y for x, y in zip(a, b))) in side
-    ]
-
-
-@lru_cache(maxsize=None)
-def _product_plan(n: int, bidegree: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat operand indices (left, right) of every product term and the
-    start of each target coefficient's run, with terms sorted by target.
-
-    Every target has a run, if only (target, constant), so ``reduceat``
-    over the starts gives the az aw coefficients in order. Shared; read-only.
-    """
-    dz, dw = bidegree
-    aw = width(n, dw)
-    terms = sorted(
-        (zt * aw + wt, zl * aw + wl, zr * aw + wr)
-        for zl, zr, zt in _side_products(n, dz)
-        for wl, wr, wt in _side_products(n, dw)
-    )
-    target, left, right = (np.array(column) for column in zip(*terms))
-    starts = np.flatnonzero(np.diff(target, prepend=-1))
-    plan = (left, right, starts)
-    for array in plan:
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
         array.setflags(write=False)
-    return plan
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _side_pairs(n: int, degree: int) -> tuple[np.ndarray, ...]:
+    """(left, right, target) side indices of every pair of monomials whose
+    degrees sum to at most ``degree``, and the degree of every monomial.
+
+    A target is found by its mixed-radix key sum_i m_i (degree + 1)^i, which
+    is additive, and one-to-one on exponents of degree at most ``degree``.
+    """
+    if (degree + 1) ** n > np.iinfo(np.int64).max:
+        raise CapabilityError(f"monomial keys of {n} variables at degree {degree} exceed 64 bits")
+    exponents = np.array(monomials(n, degree)).reshape(-1, n)
+    key = exponents @ (degree + 1) ** np.arange(n)
+    side_degree = exponents.sum(axis=1)
+    left, right = np.nonzero(side_degree[:, None] + side_degree <= degree)
+    order = np.argsort(key)
+    target = order[np.searchsorted(key, key[left] + key[right], sorter=order)]
+    return _read_only(left, right, target, side_degree)
+
+
+@lru_cache(maxsize=None)
+def _product_plan(n: int, bidegree: tuple[int, int]):
+    """Flat operand indices of the terms of a product of two jets.
+
+    For :func:`mul`: (left, right) of every term, sorted by target, and the
+    start of each target's run (every target has one, if only (target,
+    constant)). For :func:`_recurrence`, per total degree t = 2 .. dz + dw:
+    (left, right, weights deg(left) / t and -deg(right) / t, targets,
+    starts) of the terms of target degree t whose operands both have
+    positive degree; a target e_i + m has (e_i, m). Shared; read-only.
+    """
+    (zl, zr, zt, z_degree), (wl, wr, wt, w_degree) = (_side_pairs(n, d) for d in bidegree)
+    aw = len(w_degree)
+    left, right, target = ((z[:, None] * aw + w).ravel() for z, w in ((zl, wl), (zr, wr), (zt, wt)))
+    degree = (z_degree[:, None] + w_degree).ravel()
+    order = np.lexsort((right, left, target))
+    left, right, target = left[order], right[order], target[order]
+    inner = np.flatnonzero((degree[left] > 0) & (degree[right] > 0))
+    inner = inner[np.argsort(degree[target[inner]], kind="stable")]
+    bounds = np.searchsorted(degree[target[inner]], np.arange(2, sum(bidegree) + 2))
+    steps = []
+    for terms in (inner[lo:hi] for lo, hi in zip(bounds, bounds[1:])):
+        l, r, t = left[terms], right[terms], target[terms]
+        starts = np.flatnonzero(np.diff(t, prepend=-1))
+        weights = np.stack([degree[l], -degree[r]]) / degree[t]
+        steps.append(_read_only(l, r, weights, t[starts], starts))
+    starts = np.flatnonzero(np.diff(target, prepend=-1))
+    return _read_only(left, right, starts) + (tuple(steps),)
 
 
 def product_terms(n: int, bidegree: tuple[int, int]) -> int:
@@ -140,7 +161,7 @@ def mul(x: np.ndarray, y: np.ndarray, bidegree: tuple[int, int]) -> np.ndarray:
     """The product of two jets, truncated to ``bidegree``; leading axes
     broadcast."""
     az, aw = x.shape[-2:]
-    left, right, starts = _product_plan(_variables(az, bidegree[0]), bidegree)
+    left, right, starts, _ = _product_plan(_variables(az, bidegree[0]), bidegree)
     flat_x = x.reshape(x.shape[:-2] + (az * aw,))
     flat_y = y.reshape(y.shape[:-2] + (az * aw,))
     terms = flat_x.take(left, axis=-1) * flat_y.take(right, axis=-1)
@@ -155,28 +176,17 @@ def shifted(x: np.ndarray, constant) -> np.ndarray:
     return out
 
 
-def _nilpotent(x: np.ndarray) -> np.ndarray:
-    out = x.copy()
-    out[..., 0, 0] = 0.0
-    return out
-
-
-def _power_series(u: np.ndarray, coefficients, bidegree: tuple[int, int]) -> np.ndarray:
-    """sum_(k>=1) c_k u^k of a nilpotent jet u, by Horner's rule."""
-    out = coefficients[-1] * u
-    for c in coefficients[-2::-1]:
-        out = mul(shifted(out, c), u, bidegree)
-    return out
-
-
-def _log1p(bidegree: tuple[int, int]) -> list[float]:
-    """Coefficients (-1)^(k+1) / k of log(1 + u), k = 1 .. dz + dw."""
-    return [(-1) ** (k + 1) / k for k in range(1, sum(bidegree) + 1)]
-
-
-def _expm1(bidegree: tuple[int, int]) -> list[float]:
-    """Coefficients 1 / k! of exp(u) - 1, k = 1 .. dz + dw."""
-    return [1 / math.factorial(k) for k in range(1, sum(bidegree) + 1)]
+def _recurrence(u: np.ndarray, bidegree: tuple[int, int], kind: int) -> np.ndarray:
+    """The nilpotent jet y with y_t = u_t + sum w u[left] y[right] over the
+    terms of target degree t >= 2, of a nilpotent jet u: the weights of
+    ``kind`` 0 give exp(u) - 1, of ``kind`` 1 log(1 + u)."""
+    az, aw = u.shape[-2:]
+    flat = u.reshape(u.shape[:-2] + (az * aw,))
+    out = flat.copy()
+    for left, right, weights, targets, starts in _product_plan(_variables(az, bidegree[0]), bidegree)[3]:
+        products = flat.take(left, axis=-1) * weights[kind] * out.take(right, axis=-1)
+        out[..., targets] += np.add.reduceat(products, starts, axis=-1)
+    return out.reshape(u.shape)
 
 
 def _row_map(f, values: np.ndarray) -> np.ndarray:
@@ -184,38 +194,31 @@ def _row_map(f, values: np.ndarray) -> np.ndarray:
 
 
 def log(x: np.ndarray, bidegree: tuple[int, int]) -> np.ndarray:
-    """log(x0 + N) = log x0 + log1p(N / x0), with ``cmath.log`` of x0."""
+    """log(x0 + N) = log x0 + log(1 + N / x0), with ``cmath.log`` of x0:
+    L_t = u_t - (1/t) sum_(s<t) s L_s u_(t-s) for L = log(1 + u)."""
     x0 = x[..., 0, 0]
-    u = _nilpotent(x) / x0[..., None, None]
-    return shifted(_power_series(u, _log1p(bidegree), bidegree), _row_map(cmath.log, x0))
+    u = shifted(x, -x0) / x0[..., None, None]
+    return shifted(_recurrence(u, bidegree, 1), _row_map(cmath.log, x0))
 
 
 def exp(x: np.ndarray, bidegree: tuple[int, int]) -> np.ndarray:
-    """exp(x0 + N) = exp(x0) (1 + expm1(N))."""
-    e0 = _row_map(cmath.exp, x[..., 0, 0])
-    series = _power_series(_nilpotent(x), _expm1(bidegree), bidegree)
-    return e0[..., None, None] * shifted(series, 1.0)
+    """exp(x0 + N) = exp(x0) y, y = exp(N): y_t = (1/t) sum_(s=1..t) s N_s y_(t-s)."""
+    x0 = x[..., 0, 0]
+    e0 = _row_map(cmath.exp, x0)
+    return e0[..., None, None] * shifted(_recurrence(shifted(x, -x0), bidegree, 0), 1.0)
 
 
 def log_det(y: np.ndarray, bidegree: tuple[int, int]) -> np.ndarray:
-    """log det Y of a (P, m, m) matrix of jets Y = Y0 + N, as
-    log det Y0 + tr log(I + Y0^-1 N); tr log(I + M) = sum_k (-1)^(k+1)
-    tr M^k / k ends at k = dz + dw, since every entry of M is nilpotent.
-    Matrix products sum over the inner index in order."""
-    m = y.shape[1]
-    if m == 1:
-        return log(y[:, 0, 0], bidegree)
-    y0 = y[..., 0, 0]
-    y0_inv = np.linalg.inv(y0)
-    n = _nilpotent(y)
-    u = sum(y0_inv[:, :, k, None, None, None] * n[:, None, k] for k in range(m))
-    coefficients = _log1p(bidegree)
-    out = coefficients[-1] * u
-    for c in coefficients[-2::-1]:
-        out = shifted(out, c * np.eye(m))
-        out = sum(mul(out[:, :, k, None], u[:, None, k], bidegree) for k in range(m))
-    trace = sum(out[:, k, k] for k in range(m))
-    return shifted(trace, _row_map(cmath.log, np.linalg.det(y0)))
+    """log det Y of a (P, m, m) matrix of jets: sum_k log p_k over the pivots
+    p_k of its LU factorization without pivoting, with reciprocals
+    exp(-log p). No pivot vanishes where Y0 is Hermitian positive definite
+    (every leading minor invertible); m = 1 is :func:`log`."""
+    log_pivot = log(y[:, 0, 0], bidegree)
+    if y.shape[1] == 1:
+        return log_pivot
+    ratio = mul(y[:, 1:, 0], exp(-log_pivot, bidegree)[:, None], bidegree)
+    schur = y[:, 1:, 1:] - mul(ratio[:, :, None], y[:, None, 0, 1:], bidegree)
+    return log_pivot + log_det(schur, bidegree)
 
 
 def pairing(points: np.ndarray, z_cols, w_cols, bidegree: tuple[int, int]) -> np.ndarray:
@@ -236,13 +239,9 @@ def pairing(points: np.ndarray, z_cols, w_cols, bidegree: tuple[int, int]) -> np
 def _second_order(n: int) -> tuple[np.ndarray, np.ndarray]:
     """For every pair (a, c): the side index of e_a + e_c (the same at every
     side degree from 2, since the layout is graded) and (e_a + e_c)!."""
-    side = _side(n, 2)
-    unit = np.eye(n, dtype=int)
-    index = np.array([[side[tuple(unit[i] + unit[j])] for j in range(n)] for i in range(n)])
-    factorial = 1.0 + np.eye(n)
-    for array in (index, factorial):
-        array.setflags(write=False)
-    return index, factorial
+    left, right, target, degree = _side_pairs(n, 2)
+    index = target[(degree[left] == 1) & (degree[right] == 1)].reshape(n, n)
+    return _read_only(index, 1.0 + np.eye(n))
 
 
 def hessian_jets(f: np.ndarray, bidegree: tuple[int, int]):

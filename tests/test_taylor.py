@@ -1,12 +1,15 @@
-"""The truncated Taylor algebra at bidegrees (1, 2), (2, 1), (2, 2) and
-(4, 4): products against polynomial multiplication, the series functions
-against their identities, and the derivatives it reads against closed
-forms."""
+"""The truncated Taylor algebra at bidegrees (1, 2), (2, 1), (2, 2), (2, 4)
+and (4, 4): products against polynomial multiplication, the recurrences
+against their identities, log det against the cofactor determinant, and
+the derivatives it reads against closed forms."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from hartogs import taylor
+from hartogs.errors import CapabilityError
 from hartogs.series import enumerate_indices
 
 
@@ -53,9 +56,9 @@ def linear(points):
 N_AND_BIDEGREE = pytest.mark.parametrize(
     "n, bidegree",
     [(1, (2, 2)), (2, (2, 2)), (3, (2, 2)), (1, (4, 4)), (2, (4, 4)),
-     (1, (1, 2)), (3, (1, 2)), (2, (2, 1))],
+     (1, (1, 2)), (3, (1, 2)), (2, (2, 1)), (2, (2, 4))],
     ids=["1", "2", "3", "1-degree4", "2-degree4", "1-bidegree12", "3-bidegree12",
-         "2-bidegree21"],
+         "2-bidegree21", "2-bidegree24"],
 )
 
 
@@ -85,6 +88,9 @@ def test_product_terms():
     for n, bidegree in ((2, (2, 2)), (5, (2, 2)), (1, (4, 4)), (3, (4, 4)), (4, (1, 2)),
                         (3, (2, 1))):
         assert len(taylor._product_plan(n, bidegree)[0]) == taylor.product_terms(n, bidegree)
+    # mixed-radix keys 3^40 of 40 variables at degree 2 leave int64
+    with pytest.raises(CapabilityError):
+        taylor._product_plan(40, (2, 2))
 
 
 def test_side_degree_tells_equal_widths_apart():
@@ -102,8 +108,8 @@ def test_side_degree_tells_equal_widths_apart():
 
 @pytest.mark.parametrize(
     "n, bidegree", [(1, (2, 2)), (2, (2, 2)), (4, (2, 2)), (1, (4, 4)), (2, (4, 4)),
-                    (3, (1, 2))],
-    ids=["1", "2", "4", "1-degree4", "2-degree4", "3-bidegree12"],
+                    (3, (1, 2)), (2, (2, 4))],
+    ids=["1", "2", "4", "1-degree4", "2-degree4", "3-bidegree12", "2-bidegree24"],
 )
 def test_log_and_exp_are_inverse(n, bidegree):
     rng = np.random.default_rng(10 + n)
@@ -119,14 +125,44 @@ def test_log_and_exp_are_inverse(n, bidegree):
         rtol=0,
         atol=1e-13,
     )
+    # the reciprocal log_det takes of a pivot
+    one = taylor.mul(taylor.exp(-taylor.log(x, bidegree), bidegree), x, bidegree)
+    assert np.allclose(one, taylor.shifted(np.zeros_like(x), 1.0), rtol=0, atol=1e-13)
+
+
+def cofactor_det(y, bidegree):
+    """det of a (P, m, m) matrix of jets by the Leibniz expansion."""
+    m = y.shape[1]
+    total = 0
+    for perm in itertools.permutations(range(m)):
+        term = y[:, 0, perm[0]]
+        for row in range(1, m):
+            term = taylor.mul(term, y[:, row, perm[row]], bidegree)
+        inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+        total = total + (-1) ** inversions * term
+    return total
+
+
+def cartan_jets(rng, m, k, bidegree):
+    """Y = I - Z W^T around 3 points of the m x k Cartan domain."""
+    p = 0.3 * (rng.standard_normal((3, m * k)) + 1j * rng.standard_normal((3, m * k))) / k
+    cols = np.arange(m * k).reshape(m, k)
+    y = -np.stack(
+        [np.stack([taylor.pairing(p, zi, wj, bidegree) for wj in cols], axis=1) for zi in cols],
+        axis=1,
+    )
+    y[..., 0, 0] += np.eye(m)
+    return y
 
 
 def test_log_det_is_the_log_of_the_determinant():
     rng = np.random.default_rng(3)
     y = 0.2 * random_jets(rng, (5, 2, 2), 3)
     y[..., 0, 0] = [[1.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.9]]
-    det = taylor.mul(y[:, 0, 0], y[:, 1, 1], (2, 2)) - taylor.mul(y[:, 0, 1], y[:, 1, 0], (2, 2))
-    assert np.allclose(taylor.log_det(y, (2, 2)), taylor.log(det, (2, 2)), rtol=0, atol=1e-13)
+    # and the Cartan matrices of rank 2 and 3
+    for matrix in (y, cartan_jets(rng, 2, 3, (2, 2)), cartan_jets(rng, 3, 3, (2, 2))):
+        det = taylor.log(cofactor_det(matrix, (2, 2)), (2, 2))
+        assert np.allclose(taylor.log_det(matrix, (2, 2)), det, rtol=0, atol=1e-13)
     assert np.array_equal(taylor.log_det(y[:, :1, :1], (2, 2)), taylor.log(y[:, 0, 0], (2, 2)))
 
 
@@ -202,7 +238,7 @@ def test_conjugate_derivatives_of_the_disc_potential():
 
 
 def test_rows_match_one_row_stacks():
-    for bidegree in ((2, 2), (1, 2)):
+    for bidegree in ((1, 2), (2, 2), (2, 4), (4, 4)):
         rng = np.random.default_rng(7)
         x = 0.3 * random_jets(rng, (6,), 3, bidegree)
         x[:, 0, 0] = rng.uniform(0.5, 2.0, 6) + 0.1j
