@@ -13,7 +13,6 @@ from .curvature import (
     extremal_check,
     metric_stack,
     ricci_numeric,
-    tau_exact,
     verdicts,
 )
 from .domains import (
@@ -22,6 +21,7 @@ from .domains import (
     HartogsSpec,
     hartogs_potential,
     sample_points,
+    tau_exact,
 )
 from .immersion import (
     Answer,

@@ -41,8 +41,8 @@ def _add_common(parser, config_required=True):
     parser.add_argument("--samples", type=int, default=50, metavar="N")
     parser.add_argument("--seed", type=int, default=42, metavar="N")
     parser.add_argument("--truncation", type=int, default=10, metavar="N")
-    parser.add_argument("--h", default="1", metavar="LIST",
-                        help="comma-separated metric scales")
+    parser.add_argument("--h", default=None, metavar="LIST",
+                        help="comma-separated metric scales (default: the config's scale.h)")
     parser.add_argument("--target", default="CH",
                         help="{C,CP,CH} optionally suffixed -finite/-infinite")
     parser.add_argument("--out", type=Path, default=None, metavar="PATH")
@@ -69,9 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_h_list(text: str) -> list[float]:
-    """The scales of ``--h``, each in the number grammar of a config
-    (1/3, 0.1, 1e-3), as the nearest doubles."""
+def _parse_h_list(text: str | None) -> list[float | None]:
+    """The scales of ``--h`` in the config number grammar (1/3, 0.1, 1e-3),
+    as the nearest doubles; without ``--h``, [None], read as ``scale.h``."""
+    if text is None:
+        return [None]
     values = []
     for part in text.split(","):
         try:

@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import taylor
 from .domains import (
-    BaseDomainSpec,
     DomainKind,
     HartogsSpec,
     coordinate_stack,
@@ -39,6 +37,7 @@ from .domains import (
     require_interior,
     row_power,
     squared_norms,
+    tau_exact,
 )
 from .errors import HartogsError
 from .hermitian import eigenvalues, hermitian_part
@@ -59,14 +58,6 @@ EXTREMAL_BIDEGREE = (1, 2)
 
 #: Default residual tolerance for the Einstein / extremal / scalar verdicts.
 VERDICT_TOLERANCE = 1e-6
-
-
-def tau_exact(base: BaseDomainSpec) -> Fraction:
-    """tau = d(d+1) + sum c_i d_i in exact rational arithmetic."""
-    d = base.dim
-    return Fraction(d * (d + 1)) + sum(
-        c * di for c, di in zip(base.einstein_constants, base.dims)
-    )
 
 
 def _metric_parts(spec: HartogsSpec, coords: np.ndarray):

@@ -109,6 +109,11 @@ class BaseDomainSpec:
                 raise ValueError("dims must equal m * n for cartan_type_I")
         elif self.shape is not None:
             raise ValueError("shape is only meaningful for cartan_type_I")
+        try:  # the closed forms compute with every constant as a double
+            for constant in (*self.einstein_constants, *self.lambdas, tau_exact(self)):
+                float(constant)
+        except OverflowError:
+            raise ValueError("exponents put a factor constant past the double range") from None
 
     # -- constructors -------------------------------------------------------
 
@@ -190,6 +195,12 @@ class BaseDomainSpec:
     def factor_slices(self) -> tuple[slice, ...]:
         offsets = np.cumsum((0,) + self.dims)
         return tuple(slice(int(a), int(b)) for a, b in zip(offsets, offsets[1:]))
+
+
+def tau_exact(base: BaseDomainSpec) -> Fraction:
+    """tau = d(d+1) + sum c_i d_i in exact rational arithmetic."""
+    d = base.dim
+    return d * (d + 1) + sum(c * di for c, di in zip(base.einstein_constants, base.dims))
 
 
 @dataclass(frozen=True)

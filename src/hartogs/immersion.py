@@ -22,14 +22,13 @@ Catalog bases carry derived facts; anything else must be user supplied.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 from .domains import BaseDomainSpec, DomainKind, HartogsSpec, _exact
 from .errors import CapabilityError, HartogsError
-from .series import Form, resolvability
+from .series import Form, _scale, resolvability
 
 
 class Answer(str, Enum):
@@ -201,9 +200,7 @@ def decide(
 ) -> ImmersionVerdict:
     """Existence verdict for one target space form at scale h."""
     target = ImmersionTarget(target)
-    h = spec.scale if h is None else float(h)
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError("scale h must be positive and finite")
+    h = _scale(spec, h)
     facts = catalog_facts(spec.base) if facts is None else facts
 
     def verdict(answer, rule):
@@ -259,7 +256,7 @@ def cross_check(
     hard errors naming the block.
     """
     target = ImmersionTarget(target)
-    h = spec.scale if h is None else float(h)
+    h = _scale(spec, h)
     v = decide(spec, target, h, facts)
     res = resolvability(target.form, spec, h=h, truncation_degree=truncation_degree)
     failure = None

@@ -522,8 +522,8 @@ def series_partial_sum(spec: HartogsSpec, points, truncation_degree: int) -> np.
 #: covers every pair of total degree |j| + |k| at most this.
 ORACLE_DEGREE = 4
 
-#: Most terms of one product of the oracle's jets (n <= 3 at bidegree (4, 4)).
-MAX_ORACLE_TERMS = 100_000
+#: Most terms of one product of the oracle's jets (n <= 4 at bidegree (4, 4)).
+MAX_ORACLE_TERMS = 250_000
 
 
 def origin_coefficients(form: Form, spec: HartogsSpec, h: float | None = None) -> dict:
@@ -539,7 +539,7 @@ def origin_coefficients(form: Form, spec: HartogsSpec, h: float | None = None) -
     radius, no aliasing and no branch to leave, since phi(0) = 1. The jet
     restates the potential without the Pochhammer tables of the closed
     blocks, so it checks them independently. A jet whose products would
-    hold more than ``MAX_ORACLE_TERMS`` terms (n >= 4) raises
+    hold more than ``MAX_ORACLE_TERMS`` terms (n >= 5) raises
     :class:`CapabilityError`.
     """
     _require_radial(spec.base)

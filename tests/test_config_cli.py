@@ -524,6 +524,27 @@ class TestCli:
         assert not caught
         assert math.isfinite(json.loads(out.read_text())["residual"])
 
+    @pytest.mark.parametrize("command", ["check-einstein", "check-extremal", "curvature"])
+    def test_constant_past_the_double_range_is_one_error_line(self, command, tmp_path, capsys):
+        # mu = 1e-308: c = -2e308 has no double, so the config is refused
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(DISC_CONFIG.replace("base.mu = 1", "base.mu = 1e-308"), encoding="utf-8")
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out.json")])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: line 4: exponents") and len(err.splitlines()) == 1
+        assert "Traceback" not in out + err
+
+    def test_scale_h_is_the_default_h(self, tmp_path):
+        # disc(1) x C immerses into CH iff h <= 1; scale.h = 3/2 decides it
+        cfg = tmp_path / "scaled.cfg"
+        cfg.write_text(DISC_CONFIG.replace("scale.h = 1", "scale.h = 3/2"), encoding="utf-8")
+        out = tmp_path / "out.json"
+        argv = ["immersion", "--config", str(cfg), "--target", "CH", "--out", str(out)]
+        assert main(argv) == 2
+        (verdict,) = json.loads(out.read_text())["verdicts"]
+        assert verdict["h"] == 1.5 and verdict["answer"] == "not_exists"
+
     @pytest.mark.parametrize("h, code", [("1/3", 0), ("0.3333334", 2)])
     def test_h_reads_the_config_number_grammar(self, h, code, tmp_path):
         # disc(3) x C immerses into CH iff h mu <= 1

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs.curvature import tau_exact
 from hartogs.domains import (
     MIN_INTERIOR_MARGIN,
     BaseDomainSpec,
@@ -18,6 +17,7 @@ from hartogs.domains import (
     phi_stack,
     sample_points,
     squared_norms,
+    tau_exact,
 )
 from hartogs.errors import BoundaryViolationError, CapabilityError
 from hartogs.hermitian import eigenvalues
@@ -88,6 +88,14 @@ class TestSpecMetadata:
             BaseDomainSpec(DomainKind.CARTAN_TYPE_I, (4,), (1.0,))
         with pytest.raises(ValueError):
             HartogsSpec(BaseDomainSpec.disc(1.0), 0)
+
+    def test_rejects_constants_past_the_double_range(self):
+        # disc(1e-308): c = -2e308; ball(2, 2.5e-308): c = -1.2e308 is a
+        # double, but tau = 6 + 2c is not
+        for mu, dim in ((1e-308, 1), (2.5e-308, 2)):
+            with pytest.raises(ValueError, match="^exponents .* double range"):
+                BaseDomainSpec.ball(dim, mu)
+        assert float(tau_exact(BaseDomainSpec.disc(1e-300))) == pytest.approx(-2e300)
 
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

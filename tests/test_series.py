@@ -594,6 +594,13 @@ class TestAudit:
         assert len(audit.pair_values) == 64  # every violating pair of degree <= 4
         assert audit.max_off_structure == 0.0
 
+    def test_ball3_off_structure_vanishes(self):
+        # n = 4: 245,025 terms per product at bidegree (4, 4)
+        audit = cross_coefficient_audit(HartogsSpec(BaseDomainSpec.ball(3, 1.0), 1))
+        assert len(audit.pair_values) == 438
+        assert audit.max_off_structure == 0.0
+        assert audit.control_value == pytest.approx(audit.control_expected, rel=1e-14)
+
     def test_control_pair_matches_analytic(self):
         audit = cross_coefficient_audit(DISC)
         assert audit.control_expected == pytest.approx(1.0)  # Gamma(1)Gamma(2)
