@@ -256,7 +256,6 @@ def cross_check(
     hard errors naming the block.
     """
     target = ImmersionTarget(target)
-    h = _scale(spec, h)
     v = decide(spec, target, h, facts)
     res = resolvability(target.form, spec, h=h, truncation_degree=truncation_degree)
     failure = None

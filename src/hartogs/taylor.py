@@ -18,12 +18,11 @@ up to round-off, as j! k! c[j, k].
 
 log and exp are the Euler-operator recurrences of Taylor arithmetic (ibid.):
 with E the total-degree operator, y = exp(x) solves E y = y E x and
-L = log(1 + u) solves (1 + u) E L = E u, which give the part of total
-degree t = |j| + |k| from the lower ones, t = 1 .. dz + dw. Products only
-raise both degrees, so truncation to the (dz, dw) box needs no care.
-log det of a matrix of jets sums the logs of its LU pivots. Every product
-reads one plan of flat operand indices per (n, bidegree), built with numpy
-from mixed-radix keys of the monomial exponents.
+L = log(1 + u) solves (1 + u) E L = E u, which give the part of total degree
+t = |j| + |k| from the lower ones. Products only raise both degrees, so
+truncation to the (dz, dw) box needs no care. log det sums the logs of the
+LU pivots of a matrix of jets. Every product reads one plan per (n, bidegree)
+of flat operand indices, built with numpy from mixed-radix monomial keys.
 
 Each row gives the same floats as its one-row stack: every product and
 recurrence step is one gather of each operand and one ``np.add.reduceat``,
@@ -181,9 +180,10 @@ def _recurrence(u: np.ndarray, bidegree: tuple[int, int], kind: int) -> np.ndarr
     terms of target degree t >= 2, of a nilpotent jet u: the weights of
     ``kind`` 0 give exp(u) - 1, of ``kind`` 1 log(1 + u)."""
     az, aw = u.shape[-2:]
+    steps = _product_plan(_variables(az, bidegree[0]), bidegree)[3]
     flat = u.reshape(u.shape[:-2] + (az * aw,))
     out = flat.copy()
-    for left, right, weights, targets, starts in _product_plan(_variables(az, bidegree[0]), bidegree)[3]:
+    for left, right, weights, targets, starts in steps:
         products = flat.take(left, axis=-1) * weights[kind] * out.take(right, axis=-1)
         out[..., targets] += np.add.reduceat(products, starts, axis=-1)
     return out.reshape(u.shape)
