@@ -13,15 +13,16 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import reporting
 from .config import _parse_number, parse_config
 from .curvature import verdicts
-from .domains import sample_points
+from .domains import _is_positive_double, sample_points
 from .errors import ConfigError, HartogsError
 from .fixtures import run_acceptance
-from .immersion import Answer, ImmersionTarget, cross_check, decide, table_one
+from .immersion import Answer, ImmersionTarget, cross_check, decide
 from .series import Form, blocks, resolvability
 
 
@@ -35,52 +36,52 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(parser, config_required=True):
-    parser.add_argument("--config", type=Path, required=config_required,
-                        help="domain configuration file")
-    parser.add_argument("--samples", type=int, default=50, metavar="N")
-    parser.add_argument("--seed", type=int, default=42, metavar="N")
-    parser.add_argument("--truncation", type=int, default=10, metavar="N")
-    parser.add_argument("--h", default=None, metavar="LIST",
-                        help="comma-separated metric scales (default: the config's scale.h)")
-    parser.add_argument("--target", default="CH",
-                        help="{C,CP,CH} optionally suffixed -finite/-infinite")
-    parser.add_argument("--out", type=Path, default=None, metavar="PATH")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+# every flag a command may read, in --help order
+_FLAGS = {
+    "--config": dict(type=Path, required=True, help="domain configuration file"),
+    "--samples": dict(type=int, default=50, metavar="N"),
+    "--seed": dict(type=int, default=42, metavar="N"),
+    "--truncation": dict(type=int, default=10, metavar="N"),
+    "--h": dict(default=None, metavar="LIST",
+                help="comma-separated metric scales (default: the config's scale.h)"),
+    "--target": dict(default="CH", help="{C,CP,CH} optionally suffixed -finite/-infinite"),
+    "--out": dict(type=Path, default=None, metavar="PATH"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: a flag one command lacks must not resolve to another,
+    # as --h would to --help
     parser = _Parser(
         prog="hartogs",
         description="curvature checks and immersion decisions for Hartogs domains",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext, needs_config in (
-        ("curvature", "sample-point sweep of the curvature identities", True),
-        ("check-einstein", "is the canonical metric Einstein?", True),
-        ("check-extremal", "is the canonical metric extremal?", True),
-        ("immersion", "existence of a Kahler immersion into a space form", True),
-        ("diastasis", "resolvability verdicts for all three space forms", True),
-        ("report", "full report: curvature, verdicts, diastasis, immersion", True),
-        ("fixtures", "run the canned verification suite", False),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p, config_required=needs_config)
+    for name, (helptext, handler, reads) in _COMMANDS.items():
+        p = sub.add_parser(name, help=helptext, allow_abbrev=False)
+        # every command takes --seed and --out, read or not: the benchmark
+        # harness passes both to every op
+        for flag, settings in _FLAGS.items():
+            if flag in reads or flag in ("--seed", "--out"):
+                p.add_argument(flag, **settings)
+        p.set_defaults(handler=handler)
     return parser
 
 
-def _parse_h_list(text: str | None) -> list[float | None]:
+def _parse_h_list(text: str | None) -> list[Fraction | None]:
     """The scales of ``--h`` in the config number grammar (1/3, 0.1, 1e-3),
-    as the nearest doubles; without ``--h``, [None], read as ``scale.h``."""
+    exactly; without ``--h``, [None], read as ``scale.h``."""
     if text is None:
         return [None]
     values = []
     for part in text.split(","):
         try:
-            h = float(_parse_number(part, None))
+            h = _parse_number(part, None)
         except ConfigError:
-            h = 0.0
-        if not h > 0:
+            h = 0
+        if not _is_positive_double(h):
             raise ValueError(f"all h values must be positive and finite, got {part.strip()!r}")
         values.append(h)
     return values
@@ -88,9 +89,9 @@ def _parse_h_list(text: str | None) -> list[float | None]:
 
 def _run_config(args):
     parsed = parse_config(args.config)
-    if args.samples < 1:
+    if "samples" in args and args.samples < 1:
         raise ValueError("--samples must be at least 1")
-    if args.truncation < 2:
+    if "truncation" in args and args.truncation < 2:
         raise ValueError("--truncation must be at least 2")
     return parsed
 
@@ -166,24 +167,16 @@ def cmd_immersion(args) -> int:
             parsed.spec, target, h=h,
             truncation_degree=args.truncation, facts=parsed.facts,
         )
-        v = chk.verdict
-        all_exist = all_exist and v.answer is Answer.EXISTS
-        results.append(
-            {
-                "target": v.target.value,
-                "h": v.h,
-                "answer": v.answer.value,
-                "rule": v.rule,
-                "provenance": v.provenance,
-                "cross_check": {
-                    "agreement": chk.agreement,
-                    "truncation": chk.truncation_degree,
-                    "all_psd": chk.all_psd,
-                    "rank_lower_bound": chk.rank_lower_bound,
-                    "first_failure": chk.first_failure,
-                },
-            }
-        )
+        all_exist = all_exist and chk.verdict.answer is Answer.EXISTS
+        row = reporting.immersion_payload(chk.verdict)
+        row["cross_check"] = {
+            "agreement": chk.agreement,
+            "truncation": chk.truncation_degree,
+            "all_psd": chk.all_psd,
+            "rank_lower_bound": chk.rank_lower_bound,
+            "first_failure": chk.first_failure,
+        }
+        results.append(row)
     payload = reporting.with_schema(
         {
             "command": "immersion",
@@ -195,23 +188,27 @@ def cmd_immersion(args) -> int:
     return 0 if all_exist else 2
 
 
+def _resolvability_rows(spec, h_values, truncation) -> list[dict]:
+    """One resolvability payload per (form, h), forms outermost."""
+    return [
+        reporting.resolvability_payload(
+            resolvability(form, spec, h=h, truncation_degree=truncation)
+        )
+        for form in Form
+        for h in h_values
+    ]
+
+
 def cmd_diastasis(args) -> int:
     parsed = _run_config(args)
     h_values = _parse_h_list(args.h)
     if args.format == "csv" and args.out is None:
         raise ValueError("--format csv for diastasis requires --out DIR")
-    results = []
-    for form in Form:
-        for h in h_values:
-            v = resolvability(
-                form, parsed.spec, h=h, truncation_degree=args.truncation
-            )
-            results.append(reporting.resolvability_payload(v))
     payload = reporting.with_schema(
         {
             "command": "diastasis",
             "spec": reporting.spec_summary(parsed.spec),
-            "verdicts": results,
+            "verdicts": _resolvability_rows(parsed.spec, h_values, args.truncation),
         }
     )
     if args.format == "csv":
@@ -236,26 +233,12 @@ def cmd_report(args) -> int:
     pts = _verdict_points(spec, args)
     v = verdicts(spec, pts)
     h_values = _parse_h_list(args.h)
-    diastasis = [
-        reporting.resolvability_payload(
-            resolvability(form, spec, h=h, truncation_degree=args.truncation)
-        )
-        for form in Form
+    diastasis = _resolvability_rows(spec, h_values, args.truncation)
+    immersions = [
+        reporting.immersion_payload(decide(spec, target, h=h, facts=parsed.facts))
+        for target in ImmersionTarget
         for h in h_values
     ]
-    immersions = []
-    for target in ImmersionTarget:
-        for h in h_values:
-            verdict = decide(spec, target, h=h, facts=parsed.facts)
-            immersions.append(
-                {
-                    "target": verdict.target.value,
-                    "h": verdict.h,
-                    "answer": verdict.answer.value,
-                    "rule": verdict.rule,
-                    "provenance": verdict.provenance,
-                }
-            )
     payload = reporting.with_schema(
         {
             "command": "report",
@@ -295,14 +278,31 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+# command -> (help text, handler, the flags it reads besides --seed and --out)
 _COMMANDS = {
-    "curvature": cmd_curvature,
-    "check-einstein": cmd_check,
-    "check-extremal": cmd_check,
-    "immersion": cmd_immersion,
-    "diastasis": cmd_diastasis,
-    "report": cmd_report,
-    "fixtures": cmd_fixtures,
+    "curvature": (
+        "sample-point sweep of the curvature identities",
+        cmd_curvature, ("--config", "--samples", "--format"),
+    ),
+    "check-einstein": (
+        "is the canonical metric Einstein?", cmd_check, ("--config", "--samples"),
+    ),
+    "check-extremal": (
+        "is the canonical metric extremal?", cmd_check, ("--config", "--samples"),
+    ),
+    "immersion": (
+        "existence of a Kahler immersion into a space form",
+        cmd_immersion, ("--config", "--truncation", "--h", "--target"),
+    ),
+    "diastasis": (
+        "resolvability verdicts for all three space forms",
+        cmd_diastasis, ("--config", "--truncation", "--h", "--format"),
+    ),
+    "report": (
+        "full report: curvature, verdicts, diastasis, immersion",
+        cmd_report, ("--config", "--samples", "--truncation", "--h"),
+    ),
+    "fixtures": ("run the canned verification suite", cmd_fixtures, ()),
 }
 
 
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (HartogsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

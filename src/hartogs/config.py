@@ -12,10 +12,10 @@ Grammar: UTF-8 text, ``#`` starts a comment, blank lines ignored. Keys:
     facts.hyperbolic
 
 A number is read exactly as written (1/3, 0.1 and 1e-3 are exact
-rationals), and its value must lie in the double range. The exponents stay
-exact, so the curvature verdicts are decided on them; the scale h is used
-as the nearest double. Unknown keys are hard errors carrying the line
-number.
+rationals), and its value must lie in the double range. The exponents and
+the scale h stay exact, so the curvature and immersion verdicts are decided
+on them; h enters the series arithmetic as its nearest double. Unknown keys
+are hard errors carrying the line number.
 """
 
 from __future__ import annotations
@@ -128,10 +128,10 @@ def parse_config_text(text: str) -> ParsedConfig:
     if "fiber.dim" in entries:
         value, line = entries["fiber.dim"]
         fiber_dim = _parse_int(value, line)
-    scale = 1.0
+    scale = Fraction(1)
     if "scale.h" in entries:
         value, line = entries["scale.h"]
-        scale = float(_parse_number(value, line))
+        scale = _parse_number(value, line)
     try:
         spec = HartogsSpec(base, fiber_dim, scale)
     except ValueError as exc:

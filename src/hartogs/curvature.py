@@ -39,8 +39,7 @@ from .domains import (
     squared_norms,
     tau_exact,
 )
-from .errors import HartogsError
-from .hermitian import eigenvalues, hermitian_part
+from .errors import EigenSolverError, HartogsError
 
 #: Most terms (product terms of the jet algebra times points) one product
 #: of a Taylor-mode oracle holds. A sample is split into consecutive chunks
@@ -77,6 +76,41 @@ def _metric_parts(spec: HartogsSpec, coords: np.ndarray):
     g[:, d0:, d0:] = phi_grad[:, :, None] * np.conj(phi_grad)[:, None, :] - f * phi_hess
     g /= row_power(margin, 2)[:, None, None]
     return g, margin, factors, phi_val
+
+
+def hermitian_part(stack: np.ndarray, atol) -> np.ndarray:
+    """(M + M*) / 2 for every matrix M of an (N, n, n) stack.
+
+    Metric and Ricci tensors pass through here once, so ``eigenvalues`` can
+    take them row by row. Each M must be Hermitian within its budget
+    ``atol`` (a scalar, or one value per matrix); the result is exactly
+    Hermitian. Closed-form producers use ``1e-12 * max |entry|``; the
+    Taylor-mode Ricci oracle carries the round-off of its jet algebra and
+    passes a wider budget.
+    """
+    stack_h = np.conj(stack.swapaxes(-1, -2))
+    asymmetry = np.abs(stack - stack_h).max(axis=(-2, -1))
+    bad = asymmetry > atol
+    if np.count_nonzero(bad):
+        i = bad.argmax()
+        raise ValueError(
+            f"matrix is not Hermitian: asymmetry {asymmetry[i]:.3e} "
+            f"exceeds budget {np.broadcast_to(atol, asymmetry.shape)[i]:.3e}"
+        )
+    return 0.5 * (stack + stack_h)
+
+
+def eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Real eigenvalues in ascending order of each matrix of an (N, n, n)
+    Hermitian stack."""
+    try:
+        return np.linalg.eigvalsh(stack)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in practice
+        dim = stack.shape[-1]
+        raise EigenSolverError(
+            f"eigenvalue solver failed to converge on a {dim}x{dim} matrix",
+            dim=dim,
+        ) from exc
 
 
 def _symmetrised(g: np.ndarray) -> np.ndarray:

@@ -48,6 +48,14 @@ class DomainKind(str, Enum):
     FOCK = "fock"
 
 
+def _is_positive_double(x) -> bool:
+    """Whether x, a float or an exact number, has a positive finite double."""
+    try:
+        return 0 < float(x) < math.inf
+    except OverflowError:  # an exact number past the double range
+        return False
+
+
 def _exact(x: float) -> Fraction:
     """x as its short fraction where that reproduces it (0.1 is 1/10), else
     exactly: every finite float is a dyadic rational."""
@@ -84,11 +92,7 @@ class BaseDomainSpec:
             raise ValueError("factor dimensions must be positive integers")
         if len(exps) != len(dims):
             raise ValueError("need one exponent per factor")
-        try:
-            finite = all(0 < float(m) < math.inf for m in exps)
-        except OverflowError:  # an exact exponent past the double range
-            finite = False
-        if not finite:
+        if not all(map(_is_positive_double, exps)):
             raise ValueError("exponents must be positive and finite")
         object.__setattr__(self, "exponents", tuple(map(_exact, exps)))
         if kind is DomainKind.POLYDISC:
@@ -208,17 +212,18 @@ class HartogsSpec:
     """Hartogs domain over a base: fiber dimension d0 and metric scale h.
 
     The scale enters only the diastasis / immersion machinery; curvature
-    formulas are stated for the unscaled potential (h = 1).
+    formulas are stated for the unscaled potential (h = 1). A config file
+    gives it as the exact Fraction it reads.
     """
 
     base: BaseDomainSpec
     fiber_dim: int
-    scale: float = 1.0
+    scale: Fraction | float = 1.0
 
     def __post_init__(self):
         if self.fiber_dim < 1:
             raise ValueError("fiber dimension must be at least 1")
-        if not (self.scale > 0 and math.isfinite(self.scale)):
+        if not _is_positive_double(self.scale):
             raise ValueError("metric scale must be positive and finite")
 
     @property

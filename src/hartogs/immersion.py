@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Callable
 
-from .domains import BaseDomainSpec, DomainKind, HartogsSpec, _exact
+from .domains import BaseDomainSpec, DomainKind, HartogsSpec
 from .errors import CapabilityError, HartogsError
 from .series import Form, _scale, resolvability
 
@@ -78,29 +79,29 @@ class ImmersionTarget(str, Enum):
 class BaseImmersionFacts:
     """Immersion facts about the base domain, closed under the lemma lattice.
 
-    ``projective`` and ``hyperbolic`` map a scale h to yes/no/unknown;
+    ``projective`` and ``hyperbolic`` map the exact scale h to yes/no/unknown;
     ``projective`` already quantifies over all nonnegative integer shifts of
     h. A yes Euclidean fact upgrades every projective fact; a no Euclidean
     fact forces every hyperbolic fact to no.
     """
 
     euclidean: str
-    projective: Callable[[float], str] = field(repr=False)
-    hyperbolic: Callable[[float], str] = field(repr=False)
+    projective: Callable[[Fraction], str] = field(repr=False)
+    hyperbolic: Callable[[Fraction], str] = field(repr=False)
     provenance: str = "user_supplied"
 
     def __post_init__(self):
         if self.euclidean not in _FACT_VALUES:
             raise ValueError(f"euclidean fact must be one of {_FACT_VALUES}")
 
-    def projective_all_shifts(self, h: float) -> str:
+    def projective_all_shifts(self, h: Fraction) -> str:
         if self.euclidean == YES:
             return YES
         value = self.projective(h)
         _check_fact(value)
         return value
 
-    def hyperbolic_at(self, h: float) -> str:
+    def hyperbolic_at(self, h: Fraction) -> str:
         value = self.hyperbolic(h)
         _check_fact(value)
         if value == YES and self.euclidean == NO:
@@ -166,7 +167,7 @@ def catalog_facts(base: BaseDomainSpec) -> BaseImmersionFacts:
     return BaseImmersionFacts(
         euclidean=YES,
         projective=lambda h: YES,
-        hyperbolic=lambda h, mu=mu: YES if _exact(h) * mu <= 1 else NO,
+        hyperbolic=lambda h, mu=mu: YES if h * mu <= 1 else NO,
         provenance="catalog",
     )
 
@@ -174,7 +175,7 @@ def catalog_facts(base: BaseDomainSpec) -> BaseImmersionFacts:
 @dataclass(frozen=True)
 class ImmersionVerdict:
     target: ImmersionTarget
-    h: float
+    h: Fraction
     answer: Answer
     rule: str
     provenance: str
@@ -217,7 +218,7 @@ def decide(
         fact = facts.projective_all_shifts(h)
         rule = _RULE_PROJECTIVE
     else:
-        if _exact(h) > 1:
+        if h > 1:
             return verdict(Answer.NOT_EXISTS, _RULE_SCALE_BOUND)
         fact = facts.hyperbolic_at(h)
         rule = _RULE_HYPERBOLIC

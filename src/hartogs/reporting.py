@@ -88,7 +88,7 @@ def spec_summary(spec: HartogsSpec) -> dict:
         "mu": list(base.float_exponents),
         "shape": list(base.shape) if base.shape else None,
         "fiber_dim": spec.fiber_dim,
-        "scale_h": spec.scale,
+        "scale_h": float(spec.scale),
         "genus": [g if g is None else float(g) for g in base.genus],
         "einstein_constants": [float(c) for c in base.einstein_constants],
     }
@@ -104,11 +104,22 @@ def resolvability_payload(verdict) -> dict:
         }
     return {
         "form": verdict.form.value,
-        "h": verdict.h,
+        "h": float(verdict.h),
         "truncation": verdict.truncation_degree,
         "all_psd": verdict.all_psd,
         "rank_lower_bound": verdict.rank_lower_bound,
         "first_failure": failure,
+    }
+
+
+def immersion_payload(verdict) -> dict:
+    """The five fields of an immersion verdict."""
+    return {
+        "target": verdict.target.value,
+        "h": float(verdict.h),
+        "answer": verdict.answer.value,
+        "rule": verdict.rule,
+        "provenance": verdict.provenance,
     }
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .domains import (
     DomainKind,
     HartogsSpec,
     _exact,
+    _is_positive_double,
     coordinate_stack,
 )
 from .errors import CapabilityError
@@ -214,14 +216,16 @@ def _series_term(form: Form, sigma: int, h: float):
     return -pochhammer(-h, sigma) / math.factorial(sigma), float(sigma) - h
 
 
-def _scale(spec: HartogsSpec, h) -> float:
-    h = spec.scale if h is None else float(h)
-    if not (h > 0 and math.isfinite(h)):
+def _scale(spec: HartogsSpec, h) -> Fraction:
+    """The scale h (``spec.scale`` when None), exactly: a Fraction stays as
+    it is, a float is read by :func:`_exact`."""
+    h = spec.scale if h is None else h
+    if not _is_positive_double(h):
         raise ValueError("scale h must be positive and finite")
-    return h
+    return _exact(h)
 
 
-def _block(form: Form, spec: HartogsSpec, i: int, sigma: int, h: float, table: _BaseTable) -> CoefficientBlock:
+def _block(form: Form, spec: HartogsSpec, i: int, sigma: int, h: Fraction, table: _BaseTable) -> CoefficientBlock:
     if i == 0:
         # constant term of all three expansions vanishes since phi(0) = 1
         return CoefficientBlock(
@@ -236,7 +240,7 @@ def _block(form: Form, spec: HartogsSpec, i: int, sigma: int, h: float, table: _
     base_idx = tuple(grade_indices(spec.base.dim, i - sigma))
     diagonal = None
     try:
-        prefactor, s = _series_term(form, sigma, h)
+        prefactor, s = _series_term(form, sigma, float(h))
         sig_fact = math.factorial(sigma)
         weights = [prefactor * sig_fact * multi_factorial(nu) for nu in fiber_idx]
         values = [table(s, alpha) for alpha in base_idx]
@@ -311,7 +315,7 @@ class ResolvabilityVerdict:
     """
 
     form: Form
-    h: float
+    h: Fraction
     truncation_degree: int
     all_psd: bool
     rank_lower_bound: int
@@ -344,7 +348,7 @@ def _sign_table(c: np.ndarray, zero: np.ndarray, width: int) -> np.ndarray:
     return signs
 
 
-def _sign_tables(form: Form, spec: HartogsSpec, h: float, t: int):
+def _sign_tables(form: Form, spec: HartogsSpec, h: Fraction, t: int):
     """Exact (positive, negative) entry counts of every block through degree t.
 
     Yields (sigma0, pos, neg) for consecutive row groups of at most
@@ -366,7 +370,7 @@ def _sign_tables(form: Form, spec: HartogsSpec, h: float, t: int):
 
     base, fibers = spec.base, degrees(spec.fiber_dim)
     fock = base.kind is DomainKind.FOCK
-    p, q = _exact(h).as_integer_ratio()
+    p, q = h.as_integer_ratio()
     # prefactor signs, and the base-table power s = sigma + e h
     e = {Form.EUCLIDEAN: 0, Form.PROJECTIVE: 1, Form.HYPERBOLIC: -1}[form]
     prefactor = np.ones(t + 1, dtype=int)
@@ -477,8 +481,10 @@ def series_partial_sum(spec: HartogsSpec, points, truncation_degree: int) -> np.
     per row of an (N, n) stack of points.
 
     Only meaningful near the origin; enforced at ||(z0, z)|| <= 0.3 where the
-    expansions converge fast for every catalog base. The coefficients are
-    computed once; each row sums its monomials in the same order.
+    expansions converge fast for every catalog base. Each entry of the
+    Euclidean :func:`blocks`, at multi-index m = (nu, alpha), contributes
+    entry / (m!)^2 times |z0|^(2 nu) |z|^(2 alpha); every row sums them in
+    the blocks' order.
     """
     coords = coordinate_stack(spec, points)
     if any(float(np.linalg.norm(row)) > 0.3 for row in coords):
@@ -487,35 +493,25 @@ def series_partial_sum(spec: HartogsSpec, points, truncation_degree: int) -> np.
         f"euclidean series through degree {truncation_degree} exceeds the "
         "double-precision range"
     )
-    table = _BaseTable(spec.base)
-    h = spec.scale
     d0 = spec.fiber_dim
-    terms = []  # (coefficient, fiber exponents nu, base exponents alpha)
+    squares = np.abs(coords) ** 2
+    terms = []
     try:
-        for i in range(1, truncation_degree + 1):
-            for sigma in range(i, -1, -1):
-                prefactor, s = _series_term(Form.EUCLIDEAN, sigma, h)
-                sig_fact = math.factorial(sigma)
-                for nu in grade_indices(d0, sigma):
-                    weight = sig_fact / multi_factorial(nu)
-                    for alpha in grade_indices(spec.base.dim, i - sigma):
-                        deriv = table(s, alpha)
-                        if deriv == 0.0:
-                            continue
-                        coeff = deriv / multi_factorial(alpha) ** 2
-                        terms.append((prefactor * weight * coeff, np.array(nu), np.array(alpha)))
-    except OverflowError:
+        for b in blocks(Form.EUCLIDEAN, spec, truncation_degree):
+            nu = np.repeat(b.fiber_indices, len(b.base_indices), axis=0)
+            alpha = np.tile(b.base_indices, (len(b.fiber_indices), 1))
+            m = np.hstack([nu, alpha])
+            coeff = b.diagonal / [multi_factorial(row) ** 2 for row in m.tolist()]
+            fiber = np.prod(squares[:, None, :d0] ** nu, axis=2)
+            base = np.prod(squares[:, None, d0:] ** alpha, axis=2)
+            terms.append(coeff * fiber * base)
+    except (CapabilityError, OverflowError):
         raise overflow from None
-    totals = []
-    for row in coords:
-        fiber_sq, base_sq = np.abs(row[:d0]) ** 2, np.abs(row[d0:]) ** 2
-        total = 0.0
-        for c, nu, alpha in terms:
-            total += c * float(np.prod(fiber_sq**nu)) * float(np.prod(base_sq**alpha))
-        if not math.isfinite(total):
-            raise overflow
-        totals.append(total)
-    return np.array(totals)
+    # cumsum adds left to right, so every row sums its terms in one order
+    totals = np.cumsum(np.hstack(terms), axis=1)[:, -1]
+    if not np.isfinite(totals).all():
+        raise overflow
+    return totals
 
 
 #: Largest side degree |j|, |k| the coefficient oracle resolves; the audit
@@ -553,7 +549,7 @@ def origin_coefficients(form: Form, spec: HartogsSpec, h: float | None = None) -
             f"the coefficient jet's products would hold {terms} terms for {n} "
             f"variables, more than the limit of {MAX_ORACLE_TERMS}"
         )
-    f = h * _potential_jets(spec, np.zeros((1, n), dtype=np.complex128), bidegree)[0]
+    f = float(h) * _potential_jets(spec, np.zeros((1, n), dtype=np.complex128), bidegree)[0]
     if form is Form.PROJECTIVE:
         f = taylor.shifted(taylor.exp(f, bidegree), -1.0)
     elif form is Form.HYPERBOLIC:

@@ -50,9 +50,10 @@ class TestConfigParsing:
 
     def test_fraction_values(self):
         parsed = parse_config_text(
-            "base.kind = ball\nbase.dims = 1\nbase.mu = 1/2\n"
+            "base.kind = ball\nbase.dims = 1\nbase.mu = 1/2\nscale.h = 1/3\n"
         )
         assert parsed.spec.base.exponents == (0.5,)
+        assert parsed.spec.scale == Fraction(1, 3)
 
     def test_polydisc_lists(self):
         parsed = parse_config_text(
@@ -105,7 +106,7 @@ class TestConfigParsing:
             parse_config_text(text)
         assert err.value.line == text.count("\n")
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "1,-inf", "0.5,nan", "0", "-1"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "1,-inf", "0.5,nan", "0", "-1", "1e-400"])
     def test_h_list_rejects_non_finite_and_non_positive(self, text):
         with pytest.raises(ValueError, match="positive and finite"):
             _parse_h_list(text)
@@ -132,6 +133,8 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="positive") as err:
             parse_config_text("base.kind = ball\nbase.dims = 1\nbase.mu = 1e-400\n")
         assert err.value.line == 3
+        with pytest.raises(ConfigError, match="positive"):
+            parse_config_text("base.kind = ball\nbase.dims = 1\nbase.mu = 1\nscale.h = 1e-400\n")
 
     @pytest.mark.parametrize("line", ["base.genus = 7", "base.einstein_constant = -1"])
     def test_override_keys_are_unknown(self, line):
@@ -554,6 +557,17 @@ class TestCli:
                 "4", "--out", str(tmp_path / "out.json")]
         assert main(argv) == code
 
+    def test_h_stays_exact_to_the_decision(self, tmp_path):
+        # h mu = 1 exactly, which the nearest double of 1/1234567 overshoots
+        cfg = tmp_path / "disc.cfg"
+        cfg.write_text(DISC_CONFIG.replace("base.mu = 1", "base.mu = 1234567"), encoding="utf-8")
+        out = tmp_path / "out.json"
+        argv = ["immersion", "--config", str(cfg), "--target", "CH", "--h", "1/1234567",
+                "--truncation", "4", "--out", str(out)]
+        assert main(argv) == 0
+        (verdict,) = json.loads(out.read_text())["verdicts"]
+        assert verdict["answer"] == "exists" and verdict["h"] == 1 / 1234567
+
     def test_config_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(
@@ -588,6 +602,49 @@ class TestCli:
         assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, foreign",
+        [
+            ("check-einstein", ["--format", "csv"]),
+            ("check-extremal", ["--h", "2"]),
+            ("immersion", ["--samples", "0"]),
+            ("diastasis", ["--target", "CP"]),
+            ("report", ["--format", "csv"]),
+            ("curvature", ["--h", "2"]),
+            ("fixtures", ["--config", "x.cfg"]),
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(
+        self, command, foreign, disc_config, tmp_path, capsys
+    ):
+        config = [] if command == "fixtures" else ["--config", str(disc_config)]
+        argv = [command, *config, *foreign, "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: unrecognized arguments: {' '.join(foreign)}\n"
+        assert not (tmp_path / "out.json").exists()
+
+    def test_each_command_takes_only_its_flags(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        flags = {
+            name: {o for a in p._actions if a.dest != "help" for o in a.option_strings}
+            for name, p in sub.choices.items()
+        }
+        common = {"--seed", "--out"}
+        check = common | {"--config", "--samples"}
+        series = common | {"--config", "--truncation", "--h"}
+        assert flags == {
+            "curvature": check | {"--format"},
+            "check-einstein": check,
+            "check-extremal": check,
+            "immersion": series | {"--target"},
+            "diastasis": series | {"--format"},
+            "report": series | {"--samples"},
+            "fixtures": common,
+        }
+        assert sum(map(len, flags.values())) == 33
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -621,10 +678,16 @@ _NEVER_RAISE_CONFIGS = [
     POLYDISC_HALF_CONFIG.replace("1/2,1", "1/2,-inf"),
 ]
 
+_NEVER_RAISE_FLAGS = {
+    "diastasis": ("--h", "--truncation"),
+    "immersion": ("--h", "--truncation"),
+    "check-einstein": ("--samples",),
+}
+
 
 @settings(max_examples=40, deadline=None)
 @given(
-    command=st.sampled_from(["diastasis", "immersion", "check-einstein"]),
+    command=st.sampled_from(sorted(_NEVER_RAISE_FLAGS)),
     config=st.sampled_from(_NEVER_RAISE_CONFIGS),
     h=st.one_of(
         st.floats(allow_nan=True, allow_infinity=True),
@@ -634,15 +697,14 @@ _NEVER_RAISE_CONFIGS = [
     samples=st.integers(min_value=1, max_value=12),
 )
 def test_cli_never_raises(command, config, h, truncation, samples):
+    # only the flags the command reads, so that no example stops at a usage error
+    values = {"--h": repr(h), "--truncation": truncation, "--samples": samples}
+    own = [f"{flag}={values[flag]}" for flag in _NEVER_RAISE_FLAGS[command]]
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "domain.cfg"
         cfg.write_text(config, encoding="utf-8")
         out = Path(tmp) / "out.json"
-        code = main(
-            [command, "--config", str(cfg), f"--h={h!r}",
-             "--truncation", str(truncation), "--samples", str(samples),
-             "--out", str(out)]
-        )
+        code = main([command, "--config", str(cfg), *own, "--out", str(out)])
         assert code in (0, 1, 2)
         if out.exists():
             text = out.read_text()

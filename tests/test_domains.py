@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hartogs.curvature import eigenvalues
 from hartogs.domains import (
     MIN_INTERIOR_MARGIN,
     BaseDomainSpec,
@@ -20,7 +21,6 @@ from hartogs.domains import (
     tau_exact,
 )
 from hartogs.errors import BoundaryViolationError, CapabilityError
-from hartogs.hermitian import eigenvalues
 
 
 def phi(base, z):

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs.curvature import curvature_report
+from hartogs.curvature import curvature_report, eigenvalues, hermitian_part
 from hartogs.domains import BaseDomainSpec, HartogsSpec, sample_points
 from hartogs.errors import EigenSolverError
-from hartogs.hermitian import eigenvalues, hermitian_part
 
 B2 = HartogsSpec(BaseDomainSpec.disc(1.0), 1)  # the unit ball in C^2
 

@@ -278,7 +278,9 @@ class TestDoubleRange:
         with pytest.raises(CapabilityError, match="euclidean series"):
             series_partial_sum(DISC, [[0.1, 0.1]], 180)
 
-    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "h", [math.nan, math.inf, 0.0, -1.0, Fraction(1, 10**400), Fraction(10**400)]
+    )
     def test_scale_must_be_positive_and_finite(self, h):
         with pytest.raises(ValueError, match="positive and finite"):
             resolvability(Form.PROJECTIVE, DISC, h=h)
@@ -417,7 +419,7 @@ def _reference_verdict(form, spec, h, t):
             failure = BlockFailure(*first, float(np.min(block(form, spec, *first, h=h).diagonal)))
         except CapabilityError:
             failure = BlockFailure(*first, None)
-    return ResolvabilityVerdict(form, h, t, first is None, rank, failure)
+    return ResolvabilityVerdict(form, _exact(h), t, first is None, rank, failure)
 
 
 # Radial bases with positive exponents, for the degree-2 test.
