@@ -212,19 +212,20 @@ class HartogsSpec:
     """Hartogs domain over a base: fiber dimension d0 and metric scale h.
 
     The scale enters only the diastasis / immersion machinery; curvature
-    formulas are stated for the unscaled potential (h = 1). A config file
-    gives it as the exact Fraction it reads.
+    formulas are stated for the unscaled potential (h = 1). The scale is
+    held exactly: a float is read by :func:`_exact`.
     """
 
     base: BaseDomainSpec
     fiber_dim: int
-    scale: Fraction | float = 1.0
+    scale: Fraction = Fraction(1)
 
     def __post_init__(self):
         if self.fiber_dim < 1:
             raise ValueError("fiber dimension must be at least 1")
         if not _is_positive_double(self.scale):
             raise ValueError("metric scale must be positive and finite")
+        object.__setattr__(self, "scale", _exact(self.scale))
 
     @property
     def total_dim(self) -> int:
@@ -400,7 +401,7 @@ def hartogs_potential(spec: HartogsSpec, points) -> np.ndarray:
     """-h log(phi(z) - ||z0||^2) per row of an (N, n) stack of points; tends
     to +inf as the margin vanishes, and a row that is not interior raises."""
     margins = interior_margins(spec, coordinate_stack(spec, points))
-    return np.array([-spec.scale * math.log(m) for m in margins.tolist()])
+    return -float(spec.scale) * np.array([math.log(m) for m in margins.tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -217,9 +217,9 @@ def _series_term(form: Form, sigma: int, h: float):
 
 
 def _scale(spec: HartogsSpec, h) -> Fraction:
-    """The scale h (``spec.scale`` when None), exactly: a Fraction stays as
-    it is, a float is read by :func:`_exact`."""
-    h = spec.scale if h is None else h
+    """The scale h, exactly: ``spec.scale`` when None, else h read by :func:`_exact`."""
+    if h is None:
+        return spec.scale
     if not _is_positive_double(h):
         raise ValueError("scale h must be positive and finite")
     return _exact(h)

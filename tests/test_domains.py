@@ -107,6 +107,13 @@ class TestSpecMetadata:
         with pytest.raises(ValueError, match="finite"):
             HartogsSpec(BaseDomainSpec.disc(1.0), 1, scale=bad)
 
+    def test_scale_is_held_exactly(self):
+        # a float scale is read as its short fraction, so equal scales compare equal
+        base = BaseDomainSpec.disc(1.0)
+        assert HartogsSpec(base, 1).scale == Fraction(1)
+        assert HartogsSpec(base, 1, scale=1 / 3) == HartogsSpec(base, 1, scale=Fraction(1, 3))
+        assert type(HartogsSpec(base, 1, scale=0.1).scale) is Fraction
+
 
 class TestPhi:
     def test_center_value(self):

@@ -556,6 +556,16 @@ class TestSeries:
         errors = [abs(series_partial_sum(DISC, p, t)[0] - value) for t in range(2, 13, 2)]
         assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
+    def test_partial_sum_past_degree_twelve(self):
+        # from T = 13 on, (m!)^2 of a single-index row leaves the int64 range
+        p = [[0.08 + 0.03j, 0.07 - 0.02j], [0.1, 0.1]]
+        value = hartogs_potential(DISC, p)
+        for t in (13, 16, 20):
+            sums = series_partial_sum(DISC, p, t)
+            assert sums.dtype == np.float64
+            assert sums == pytest.approx(value, rel=1e-13)
+            assert sums[1] == series_partial_sum(DISC, p[1:], t)[0]
+
     def test_fiber_rotation_invariance(self):
         p, q = series_partial_sum(DISC, [[0.1, 0.1], [0.1 * np.exp(1.2j), 0.1]], 8)
         assert p == pytest.approx(q, rel=1e-12)
