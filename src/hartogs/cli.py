@@ -89,8 +89,10 @@ def _parse_h_list(text: str | None) -> list[Fraction | None]:
 
 def _run_config(args):
     parsed = parse_config(args.config)
-    if "samples" in args and args.samples < 1:
-        raise ValueError("--samples must be at least 1")
+    # the verdicts of check-einstein, check-extremal and report need 10 points
+    least = 1 if args.command == "curvature" else 10
+    if "samples" in args and args.samples < least:
+        raise ValueError(f"--samples must be at least {least}")
     if "truncation" in args and args.truncation < 2:
         raise ValueError("--truncation must be at least 2")
     return parsed
@@ -116,9 +118,7 @@ def cmd_curvature(args) -> int:
 
 
 def _verdict_points(spec, args):
-    return sample_points(
-        spec, max(args.samples, 10), seed=args.seed, margin_frac=0.1, min_margin=0.05
-    )
+    return sample_points(spec, args.samples, seed=args.seed, margin_frac=0.1, min_margin=0.05)
 
 
 # command -> (answer field, residual field, rule); only check-extremal

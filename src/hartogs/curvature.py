@@ -39,13 +39,14 @@ from .domains import (
     squared_norms,
     tau_exact,
 )
-from .errors import EigenSolverError, HartogsError
+from .errors import CapabilityError, EigenSolverError, HartogsError
 
-#: Most terms (product terms of the jet algebra times points) one product
-#: of a Taylor-mode oracle holds. A sample is split into consecutive chunks
-#: of points that stay under it, so peak memory does not grow with the
-#: sample size; a point whose product alone is longer runs by itself.
-JET_STACK_TERMS = 4096
+#: Most bytes of the largest gather buffer of a Taylor-mode oracle: product
+#: terms of the jet algebra times jets times 16 B. A sample is split into
+#: consecutive chunks of points that stay under it, so peak memory does not
+#: grow with the sample size; a point whose buffer alone is larger runs by
+#: itself.
+JET_STACK_BYTES = 1 << 20
 
 #: Bidegree of the Ricci oracle's jets: Ric reads mixed partials of the
 #: potential through bidegree (2, 2).
@@ -163,11 +164,31 @@ def _potential_jets(spec: HartogsSpec, coords, bidegree: tuple[int, int]):
     return f, log_phi
 
 
-def _jet_chunks(spec: HartogsSpec, rows: int, bidegree: tuple[int, int]) -> list[slice]:
-    """Consecutive chunks of ``rows`` points whose jet products of
-    ``bidegree`` hold at most ``JET_STACK_TERMS`` terms."""
-    per_chunk = max(1, JET_STACK_TERMS // taylor.product_terms(spec.total_dim, bidegree))
-    return [slice(start, start + per_chunk) for start in range(0, rows, per_chunk)]
+def jet_bytes_per_point(spec: HartogsSpec, bidegree: tuple[int, int]) -> int:
+    """Bytes of the largest gather buffer of one point's potential jet of
+    ``bidegree``: a product of two jets, or, on a Cartan factor with m >= 2
+    rows, the Schur update of the first LU step of :func:`taylor.log_det`,
+    (m - 1)^2 products at once."""
+    m = spec.base.shape[0] if spec.base.shape else 1
+    return 16 * max(1, (m - 1) ** 2) * taylor.product_terms(spec.total_dim, bidegree)
+
+
+def _jet_chunks(spec: HartogsSpec, rows: int, bidegree: tuple[int, int]):
+    """Consecutive chunks of ``rows`` points whose jets of ``bidegree``
+    gather at most ``JET_STACK_BYTES`` at once, and the gather bytes of the
+    largest chunk, for :func:`taylor.scratch`."""
+    size = jet_bytes_per_point(spec, bidegree)
+    per_chunk = max(1, JET_STACK_BYTES // size)
+    chunks = [slice(start, start + per_chunk) for start in range(0, rows, per_chunk)]
+    return chunks, min(rows, per_chunk) * size
+
+
+def _require_finite(what: str, *values: np.ndarray) -> None:
+    """Raise :class:`CapabilityError` when values left the double range, as
+    the jets of the potential do from exponents near 1e200 and the closed
+    forms near 1e303."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise CapabilityError(f"{what} left the double-precision range")
 
 
 def _ricci_of_potential(f: np.ndarray) -> np.ndarray:
@@ -195,16 +216,19 @@ def ricci_numeric(spec: HartogsSpec, points) -> np.ndarray:
     no margin rule: every interior point is accepted, and agreement with
     the closed form is at round-off level (within 1e-9 relative, margins
     of 1e-3 included). Consecutive points run as one chunk whose jet
-    products hold at most ``JET_STACK_TERMS`` terms, and each row gives
+    buffers hold at most ``JET_STACK_BYTES``, and each row gives
     the same floats as the one-row stack of its point.
     """
     coords = coordinate_stack(spec, points)
     interior_margins(spec, coords)
     n = spec.total_dim
     ric = np.empty((len(coords), n, n), dtype=np.complex128)
-    for chunk in _jet_chunks(spec, len(coords), RICCI_BIDEGREE):
-        f, _ = _potential_jets(spec, coords[chunk], RICCI_BIDEGREE)
-        ric[chunk] = _ricci_of_potential(f)
+    chunks, nbytes = _jet_chunks(spec, len(coords), RICCI_BIDEGREE)
+    with taylor.scratch(nbytes), np.errstate(over="ignore", invalid="ignore"):
+        for chunk in chunks:
+            f, _ = _potential_jets(spec, coords[chunk], RICCI_BIDEGREE)
+            ric[chunk] = _ricci_of_potential(f)
+    _require_finite("the Ricci jets of the potential", ric)
     return hermitian_part(ric, 1e-9 * (1.0 + np.abs(ric).max(axis=(1, 2))))
 
 
@@ -228,7 +252,7 @@ def _extremal_of_jets(f: np.ndarray, log_phi: np.ndarray, tau: float):
 def _extremal_field(spec: HartogsSpec, coords):
     """max |dV/dzbar| and V^a = sum_b g^(b abar) ds/dzbar_b at every row of
     an (N, n) stack of interior points, from the Taylor-mode jets of the
-    potential in chunks of ``JET_STACK_TERMS`` terms; each row gives the
+    potential in chunks of at most ``JET_STACK_BYTES``; each row gives the
     same floats as its one-row stack.
 
     The metric is extremal exactly when dV/dzbar vanishes.
@@ -236,9 +260,12 @@ def _extremal_field(spec: HartogsSpec, coords):
     tau = float(tau_exact(spec.base))
     residual = np.empty(len(coords))
     v = np.empty(coords.shape, dtype=np.complex128)
-    for chunk in _jet_chunks(spec, len(coords), EXTREMAL_BIDEGREE):
-        f, log_phi = _potential_jets(spec, coords[chunk], EXTREMAL_BIDEGREE)
-        residual[chunk], v[chunk] = _extremal_of_jets(f, log_phi, tau)
+    chunks, nbytes = _jet_chunks(spec, len(coords), EXTREMAL_BIDEGREE)
+    with taylor.scratch(nbytes), np.errstate(over="ignore", invalid="ignore"):
+        for chunk in chunks:
+            f, log_phi = _potential_jets(spec, coords[chunk], EXTREMAL_BIDEGREE)
+            residual[chunk], v[chunk] = _extremal_of_jets(f, log_phi, tau)
+    _require_finite("the extremal jets of the potential", residual, v)
     return residual, v
 
 
@@ -373,26 +400,38 @@ def curvature_report(spec: HartogsSpec, points, include_extremal: bool = True) -
     ``include_extremal``.
     """
     coords = coordinate_stack(spec, points)
-    g, margin, factors, phi_val = _metric_parts(spec, coords)
-    g = _symmetrised(g)
-    if np.count_nonzero(eigenvalues(g)[:, 0] <= 0):
-        raise HartogsError("metric is not positive definite at an interior point")
     n, d0 = spec.total_dim, spec.fiber_dim
     tau = float(tau_exact(spec.base))
-    det_closed = row_power(margin, -(n + 1))
-    ric = -(n + 1) * g
-    einstein = np.zeros(len(coords))
-    for sl, (phi_i, hess_i), lam, const in zip(
-        spec.base.factor_slices,
-        factors,
-        map(float, spec.base.lambdas),
-        map(float, spec.base.determinant_constants),
-    ):
-        det_closed = det_closed * (row_power(phi_i, lam) * const)
-        rows = slice(d0 + sl.start, d0 + sl.stop)
-        ric[:, rows, rows] += lam * hess_i
-        einstein = np.maximum(einstein, abs(lam) * np.abs(hess_i).max(axis=(1, 2)))
-    ric = hermitian_part(ric, 1e-11 * (1.0 + np.abs(ric).max(axis=(1, 2))))
+    # at exponents near the top of the double range the closed forms
+    # overflow: one CapabilityError, not numpy warnings and inf rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, margin, factors, phi_val = _metric_parts(spec, coords)
+        g = _symmetrised(g)
+        try:  # a Cholesky factor exists iff every matrix is positive definite
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            _require_finite("the metric", g)
+            raise HartogsError("metric is not positive definite at an interior point") from None
+        det_closed = row_power(margin, -(n + 1))
+        ric = -(n + 1) * g
+        einstein = np.zeros(len(coords))
+        for sl, (phi_i, hess_i), lam, const in zip(
+            spec.base.factor_slices,
+            factors,
+            map(float, spec.base.lambdas),
+            map(float, spec.base.determinant_constants),
+        ):
+            det_closed = det_closed * (row_power(phi_i, lam) * const)
+            rows = slice(d0 + sl.start, d0 + sl.stop)
+            ric[:, rows, rows] += lam * hess_i
+            einstein = np.maximum(einstein, abs(lam) * np.abs(hess_i).max(axis=(1, 2)))
+        ric = hermitian_part(ric, 1e-11 * (1.0 + np.abs(ric).max(axis=(1, 2))))
+        det_direct = np.linalg.det(g).real
+        scalar_trace = np.trace(np.linalg.solve(g, ric), axis1=1, axis2=2).real
+    scalar_closed = tau * margin / phi_val - (n + 1) * n
+    # a non-finite metric, Hessian or Ricci shows in det g or in Ric (a zero
+    # lambda_i times an infinite Hessian is NaN), and then in the rest
+    _require_finite("the closed curvature forms", det_closed, det_direct, ric)
     extremal = (
         _extremal_field(spec, coords)[0] if include_extremal
         else np.full(len(coords), math.nan)
@@ -401,10 +440,10 @@ def curvature_report(spec: HartogsSpec, points, include_extremal: bool = True) -
         coords=coords,
         metric=g,
         det_closed=det_closed,
-        det_direct=np.linalg.det(g).real,
+        det_direct=det_direct,
         ricci_closed=ric,
-        scalar_trace=np.trace(np.linalg.solve(g, ric), axis1=1, axis2=2).real,
-        scalar_closed=tau * margin / phi_val - (n + 1) * n,
+        scalar_trace=scalar_trace,
+        scalar_closed=scalar_closed,
         einstein_residual=einstein,
         extremal_residual=extremal,
         tau=tau,

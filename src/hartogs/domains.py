@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -114,7 +115,9 @@ class BaseDomainSpec:
         elif self.shape is not None:
             raise ValueError("shape is only meaningful for cartan_type_I")
         try:  # the closed forms compute with every constant as a double
-            for constant in (*self.einstein_constants, *self.lambdas, tau_exact(self)):
+            for constant in (
+                *self.einstein_constants, *self.lambdas, self.tau, *self.determinant_constants
+            ):
                 float(constant)
         except OverflowError:
             raise ValueError("exponents put a factor constant past the double range") from None
@@ -196,6 +199,12 @@ class BaseDomainSpec:
         return tuple(mu**d for d, mu in zip(self.dims, self.exponents))
 
     @cached_property
+    def tau(self) -> Fraction:
+        """tau = d(d+1) + sum c_i d_i in exact rational arithmetic."""
+        d = self.dim
+        return d * (d + 1) + sum(c * di for c, di in zip(self.einstein_constants, self.dims))
+
+    @cached_property
     def factor_slices(self) -> tuple[slice, ...]:
         offsets = np.cumsum((0,) + self.dims)
         return tuple(slice(int(a), int(b)) for a, b in zip(offsets, offsets[1:]))
@@ -203,8 +212,7 @@ class BaseDomainSpec:
 
 def tau_exact(base: BaseDomainSpec) -> Fraction:
     """tau = d(d+1) + sum c_i d_i in exact rational arithmetic."""
-    d = base.dim
-    return d * (d + 1) + sum(c * di for c, di in zip(base.einstein_constants, base.dims))
+    return base.tau
 
 
 @dataclass(frozen=True)
@@ -268,8 +276,13 @@ def squared_norms(z) -> np.ndarray:
 
 
 def row_power(values: np.ndarray, exponent) -> np.ndarray:
-    """values ** exponent entry by entry, in Python (libm) floating point."""
-    return np.array([v**exponent for v in values.tolist()])
+    """values ** exponent entry by entry, in Python (libm) floating point.
+    The exponents 0 and 1 skip the loop: x**0 is 1 and x**1 is x exactly."""
+    if exponent == 0:
+        return np.ones(len(values))
+    if exponent == 1:
+        return np.array(values, dtype=float)
+    return np.fromiter(map(pow, values.tolist(), repeat(exponent)), float, len(values))
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -412,9 +425,18 @@ def hartogs_potential(spec: HartogsSpec, points) -> np.ndarray:
 #: Candidates one sample may draw before the sampler gives up.
 _MAX_TRIES = 200_000
 
-#: Squared radius of the ball each bounded factor is drawn in; it lies inside
-#: every bounded factor, which keeps derivative magnitudes moderate.
+#: Largest squared radius of the ball a bounded factor is drawn in, and
+#: largest half-width of the box of a fock factor; they keep derivative
+#: magnitudes moderate.
 _RADIUS_CAP = 0.7
+_BOX_CAP = 0.8
+
+#: A factor of exponent mu is drawn where mu times its log-norm stays above
+#: -40: the ball of squared radius 1 - exp(-40 / mu), on which
+#: (1 - |z|^2)^mu >= e^-40, and the box of half-width sqrt(40 / mu). The
+#: admissible region shrinks like 1 / mu, so draws at large exponents still
+#: land in it; for every mu <= 33 the caps above bind and draws are unchanged.
+_DRAW_DEPTH = 40.0
 
 
 def _ball_draw(rng: np.random.Generator, rows: int, dim: int, squared_radius) -> np.ndarray:
@@ -437,9 +459,10 @@ def sample_points(
     """Seeded interior points, as a (count, n) stack.
 
     Candidates are drawn in batches of 64, 128, 256, ... A candidate base
-    point draws each bounded factor uniformly in the ball of squared radius
-    0.7 (fock factors uniformly in the box [-0.8, 0.8]^(2 d_i)) and is kept
-    when ``phi * (1 - margin_frac)`` exceeds ``min_margin``. Its fiber is
+    point draws each bounded factor of exponent mu uniformly in the ball of
+    squared radius min(0.7, 1 - exp(-40 / mu)) (a fock factor uniformly in
+    the box [-w, w]^(2 d), w = min(0.8, sqrt(40 / mu))) and is kept when
+    ``phi * (1 - margin_frac)`` exceeds ``min_margin``. Its fiber is
     drawn uniformly in the ball of squared radius phi - floor, with floor =
     max(margin_frac * phi, min_margin), so the membership margin
     phi - ||z0||^2 is at least floor (a row that misses it by rounding is
@@ -455,6 +478,10 @@ def sample_points(
             f"draw budget of {_MAX_TRIES} tries"
         )
     base = spec.base
+    if base.bounded:
+        radii = [min(_RADIUS_CAP, -math.expm1(-_DRAW_DEPTH / mu)) for mu in base.float_exponents]
+    else:  # a single fock factor
+        half_width = min(_BOX_CAP, math.sqrt(_DRAW_DEPTH / base.float_exponents[0]))
     rng = np.random.default_rng(seed)
     kept = [np.empty((0, spec.total_dim), dtype=np.complex128)]
     found = tries = 0
@@ -469,10 +496,10 @@ def sample_points(
         tries += rows
         batch *= 2
         if base.bounded:
-            factors = [_ball_draw(rng, rows, df, _RADIUS_CAP) for df in base.dims]
+            factors = [_ball_draw(rng, rows, df, r) for df, r in zip(base.dims, radii)]
             z = np.concatenate(factors, axis=1)
         else:
-            u = rng.uniform(-0.8, 0.8, (rows, 2 * base.dim))
+            u = rng.uniform(-half_width, half_width, (rows, 2 * base.dim))
             z = u[:, : base.dim] + 1j * u[:, base.dim :]
         phi = phi_stack(base, z)
         passes = phi * (1.0 - margin_frac) > min_margin

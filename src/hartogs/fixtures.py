@@ -24,9 +24,9 @@ from .domains import BaseDomainSpec, HartogsSpec, hartogs_potential, phi_stack, 
 from .immersion import table_one
 from .series import (
     Form,
-    block,
+    blocks,
     cross_coefficient_audit,
-    power_deriv,
+    pochhammer,
     resolvability,
     series_partial_sum,
 )
@@ -276,15 +276,19 @@ def criterion_projective_blocks() -> CriterionResult:
         for h in (0.3, 1.0, 2.7):
             v = resolvability(Form.PROJECTIVE, spec, h=h, truncation_degree=10)
             all_psd = all_psd and v.all_psd
-            for i in range(1, 11):
-                for sigma in range(0, i + 1):
-                    entry = float(block(Form.PROJECTIVE, spec, i, sigma, h=h).diagonal[0])
-                    factor = math.exp(
-                        math.lgamma(h + sigma) - math.lgamma(h) + math.lgamma(sigma + 1)
-                    )
-                    expected = factor * power_deriv(spec.base, h + sigma, (i - sigma,))
-                    rel = abs(entry - expected) / max(abs(expected), 1e-300)
-                    worst_rel = max(worst_rel, rel)
+            for b in blocks(Form.PROJECTIVE, spec, 10, v.h):
+                i, sigma = b.total_degree, b.fiber_degree
+                if i == 0:
+                    continue
+                entry = float(b.diagonal[0])
+                factor = math.exp(
+                    math.lgamma(h + sigma) - math.lgamma(h) + math.lgamma(sigma + 1)
+                )
+                # the disc's base entry, pochhammer(h + sigma, k) k!, written out
+                k = i - sigma
+                expected = factor * (pochhammer(h + sigma, k) * math.factorial(k))
+                rel = abs(entry - expected) / max(abs(expected), 1e-300)
+                worst_rel = max(worst_rel, rel)
         ok = all_psd and worst_rel <= 1e-10
         return ok, {
             "all_psd": all_psd,

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .domains import (
     coordinate_stack,
 )
 from .errors import CapabilityError
-from .taylor import _grade
+from .taylor import _grade, _read_only
 
 
 class Form(str, Enum):
@@ -118,9 +119,42 @@ def _require_radial(base: BaseDomainSpec):
         raise CapabilityError("rank >= 2 Cartan series unsupported")
 
 
+def _float_or_inf(x: int) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _power(a: float, k: int) -> float:
+    """a**k, inf past the double range."""
+    try:
+        return a**k
+    except OverflowError:
+        return math.inf
+
+
+@lru_cache(maxsize=256)
+def _grade_table(dims: tuple[int, ...], deg: int):
+    """The multi-indices of degree ``deg`` in sum(dims) variables, in the
+    canonical order, with their parts on consecutive slices of ``dims``
+    variables: the degree of each part, (F, N) ints, and the multi-factorial
+    of each part, (F, N) floats, inf past the double range. Shared;
+    read-only."""
+    indices = tuple(grade_indices(sum(dims), deg))
+    edges = np.cumsum((0,) + dims)
+    exponents = np.array(indices).reshape(len(indices), -1)
+    degrees = np.stack([exponents[:, a:b].sum(axis=1) for a, b in zip(edges, edges[1:])])
+    factorials = np.array(
+        [[_float_or_inf(math.prod(map(math.factorial, m[a:b]))) for m in indices]
+         for a, b in zip(edges, edges[1:])]
+    ).reshape(degrees.shape)
+    return (indices,) + _read_only(degrees, factorials)
+
+
 class _BaseTable:
     """Mixed partials at 0 of phi^-s (or of -log phi when s is None) for the
-    diagonal index pairs (alpha, alpha).
+    diagonal index pairs (alpha, alpha), for every alpha of one degree.
 
     phi^-s is a product over factors, so its entry is the product of one
     factor value per factor: pochhammer(mu s, k) (ball-like) or (s mu)^k
@@ -135,43 +169,52 @@ class _BaseTable:
         _require_radial(base)
         self._base = base
         self._fock = base.kind is DomainKind.FOCK
-        self._slices = base.factor_slices
-        self._values: dict[tuple, float] = {}
+        self._values: dict[tuple, np.ndarray] = {}
 
-    def _factor_value(self, idx: int, s: float, k: int) -> float:
-        key = (idx, s, k)
-        value = self._values.get(key)
-        if value is None:
-            mu = self._base.float_exponents[idx]
-            value = (s * mu) ** k if self._fock else pochhammer(mu * s, k)
-            self._values[key] = value
-        return value
+    def _factor_values(self, idx: int, s: float, degree: int) -> np.ndarray:
+        """The factor's values at k = 0..degree at least, inf past the double
+        range; pochhammer(a, k) grows by one term a + k - 1 per k, the
+        product :func:`pochhammer` forms. A table grows to twice the degree
+        asked for, so a sweep extends it O(log T) times."""
+        values = self._values.get((idx, s), np.ones(1))
+        if len(values) <= degree:
+            a = self._base.float_exponents[idx] * s
+            out = values.tolist()
+            for k in range(len(out), 2 * degree + 1):
+                if self._fock:
+                    out.append(_power(a, k))
+                else:
+                    out.append(0.0 if a <= 0 and a.is_integer() and -a < k else out[-1] * (a + (k - 1)))
+            values = self._values[idx, s] = np.array(out)
+        return values
 
-    def __call__(self, s: float | None, alpha) -> float:
+    def entries(self, s: float | None, degree: int) -> np.ndarray:
+        """The entries of every base index of ``degree``, in the canonical
+        order."""
+        _, degrees, factorials = _grade_table(self._base.dims, degree)
         if s is not None:
-            out = 1.0
-            for idx, sl in enumerate(self._slices):
-                part = alpha[sl]
-                out *= self._factor_value(idx, s, sum(part)) * multi_factorial(part)
+            out = self._factor_values(0, s, degree)[degrees[0]] * factorials[0]
+            for idx in range(1, len(degrees)):
+                out = out * (self._factor_values(idx, s, degree)[degrees[idx]] * factorials[idx])
             return out
-        supported = [
-            (idx, alpha[sl])
-            for idx, sl in enumerate(self._slices)
-            if sum(alpha[sl]) > 0
-        ]
-        if len(supported) != 1:
-            return 0.0
-        idx, part = supported[0]
-        mu = self._base.float_exponents[idx]
-        k = sum(part)
-        if self._fock:
-            return mu if k == 1 else 0.0
-        return mu * math.factorial(k - 1) * multi_factorial(part)
+        out = np.zeros(degrees.shape[1])
+        if degree == 0:
+            return out
+        live = degrees > 0
+        single = live.sum(axis=0) == 1
+        for mu, rows, fact in zip(self._base.float_exponents, live & single, factorials):
+            if self._fock:
+                out[rows] = mu if degree == 1 else 0.0
+            else:
+                out[rows] = mu * math.factorial(degree - 1) * fact[rows]
+        return out
 
 
 def power_deriv(base: BaseDomainSpec, s: float, alpha) -> float:
     """Mixed partial of phi^-s at 0 for the diagonal index pair (alpha, alpha)."""
-    return _BaseTable(base)(s, alpha)
+    table = _BaseTable(base)
+    degree = sum(alpha)
+    return float(table.entries(s, degree)[_grade_table(base.dims, degree)[0].index(tuple(alpha))])
 
 
 # ---------------------------------------------------------------------------
@@ -225,42 +268,59 @@ def _scale(spec: HartogsSpec, h) -> Fraction:
     return _exact(h)
 
 
-def _block(form: Form, spec: HartogsSpec, i: int, sigma: int, h: Fraction, table: _BaseTable) -> CoefficientBlock:
-    if i == 0:
-        # constant term of all three expansions vanishes since phi(0) = 1
+class _Sweep:
+    """The blocks of one form at one spec and scale h: one base table, and
+    the fiber part of each fiber degree, computed once."""
+
+    def __init__(self, form: Form, spec: HartogsSpec, h: Fraction):
+        self.form, self.spec, self.h = form, spec, float(h)
+        self.table = _BaseTable(spec.base)
+        self._fibers: dict[int, tuple] = {}
+
+    def _fiber(self, sigma: int):
+        """(s, weights): the base-table power of fiber degree sigma, and the
+        weights P_sigma sigma! nu! of its fiber indices nu."""
+        part = self._fibers.get(sigma)
+        if part is None:
+            prefactor, s = _series_term(self.form, sigma, self.h)
+            factorials = _grade_table((self.spec.fiber_dim,), sigma)[2][0]
+            part = self._fibers[sigma] = (s, prefactor * math.factorial(sigma) * factorials)
+        return part
+
+    def block(self, i: int, sigma: int) -> CoefficientBlock:
+        spec = self.spec
+        if i == 0:
+            # constant term of all three expansions vanishes since phi(0) = 1
+            return CoefficientBlock(
+                form=self.form,
+                total_degree=0,
+                fiber_degree=0,
+                fiber_indices=((0,) * spec.fiber_dim,),
+                base_indices=((0,) * spec.base.dim,),
+                diagonal=np.zeros(1),
+            )
+        fiber_idx = _grade_table((spec.fiber_dim,), sigma)[0]
+        base_idx = _grade_table(spec.base.dims, i - sigma)[0]
+        diagonal = None
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                s, weights = self._fiber(sigma)
+                diagonal = (weights[:, None] * self.table.entries(s, i - sigma)).ravel()
+        except OverflowError:
+            pass
+        if diagonal is None or not np.isfinite(diagonal).all():
+            raise CapabilityError(
+                f"{self.form.value} coefficient block (i={i}, sigma={sigma}) exceeds the "
+                "double-precision range; lower the truncation degree"
+            )
         return CoefficientBlock(
-            form=form,
-            total_degree=0,
-            fiber_degree=0,
-            fiber_indices=((0,) * spec.fiber_dim,),
-            base_indices=((0,) * spec.base.dim,),
-            diagonal=np.zeros(1),
+            form=self.form,
+            total_degree=i,
+            fiber_degree=sigma,
+            fiber_indices=fiber_idx,
+            base_indices=base_idx,
+            diagonal=diagonal,
         )
-    fiber_idx = tuple(grade_indices(spec.fiber_dim, sigma))
-    base_idx = tuple(grade_indices(spec.base.dim, i - sigma))
-    diagonal = None
-    try:
-        prefactor, s = _series_term(form, sigma, float(h))
-        sig_fact = math.factorial(sigma)
-        weights = [prefactor * sig_fact * multi_factorial(nu) for nu in fiber_idx]
-        values = [table(s, alpha) for alpha in base_idx]
-        with np.errstate(over="ignore", invalid="ignore"):
-            diagonal = np.outer(weights, values).ravel()
-    except OverflowError:
-        pass
-    if diagonal is None or not np.isfinite(diagonal).all():
-        raise CapabilityError(
-            f"{form.value} coefficient block (i={i}, sigma={sigma}) exceeds the "
-            "double-precision range; lower the truncation degree"
-        )
-    return CoefficientBlock(
-        form=form,
-        total_degree=i,
-        fiber_degree=sigma,
-        fiber_indices=fiber_idx,
-        base_indices=base_idx,
-        diagonal=diagonal,
-    )
 
 
 def block(form: Form, spec: HartogsSpec, i: int, sigma: int, h: float | None = None) -> CoefficientBlock:
@@ -271,21 +331,21 @@ def block(form: Form, spec: HartogsSpec, i: int, sigma: int, h: float | None = N
     for every fiber dimension. Raises :class:`CapabilityError` when an entry
     leaves the double-precision range.
     """
-    table = _BaseTable(spec.base)
+    _require_radial(spec.base)
     if not 0 <= sigma <= i:
         raise ValueError("need 0 <= sigma <= i")
-    return _block(Form(form), spec, i, sigma, _scale(spec, h), table)
+    return _Sweep(Form(form), spec, _scale(spec, h)).block(i, sigma)
 
 
 def blocks(form: Form, spec: HartogsSpec, truncation_degree: int, h: float | None = None):
     """Every block with i <= truncation_degree, as :func:`block` gives it, in
-    the canonical traversal (i ascending, sigma descending). One base table
-    serves them all, so each factor value is computed once."""
-    table = _BaseTable(spec.base)
-    form, h = Form(form), _scale(spec, h)
+    the canonical traversal (i ascending, sigma descending). One
+    :class:`_Sweep` serves them all, so each factor value and each fiber
+    part is computed once."""
+    sweep = _Sweep(Form(form), spec, _scale(spec, h))
     for i in range(truncation_degree + 1):
         for sigma in range(i, -1, -1):
-            yield _block(form, spec, i, sigma, h, table)
+            yield sweep.block(i, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +517,7 @@ def resolvability(
     failure = None
     if first is not None:
         try:
-            b = _block(form, spec, *first, h, _BaseTable(spec.base))
+            b = _Sweep(form, spec, h).block(*first)
             failure = BlockFailure(*first, float(np.min(b.diagonal)))
         except CapabilityError:
             failure = BlockFailure(*first, None)
@@ -483,8 +543,8 @@ def series_partial_sum(spec: HartogsSpec, points, truncation_degree: int) -> np.
     Only meaningful near the origin; enforced at ||(z0, z)|| <= 0.3 where the
     expansions converge fast for every catalog base. Each entry of the
     Euclidean :func:`blocks`, at multi-index m = (nu, alpha), contributes
-    entry / (m!)^2 times |z0|^(2 nu) |z|^(2 alpha); every row sums them in
-    the blocks' order.
+    entry / (m!)^2 times |z0|^(2 nu) |z|^(2 alpha); every row sums the terms
+    of all blocks in one pass, in the blocks' order.
     """
     coords = coordinate_stack(spec, points)
     if any(float(np.linalg.norm(row)) > 0.3 for row in coords):
@@ -494,21 +554,20 @@ def series_partial_sum(spec: HartogsSpec, points, truncation_degree: int) -> np.
         "double-precision range"
     )
     d0 = spec.fiber_dim
-    squares = np.abs(coords) ** 2
-    terms = []
+    coeffs, exponents = [], []
     try:
         for b in blocks(Form.EUCLIDEAN, spec, truncation_degree):
-            nu = np.repeat(b.fiber_indices, len(b.base_indices), axis=0)
-            alpha = np.tile(b.base_indices, (len(b.fiber_indices), 1))
-            m = np.hstack([nu, alpha])
-            coeff = b.diagonal / [multi_factorial(row) ** 2 for row in m.tolist()]
-            fiber = np.prod(squares[:, None, :d0] ** nu, axis=2)
-            base = np.prod(squares[:, None, d0:] ** alpha, axis=2)
-            terms.append(coeff * fiber * base)
+            m = [nu + alpha for nu in b.fiber_indices for alpha in b.base_indices]
+            coeffs.append(b.diagonal / [multi_factorial(row) ** 2 for row in m])
+            exponents += m
     except (CapabilityError, OverflowError):
         raise overflow from None
+    exponents = np.array(exponents)
+    squares = np.abs(coords)[:, None] ** 2
+    fiber = np.prod(squares[..., :d0] ** exponents[:, :d0], axis=2)
+    base = np.prod(squares[..., d0:] ** exponents[:, d0:], axis=2)
     # cumsum adds left to right, so every row sums its terms in one order
-    totals = np.cumsum(np.hstack(terms), axis=1)[:, -1]
+    totals = np.cumsum(np.concatenate(coeffs) * fiber * base, axis=1)[:, -1]
     if not np.isfinite(totals).all():
         raise overflow
     return totals

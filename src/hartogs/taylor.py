@@ -25,15 +25,20 @@ LU pivots of a matrix of jets. Every product reads one plan per (n, bidegree)
 of flat operand indices, built with numpy from mixed-radix monomial keys.
 
 Each row gives the same floats as its one-row stack: every product and
-recurrence step is one gather of each operand and one ``np.add.reduceat``,
-sums are elementwise, and logs and exponentials of constant terms run on
-Python complex numbers (``cmath``), row by row.
+recurrence step is one gather of each operand (a recurrence step first
+scales its left operand by the step's weights, coefficient by
+coefficient) and one ``np.add.reduceat``, sums are elementwise, and logs
+and exponentials of constant terms run on Python complex numbers
+(``cmath``), row by row. Inside :func:`scratch` the gathers reuse two
+buffers; the floats are the same.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
 
 import numpy as np
@@ -124,10 +129,14 @@ def _product_plan(n: int, bidegree: tuple[int, int]):
 
     For :func:`mul`: (left, right) of every term, sorted by target, and the
     start of each target's run (every target has one, if only (target,
-    constant)). For :func:`_recurrence`, per total degree t = 2 .. dz + dw:
-    (left, right, weights deg(left) / t and -deg(right) / t, targets,
-    starts) of the terms of target degree t whose operands both have
-    positive degree; a target e_i + m has (e_i, m). Shared; read-only.
+    constant)). For :func:`_recurrence`, which holds its output by total
+    degree: the flat indices in that order and the position of each, and
+    per target degree t = 2 .. dz + dw, for the terms whose operands both
+    have positive degree: their left operands, the positions of their right
+    operands, the start of each target's run, the complex weights
+    deg(left) / t and -deg(right) / t of a left operand at each flat index,
+    and the positions lo .. hi - 1 of the targets (every target of degree
+    t >= 2 has a term, e_i + m has (e_i, m)). Shared; read-only.
     """
     (zl, zr, zt, z_degree), (wl, wr, wt, w_degree) = (_side_pairs(n, d) for d in bidegree)
     aw = len(w_degree)
@@ -138,14 +147,21 @@ def _product_plan(n: int, bidegree: tuple[int, int]):
     inner = np.flatnonzero((degree[left] > 0) & (degree[right] > 0))
     inner = inner[np.argsort(degree[target[inner]], kind="stable")]
     bounds = np.searchsorted(degree[target[inner]], np.arange(2, sum(bidegree) + 2))
+    by_degree = np.argsort(degree, kind="stable")
+    position = np.argsort(by_degree)
+    ends = np.searchsorted(degree[by_degree], np.arange(1, sum(bidegree) + 1), side="right")
     steps = []
-    for terms in (inner[lo:hi] for lo, hi in zip(bounds, bounds[1:])):
-        l, r, t = left[terms], right[terms], target[terms]
-        starts = np.flatnonzero(np.diff(t, prepend=-1))
-        weights = np.stack([degree[l], -degree[r]]) / degree[t]
-        steps.append(_read_only(l, r, weights, t[starts], starts))
+    for t, (a, b, lo, hi) in enumerate(zip(bounds, bounds[1:], ends, ends[1:]), start=2):
+        terms = target[inner[a:b]]
+        # a term's weight deg(left) / t or -deg(right) / t = (deg(left) - t) / t
+        # depends on its left operand alone
+        weights = (np.stack([degree, degree - t]) / t).astype(np.complex128)
+        steps.append(_read_only(
+            left[inner[a:b]], position[right[inner[a:b]]],
+            np.flatnonzero(np.diff(terms, prepend=-1)), weights,
+        ) + (lo, hi))
     starts = np.flatnonzero(np.diff(target, prepend=-1))
-    return _read_only(left, right, starts) + (tuple(steps),)
+    return _read_only(left, right, starts, by_degree, position) + (tuple(steps),)
 
 
 def product_terms(n: int, bidegree: tuple[int, int]) -> int:
@@ -156,14 +172,48 @@ def product_terms(n: int, bidegree: tuple[int, int]) -> int:
     return math.comb(2 * n + dz, dz) * math.comb(2 * n + dw, dw)
 
 
+#: The two gather buffers of the innermost :func:`scratch`, as the rows of
+#: one (2, size) array; None outside one.
+_scratch: ContextVar[np.ndarray | None] = ContextVar("_scratch", default=None)
+
+
+@contextmanager
+def scratch(nbytes: int):
+    """Within it, products gather into two buffers of ``nbytes`` each, taken
+    as one block: an oracle that runs many chunks maps their pages once,
+    instead of once per product, and releases them at its end. Like
+    ``np.errstate``, it holds for the current context only."""
+    token = _scratch.set(np.empty(2 * (nbytes // 16), np.complex128).reshape(2, -1))
+    try:
+        yield
+    finally:
+        _scratch.reset(token)
+
+
+def _gathered(source: np.ndarray, index: np.ndarray, slot: int) -> np.ndarray:
+    """source[..., index], complex: in scratch buffer ``slot`` (0 or 1) when
+    it fits, where a result is valid until the next gather into its slot,
+    else in a new array. ``mode="clip"`` keeps ``np.take`` from buffering
+    its output (every index is valid)."""
+    buffers = _scratch.get()
+    shape = source.shape[:-1] + index.shape
+    size = math.prod(shape)
+    if buffers is None or buffers.shape[1] < size:
+        return source.take(index, axis=-1)
+    return source.take(index, axis=-1, out=buffers[slot, :size].reshape(shape), mode="clip")
+
+
 def mul(x: np.ndarray, y: np.ndarray, bidegree: tuple[int, int]) -> np.ndarray:
     """The product of two jets, truncated to ``bidegree``; leading axes
-    broadcast."""
+    broadcast. Its terms are gathered into one buffer and multiplied in
+    place."""
     az, aw = x.shape[-2:]
-    left, right, starts, _ = _product_plan(_variables(az, bidegree[0]), bidegree)
+    left, right, starts = _product_plan(_variables(az, bidegree[0]), bidegree)[:3]
     flat_x = x.reshape(x.shape[:-2] + (az * aw,))
     flat_y = y.reshape(y.shape[:-2] + (az * aw,))
-    terms = flat_x.take(left, axis=-1) * flat_y.take(right, axis=-1)
+    lead = np.broadcast_shapes(flat_x.shape[:-1], flat_y.shape[:-1])
+    terms = _gathered(np.broadcast_to(flat_x, lead + (az * aw,)), left, 0)
+    terms *= _gathered(flat_y, right, 1)
     out = np.add.reduceat(terms, starts, axis=-1)
     return out.reshape(out.shape[:-1] + (az, aw))
 
@@ -178,15 +228,16 @@ def shifted(x: np.ndarray, constant) -> np.ndarray:
 def _recurrence(u: np.ndarray, bidegree: tuple[int, int], kind: int) -> np.ndarray:
     """The nilpotent jet y with y_t = u_t + sum w u[left] y[right] over the
     terms of target degree t >= 2, of a nilpotent jet u: the weights of
-    ``kind`` 0 give exp(u) - 1, of ``kind`` 1 log(1 + u)."""
+    ``kind`` 0 give exp(u) - 1, of ``kind`` 1 log(1 + u). A new array."""
     az, aw = u.shape[-2:]
-    steps = _product_plan(_variables(az, bidegree[0]), bidegree)[3]
+    by_degree, position, steps = _product_plan(_variables(az, bidegree[0]), bidegree)[3:]
     flat = u.reshape(u.shape[:-2] + (az * aw,))
-    out = flat.copy()
-    for left, right, weights, targets, starts in steps:
-        products = flat.take(left, axis=-1) * weights[kind] * out.take(right, axis=-1)
-        out[..., targets] += np.add.reduceat(products, starts, axis=-1)
-    return out.reshape(u.shape)
+    out = flat.take(by_degree, axis=-1)
+    for left, right, starts, weights, lo, hi in steps:
+        products = _gathered(flat * weights[kind], left, 0)
+        products *= _gathered(out, right, 1)
+        out[..., lo:hi] += np.add.reduceat(products, starts, axis=-1)
+    return out.take(position, axis=-1).reshape(u.shape)
 
 
 def _row_map(f, values: np.ndarray) -> np.ndarray:
@@ -197,15 +248,17 @@ def log(x: np.ndarray, bidegree: tuple[int, int]) -> np.ndarray:
     """log(x0 + N) = log x0 + log(1 + N / x0), with ``cmath.log`` of x0:
     L_t = u_t - (1/t) sum_(s<t) s L_s u_(t-s) for L = log(1 + u)."""
     x0 = x[..., 0, 0]
-    u = shifted(x, -x0) / x0[..., None, None]
-    return shifted(_recurrence(u, bidegree, 1), _row_map(cmath.log, x0))
+    out = _recurrence(shifted(x, -x0) / x0[..., None, None], bidegree, 1)
+    out[..., 0, 0] += _row_map(cmath.log, x0)
+    return out
 
 
 def exp(x: np.ndarray, bidegree: tuple[int, int]) -> np.ndarray:
     """exp(x0 + N) = exp(x0) y, y = exp(N): y_t = (1/t) sum_(s=1..t) s N_s y_(t-s)."""
     x0 = x[..., 0, 0]
-    e0 = _row_map(cmath.exp, x0)
-    return e0[..., None, None] * shifted(_recurrence(shifted(x, -x0), bidegree, 0), 1.0)
+    y = _recurrence(shifted(x, -x0), bidegree, 0)
+    y[..., 0, 0] += 1.0
+    return _row_map(cmath.exp, x0)[..., None, None] * y
 
 
 def log_det(y: np.ndarray, bidegree: tuple[int, int]) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs import cli
+from hartogs import cli, domains
 from hartogs.cli import _parse_h_list, main
 from hartogs.config import parse_config_text
 from hartogs.domains import DomainKind
@@ -434,14 +434,93 @@ class TestCli:
         assert "criterion 02 elapsed 0.500 s" in stderr.splitlines()
         assert out.read_text() == to_json(summary.payload())
 
-    def test_sampling_budget_fails_cleanly(self, tmp_path, capsys):
+    def test_sampling_budget_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        # 10 candidates on a steep disc, where most fall below the margin floor
+        monkeypatch.setattr(domains, "_MAX_TRIES", 10)
         cfg = tmp_path / "steep.cfg"
         cfg.write_text(DISC_CONFIG.replace("base.mu = 1", "base.mu = 1000000"))
-        code = main(["check-einstein", "--config", str(cfg)])
+        code = main(["check-einstein", "--config", str(cfg), "--samples", "10"])
         out, err = capsys.readouterr()
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "draw budget" in err and "Traceback" not in out + err
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            "base.kind = ball\nbase.dims = 1\nbase.mu = 1e5\n",
+            "base.kind = ball\nbase.dims = 1\nbase.mu = 1e20\n",
+            "base.kind = fock\nbase.dims = 2\nbase.mu = 1000\n",
+            "base.kind = polydisc\nbase.dims = 1,1\nbase.mu = 1e6,2\n",
+        ],
+        ids=["disc_1e5", "disc_1e20", "fock2_1000", "polydisc_1e6_2"],
+    )
+    def test_large_exponents_answer_no_quietly(self, base, tmp_path, capsys):
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text(base + "fiber.dim = 1\n")
+        out = str(tmp_path / "out.json")
+        for command, code in (("check-einstein", 2), ("check-extremal", 2), ("curvature", 0)):
+            assert main([command, "--config", str(cfg), "--out", out]) == code
+            assert capsys.readouterr() == ("", "")
+
+    def test_jets_past_the_double_range_fail_cleanly(self, tmp_path, capsys):
+        # disc(1e300) x C is sampled; its closed forms answer, its jets overflow
+        cfg = tmp_path / "steepest.cfg"
+        cfg.write_text("base.kind = ball\nbase.dims = 1\nbase.mu = 1e300\nfiber.dim = 1\n")
+        out = tmp_path / "out.json"
+        assert main(["check-einstein", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "")
+        for command in ("check-extremal", "curvature", "report"):
+            out.unlink(missing_ok=True)
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and not out.exists()
+            assert err == "error: the extremal jets of the potential left the double-precision range\n"
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            "base.kind = ball\nbase.dims = 1\nbase.mu = {}\n",
+            "base.kind = polydisc\nbase.dims = 1,1\nbase.mu = {},1\n",
+            "base.kind = cartan_type_I\nbase.dims = 2,2\nbase.mu = {}\n",
+            "base.kind = fock\nbase.dims = 2\nbase.mu = {}\n",
+        ],
+        ids=["disc", "polydisc", "cartan_2x2", "fock2"],
+    )
+    def test_exponents_across_the_double_range_run_cleanly(self, base, tmp_path, capsys):
+        # every sampling command answers or fails in one line: no numpy
+        # warning, no traceback, no NaN or Infinity in the report
+        cfg = tmp_path / "domain.cfg"
+        out = tmp_path / "out.json"
+        for mu in ("1e-300", "1e-5", "1e5", "1e150", "1e250", "1e306", "1e308"):
+            cfg.write_text(base.format(mu) + "fiber.dim = 1\n")
+            for command in ("check-einstein", "check-extremal", "curvature"):
+                out.unlink(missing_ok=True)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main([command, "--config", str(cfg), "--samples", "10", "--out", str(out)])
+                stdout, err = capsys.readouterr()
+                assert code in (0, 1, 2) and stdout == ""
+                assert len(err.splitlines()) == (code == 1)
+                if code != 1:
+                    text = out.read_text()
+                    assert "NaN" not in text and "Infinity" not in text
+
+    def test_determinant_constant_past_the_double_range_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("base.kind = ball\nbase.dims = 2\nbase.mu = 1e200\nfiber.dim = 1\n")
+        assert main(["check-einstein", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "double range" in err and "Traceback" not in out + err
+
+    @pytest.mark.parametrize("command", ["check-einstein", "check-extremal", "report"])
+    def test_verdicts_reject_fewer_than_ten_samples(self, command, disc_config, tmp_path, capsys):
+        out_path = tmp_path / "out.json"
+        code = main([command, "--config", str(disc_config), "--samples", "5", "--out", str(out_path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err == "error: --samples must be at least 10\n"
 
     def test_sample_beyond_the_draw_budget_fails_before_allocating(self, disc_config, capsys):
         code = main(["curvature", "--config", str(disc_config), "--samples", "1000000000000"])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from hartogs.domains import (
     phi_stack,
     sample_points,
 )
-from hartogs.errors import HartogsError
+from hartogs.errors import CapabilityError, HartogsError
 from hartogs.reporting import curvature_rows
 
 B2 = HartogsSpec(BaseDomainSpec.disc(1.0), 1)  # the unit ball in C^2
@@ -263,6 +264,17 @@ class TestExtremal:
         assert np.array_equal(chk.residual, residual)
         gap = np.abs(chk.fiber_component - chk.witness_closed)
         assert (gap <= 1e-12 * np.abs(chk.witness_closed)).all()
+
+    @pytest.mark.parametrize("oracle", [ricci_numeric, extremal_check])
+    def test_jets_past_the_double_range_are_a_capability_error(self, oracle):
+        # at mu = 1e300 the coefficients of the potential's jet overflow:
+        # one error, no numpy warning, no NaN row
+        spec = HartogsSpec(BaseDomainSpec.disc(1e300), 1)
+        pts = sample_points(spec, 5, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapabilityError, match="double-precision range"):
+                oracle(spec, pts)
 
     def test_einstein_residual_fiber_rotation_invariant(self):
         p = [0.3 + 0.1j, 0.2]

@@ -95,6 +95,10 @@ class TestSpecMetadata:
         for mu, dim in ((1e-308, 1), (2.5e-308, 2)):
             with pytest.raises(ValueError, match="^exponents .* double range"):
                 BaseDomainSpec.ball(dim, mu)
+        # ball(2, 1e200): the determinant constant mu^2 = 1e400 is not a double
+        with pytest.raises(ValueError, match="^exponents .* double range"):
+            BaseDomainSpec.ball(2, 1e200)
+        assert BaseDomainSpec.disc(1e200).determinant_constants == (Fraction(1e200),)
         assert float(tau_exact(BaseDomainSpec.disc(1e-300))) == pytest.approx(-2e300)
 
 
@@ -338,11 +342,29 @@ class TestSampling:
         assert ks_distance(fiber_norms, lambda x: x**2) < critical
 
     def test_draw_budget_exhaustion_is_a_capability_error(self):
-        # phi = (1 - |z|^2)^1e6 is below the margin floor almost everywhere
-        spec = HartogsSpec(BaseDomainSpec.disc(1e6), 1)
+        # phi <= 1 on a bounded base, so no candidate clears a floor of 2
+        spec = HartogsSpec(BaseDomainSpec.disc(1.0), 1)
         budget = "found [0-9]+ of 50 points within its draw budget of 200000 tries"
         with pytest.raises(CapabilityError, match=budget):
-            sample_points(spec, 50, seed=1)
+            sample_points(spec, 50, seed=1, min_margin=2.0)
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            BaseDomainSpec.disc(1e5),
+            BaseDomainSpec.disc(1e20),
+            BaseDomainSpec.fock(2, 1000.0),
+            BaseDomainSpec.polydisc((1e6, 2.0)),
+        ],
+        ids=["disc_1e5", "disc_1e20", "fock2_1000", "polydisc_1e6_2"],
+    )
+    def test_large_exponents_are_sampled(self, base):
+        # the draw region shrinks with 1 / mu, so the budget is not exhausted
+        spec = HartogsSpec(base, 1)
+        for margin_frac, min_margin in ((0.05, 1e-8), (0.1, 0.05)):
+            pts = sample_points(spec, 50, seed=1, margin_frac=margin_frac, min_margin=min_margin)
+            margins, floors = margins_and_floors(spec, pts, margin_frac, min_margin)
+            assert np.all(margins >= floors)
 
     def test_empty_sample_is_an_empty_stack(self):
         spec = HartogsSpec(BaseDomainSpec.ball(2, 1.0), 2)

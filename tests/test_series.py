@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -200,6 +201,32 @@ class TestBlocks:
             assert (pos, neg) == (np.sum(signs > 0), np.sum(signs < 0))
 
 
+_CATALOG = {
+    "disc": HartogsSpec(BaseDomainSpec.disc(0.5), 1),
+    "ball2": HartogsSpec(BaseDomainSpec.ball(2, 1.5), 2),
+    "polydisc": HartogsSpec(BaseDomainSpec.polydisc((1 / 3, 2.0)), 1),
+    "cartan_1x3": HartogsSpec(BaseDomainSpec.cartan_type_i(1, 3, 1.0), 1),
+    "fock": HartogsSpec(BaseDomainSpec.fock(2, 0.7), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CATALOG))
+@pytest.mark.parametrize("form", list(Form))
+def test_blocks_equal_block_bit_for_bit(name, form):
+    # one sweep shares its tables; each block stays the float block() gives
+    spec = _CATALOG[name]
+    for h in (None, 0.3, 1.0, 2.5):
+        swept = list(series.blocks(form, spec, 12, h))
+        assert [(b.total_degree, b.fiber_degree) for b in swept] == [
+            (i, sigma) for i in range(13) for sigma in range(i, -1, -1)
+        ]
+        for b in swept:
+            alone = block(form, spec, b.total_degree, b.fiber_degree, h)
+            assert b.fiber_indices == alone.fiber_indices
+            assert b.base_indices == alone.base_indices
+            assert b.diagonal.tobytes() == alone.diagonal.tobytes()
+
+
 class TestResolvability:
     def test_hyperbolic_h1_rank_two(self):
         v = resolvability(Form.HYPERBOLIC, DISC, h=1.0, truncation_degree=10)
@@ -259,6 +286,36 @@ class TestDoubleRange:
         assert block(Form.HYPERBOLIC, DISC, 170, 170, h=1.0).diagonal[0] == 0.0
         with pytest.raises(CapabilityError, match=r"\(i=171, sigma=171\)"):
             block(Form.HYPERBOLIC, DISC, 171, 171, h=1.0)
+
+    @pytest.mark.parametrize(
+        "form, spec, h, first_bad",
+        [
+            (Form.EUCLIDEAN, DISC, None, (99, 99)),
+            # inf * 0 = NaN: an exact zero prefactor times an infinite base value
+            (Form.HYPERBOLIC, DISC, 1.0, (101, 3)),
+            # every entry through degree 170 is finite; 171! is not a double
+            (Form.HYPERBOLIC, HartogsSpec(BaseDomainSpec.fock(1, 1e-3), 1), 1.0, (171, 171)),
+        ],
+        ids=["euclidean_disc", "hyperbolic_disc_nan", "hyperbolic_fock_factorial"],
+    )
+    def test_sweep_stops_at_the_first_block_past_the_double_range(self, form, spec, h, first_bad):
+        swept = []
+        with pytest.raises(CapabilityError) as err:
+            for b in series.blocks(form, spec, first_bad[0] + 5, h):
+                swept.append(b)
+        i, sigma = first_bad
+        assert f"(i={i}, sigma={sigma})" in str(err.value)
+        # every earlier block in traversal order; a sample of them equals block()
+        assert len(swept) == i * (i + 1) // 2 + i - sigma
+        for b in swept[:: max(1, len(swept) // 200)] + swept[-3:]:
+            alone = block(form, spec, b.total_degree, b.fiber_degree, h)
+            assert b.diagonal.tobytes() == alone.diagonal.tobytes()
+        with pytest.raises(CapabilityError, match=re.escape(str(err.value))):
+            block(form, spec, i, sigma, h)
+
+    def test_fock_log_block_reads_no_factorial_past_170(self):
+        # -log phi of a fock base is -mu |z|^2: zero past degree 1, at any degree
+        assert not block(Form.EUCLIDEAN, FOCK, 175, 0).diagonal.any()
 
     def test_non_finite_entry_is_not_an_obstruction(self):
         # in floats (101, 3) holds inf * 0 = NaN; its exact entry is 0

@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 from hartogs import cli, curvature, domains, reporting, taylor
 from hartogs.curvature import (
     EXTREMAL_BIDEGREE,
-    JET_STACK_TERMS,
+    JET_STACK_BYTES,
     RICCI_BIDEGREE,
     curvature_report,
     extremal_check,
+    jet_bytes_per_point,
     metric_stack,
     ricci_numeric,
     verdicts,
@@ -185,8 +186,15 @@ def test_report_evaluates_the_factors_once(name, monkeypatch):
 
 
 def points_per_chunk(spec, bidegree=RICCI_BIDEGREE):
-    """Points of one chunk of jets of this bidegree."""
-    return max(1, JET_STACK_TERMS // taylor.product_terms(spec.total_dim, bidegree))
+    """Points of one chunk of jets of this bidegree, under the budget in force."""
+    return max(1, curvature.JET_STACK_BYTES // jet_bytes_per_point(spec, bidegree))
+
+
+@pytest.fixture
+def small_budget(monkeypatch):
+    """A jet budget of 4,096 product terms, so that a few points of every
+    spec here split into several chunks, at margins that stay interior."""
+    monkeypatch.setattr(curvature, "JET_STACK_BYTES", 16 * 4096)
 
 
 def recorded_jets(monkeypatch):
@@ -215,7 +223,7 @@ def near_boundary(spec, coords, margins):
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_extremal_rows_across_row_groups(name):
+def test_extremal_rows_across_row_groups(name, small_budget):
     # rows on both sides of every jet chunk boundary, every other one close
     # to the boundary of the domain, equal their one-row stacks
     spec = SPECS[name]
@@ -232,16 +240,16 @@ def test_extremal_rows_across_row_groups(name):
         assert check.fiber_component[r] == extremal_check(spec, [p]).fiber_component[0]
 
 
-def test_extremal_groups_stay_under_the_row_cap(monkeypatch):
-    # consecutive chunks of points, each as large as the term cap allows
+def test_extremal_groups_stay_under_the_row_cap(monkeypatch, small_budget):
+    # consecutive chunks of points, each as large as the byte budget allows
     spec = SPECS["cartan_2x2"]
     points = sample_points(spec, 20, seed=2, min_margin=0.05)
     calls = recorded_jets(monkeypatch)
     curvature_report(spec, points)
     per_chunk = points_per_chunk(spec, EXTREMAL_BIDEGREE)
     assert calls == [(per_chunk, EXTREMAL_BIDEGREE)] * 4
-    terms = taylor.product_terms(spec.total_dim, EXTREMAL_BIDEGREE)
-    assert per_chunk * terms <= JET_STACK_TERMS < (per_chunk + 1) * terms
+    size = jet_bytes_per_point(spec, EXTREMAL_BIDEGREE)
+    assert per_chunk * size <= curvature.JET_STACK_BYTES < (per_chunk + 1) * size
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -256,7 +264,7 @@ def test_one_exterior_row_fails_the_extremal_stack(name):
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_ricci_rows_across_row_groups(name):
+def test_ricci_rows_across_row_groups(name, small_budget):
     # rows on both sides of every chunk boundary, every other one close to
     # the boundary of the domain, equal their one-row stacks
     spec = SPECS[name]
@@ -269,8 +277,8 @@ def test_ricci_rows_across_row_groups(name):
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_ricci_groups_stay_under_the_row_cap(name, monkeypatch):
-    # consecutive chunks of points, each as large as the term cap allows
+def test_ricci_groups_stay_under_the_row_cap(name, monkeypatch, small_budget):
+    # consecutive chunks of points, each as large as the byte budget allows
     spec = SPECS[name]
     points = sample_points(spec, 10, seed=2, min_margin=0.05)
     chunks = []
@@ -286,8 +294,39 @@ def test_ricci_groups_stay_under_the_row_cap(name, monkeypatch):
     per_chunk = points_per_chunk(spec)
     assert [len(chunk) for chunk in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
     assert 0 < len(chunks[-1]) <= per_chunk
-    terms = taylor.product_terms(spec.total_dim, RICCI_BIDEGREE)
-    assert per_chunk == 1 or per_chunk * terms <= JET_STACK_TERMS < (per_chunk + 1) * terms
+    size = jet_bytes_per_point(spec, RICCI_BIDEGREE)
+    assert per_chunk == 1 or per_chunk * size <= curvature.JET_STACK_BYTES < (per_chunk + 1) * size
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*SPECS.values(), HartogsSpec(BaseDomainSpec.cartan_type_i(3, 3, 2.0), 1)],
+    ids=[*SPECS, "cartan_3x3"],
+)
+def test_no_gather_buffer_exceeds_the_budget(spec, monkeypatch):
+    # samples that span at least two chunks at the budget in force; on
+    # cartan 3x3 the largest buffer is the (m - 1)^2 = 4 products of the
+    # Schur update of the jet LU, at exactly the bytes of a chunk's points
+    sizes = []
+    gathered = taylor._gathered
+
+    def recorded(source, index, slot):
+        out = gathered(source, index, slot)
+        sizes.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(taylor, "_gathered", recorded)
+    bidegrees = [EXTREMAL_BIDEGREE] if spec.total_dim > 7 else [RICCI_BIDEGREE, EXTREMAL_BIDEGREE]
+    for bidegree in bidegrees:
+        per_chunk = points_per_chunk(spec, bidegree)
+        assert per_chunk * jet_bytes_per_point(spec, bidegree) <= JET_STACK_BYTES
+        points = sample_points(spec, per_chunk + 1, seed=3, min_margin=0.05)
+        sizes.clear()
+        oracle = ricci_numeric if bidegree == RICCI_BIDEGREE else extremal_check
+        oracle(spec, points)
+        assert 0 < max(sizes) <= JET_STACK_BYTES
+        if spec.base.shape and spec.base.shape[0] == 3:
+            assert max(sizes) == per_chunk * jet_bytes_per_point(spec, bidegree)
 
 
 def test_report_command_builds_one_report(monkeypatch, tmp_path):
@@ -307,5 +346,5 @@ def test_report_command_builds_one_report(monkeypatch, tmp_path):
     argv = ["report", "--config", str(config), "--samples", "12", "--truncation", "3"]
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert reports == [12]
-    # the 12 points fit one chunk of extremal jets: n = 3 takes 20 per chunk
+    # the 12 points fit one chunk of extremal jets: n = 3 takes 334 per chunk
     assert jets == [(12, EXTREMAL_BIDEGREE)]

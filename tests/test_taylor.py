@@ -253,3 +253,21 @@ def test_rows_match_one_row_stacks():
             assert np.array_equal(
                 prod[r], taylor.mul(x[r : r + 1], x[::-1][r : r + 1], bidegree)[0]
             )
+
+
+def test_scratch_buffers_give_the_same_floats():
+    # products gathered into a scratch block, one that fits every product
+    # and one too small for the largest, equal fresh gathers bit for bit
+    rng = np.random.default_rng(11)
+    bidegree = (2, 2)
+    y = cartan_jets(rng, 3, 3, bidegree)
+    x = 0.3 * random_jets(rng, (3,), 9, bidegree)
+    x[:, 0, 0] = 1.5
+    plain = [taylor.log_det(y, bidegree), taylor.exp(x, bidegree), taylor.log(x, bidegree)]
+    fits = 16 * 4 * 3 * taylor.product_terms(9, bidegree)
+    for nbytes in (fits, fits // 8):
+        with taylor.scratch(nbytes):
+            inside = [taylor.log_det(y, bidegree), taylor.exp(x, bidegree), taylor.log(x, bidegree)]
+        for a, b in zip(plain, inside):
+            assert np.array_equal(a, b)
+    assert taylor._scratch.get() is None
