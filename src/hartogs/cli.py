@@ -212,16 +212,19 @@ def cmd_diastasis(args) -> int:
         }
     )
     if args.format == "csv":
-        # dump one CSV per block (per form and first h value) next to --out
+        # dump one CSV per block (per form and first h value) next to --out;
+        # every text is built first, so a block past the double range writes
+        # no file
+        texts = {
+            f"{form.value}_i{b.total_degree}_sigma{b.fiber_degree}.csv": reporting.block_csv(b)
+            for form in Form
+            for b in blocks(form, parsed.spec, args.truncation, h_values[0])
+        }
+        texts["verdicts.json"] = reporting.to_json(payload)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        for form in Form:
-            for b in blocks(form, parsed.spec, args.truncation, h_values[0]):
-                name = f"{form.value}_i{b.total_degree}_sigma{b.fiber_degree}.csv"
-                reporting.write_text(reporting.block_csv(b), outdir / name)
-        reporting.write_text(
-            reporting.to_json(payload), outdir / "verdicts.json"
-        )
+        for name, text in texts.items():
+            reporting.write_text(text, outdir / name)
     else:
         reporting.write_text(reporting.to_json(payload), args.out)
     return 0

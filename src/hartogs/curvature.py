@@ -39,7 +39,7 @@ from .domains import (
     squared_norms,
     tau_exact,
 )
-from .errors import CapabilityError, EigenSolverError, HartogsError
+from .errors import CapabilityError, HartogsError
 
 #: Most bytes of the largest gather buffer of a Taylor-mode oracle: product
 #: terms of the jet algebra times jets times 16 B. A sample is split into
@@ -82,8 +82,9 @@ def _metric_parts(spec: HartogsSpec, coords: np.ndarray):
 def hermitian_part(stack: np.ndarray, atol) -> np.ndarray:
     """(M + M*) / 2 for every matrix M of an (N, n, n) stack.
 
-    Metric and Ricci tensors pass through here once, so ``eigenvalues`` can
-    take them row by row. Each M must be Hermitian within its budget
+    Metric and Ricci tensors pass through here once, so the factorizations
+    that read them downstream see exactly Hermitian matrices. Each M must be
+    Hermitian within its budget
     ``atol`` (a scalar, or one value per matrix); the result is exactly
     Hermitian. Closed-form producers use ``1e-12 * max |entry|``; the
     Taylor-mode Ricci oracle carries the round-off of its jet algebra and
@@ -99,19 +100,6 @@ def hermitian_part(stack: np.ndarray, atol) -> np.ndarray:
             f"exceeds budget {np.broadcast_to(atol, asymmetry.shape)[i]:.3e}"
         )
     return 0.5 * (stack + stack_h)
-
-
-def eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """Real eigenvalues in ascending order of each matrix of an (N, n, n)
-    Hermitian stack."""
-    try:
-        return np.linalg.eigvalsh(stack)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in practice
-        dim = stack.shape[-1]
-        raise EigenSolverError(
-            f"eigenvalue solver failed to converge on a {dim}x{dim} matrix",
-            dim=dim,
-        ) from exc
 
 
 def _symmetrised(g: np.ndarray) -> np.ndarray:

@@ -26,10 +26,3 @@ class ConfigError(HartogsError):
         super().__init__(message)
         self.line = line
 
-
-class EigenSolverError(HartogsError):
-    """The symmetric eigenvalue solver failed to converge."""
-
-    def __init__(self, message, dim=None):
-        super().__init__(message)
-        self.dim = dim

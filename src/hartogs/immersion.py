@@ -17,7 +17,9 @@ and projective forms, so the resolvability rank grows past any candidate N.
 
 Base facts follow a lemma lattice: a CH immersion of the base forces a
 C^infinity one, and a C^infinity one forces CP^infinity at every scale.
-Catalog bases carry derived facts; anything else must be user supplied.
+Catalog bases carry facts derived from the sign profile of each factor's
+series coefficient, the same one the blocks and the exact sweep read
+(:func:`catalog_facts`); anything else must be user supplied.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .domains import BaseDomainSpec, DomainKind, HartogsSpec
+from .domains import BaseDomainSpec, DomainKind, HartogsSpec, _exact
 from .errors import CapabilityError, HartogsError
-from .series import Form, _scale, resolvability
+from .series import Form, _scale, _symbols, resolvability
 
 
 class Answer(str, Enum):
@@ -132,42 +134,33 @@ def constant_facts(euclidean: str, projective: str, hyperbolic: str, provenance=
 
 
 def catalog_facts(base: BaseDomainSpec) -> BaseImmersionFacts:
-    """Derived facts for the catalog bases.
+    """Derived facts for the catalog bases, read from each factor's series
+    coefficient (:class:`hartogs.series._Coefficient`).
 
-    Ball-like bases immerse into C^infinity (all expansion coefficients of
-    -mu log(1 - t) are positive) and into CH at scale h exactly when
-    h mu <= 1 (the coefficients of 1 - (1-t)^(h mu) stay nonnegative).
-    A polydisc with two or more factors picks up a negative mixed
-    coefficient in 1 - phi^h for every h, and the flat base does so in
-    1 - exp(-h mu t); neither ever immerses into CH. Projective immersions
-    exist at every scale throughout.
+    Every Euclidean and projective entry is nonnegative (a positive
+    prefactor times coefficients at positive arguments), so C and CP are
+    yes. The hyperbolic entries with sigma = 0 are -prod_i c_i(-mu_i h, k_i)
+    times positive factorials. With two or more factors the entry at
+    k = (1, 1, 0, ...) is -mu_1 mu_2 h^2 < 0. With one factor they are all
+    nonnegative iff the coefficient at a = -mu h has exactly one negative
+    factor, that is sign cutoff 1: a ball-like factor iff h mu <= 1, a fock
+    factor never. For h <= 1 the sigma >= 1 entries are nonnegative too.
     """
-    kind = base.kind
-    if kind is DomainKind.CARTAN_TYPE_I and min(base.shape) >= 2:
+    if base.kind is DomainKind.CARTAN_TYPE_I and min(base.shape) >= 2:
         raise CapabilityError(
             "no derived immersion facts for rank >= 2 matrix bases; "
             "supply facts explicitly"
         )
-    if kind is DomainKind.FOCK:
-        return BaseImmersionFacts(
-            euclidean=YES,
-            projective=lambda h: YES,
-            hyperbolic=lambda h: NO,
-            provenance="catalog",
-        )
-    if kind is DomainKind.POLYDISC and base.factor_count >= 2:
-        return BaseImmersionFacts(
-            euclidean=YES,
-            projective=lambda h: YES,
-            hyperbolic=lambda h: NO,
-            provenance="catalog",
-        )
-    # disc / ball / rank-one matrix ball with exponent mu
-    mu = base.exponents[0]
+    (symbol, *others), (mu, *_) = _symbols(base), base.exponents
+
+    def hyperbolic(h: Fraction) -> str:
+        a = -mu * _exact(h)
+        return YES if not others and symbol.signs(a.numerator, a.denominator, 2)[0] == 1 else NO
+
     return BaseImmersionFacts(
         euclidean=YES,
         projective=lambda h: YES,
-        hyperbolic=lambda h, mu=mu: YES if h * mu <= 1 else NO,
+        hyperbolic=hyperbolic,
         provenance="catalog",
     )
 

@@ -12,23 +12,30 @@ univariate-in-t series whose z-parts are powers of phi:
 Circularity kills every coefficient whose fiber degrees or base degrees
 disagree, so the infinite coefficient matrix is block diagonal over the pairs
 (total degree i, fiber degree s). For the radial catalog bases each block is
-itself diagonal in the monomial basis, with closed Pochhammer-product
-entries, so a block is stored as its diagonal, in derivative normalization
-(Taylor coefficient times m_j! m_k!), and its eigenvalues are its entries.
+itself diagonal in the monomial basis, so a block is stored as its diagonal,
+in derivative normalization (Taylor coefficient times m_j! m_k!), and its
+eigenvalues are its entries. An entry is a prefactor times one coefficient
+per base factor, times factorials. That coefficient is stated once, in
+:class:`_Coefficient`, at an exact argument a = mu_i s: the rising product
+(a)_k of a ball-like factor, a^k of a fock factor, and the -log phi_i entry.
+The prefactors of the projective and hyperbolic forms are the ball-like
+coefficient at a = +-h.
 
 Resolvability is decided exactly on rationals, with no tolerance: an entry's
-sign is the product of exact prefactor and Pochhammer signs, and a block's
-rank is the number of its positive entries, counted by multi-index degree
-rather than enumerated, in integer tables over (fiber degree, base degree)
-that a sweep fills for consecutive row groups of bounded size, so that its
-memory is O(T). Only :func:`block`, :func:`blocks` and a first failure's
-least entry assemble entries in double precision. A block with an entry
-outside that range raises :class:`CapabilityError`; a first failure past it
-keeps its exact (i, sigma) and has no least entry. The Hyperbolic entries
-come from this direct Taylor expansion, and only their signs are compared
-against external claims. ``origin_coefficients`` recomputes the low-degree
-entries of all three forms from the polarized potential's jet at the
-origin, without these tables.
+sign is the product of the exact signs of its prefactor and factor
+coefficients, and a block's rank is the number of its positive entries,
+counted by multi-index degree rather than enumerated, in integer tables over
+(fiber degree, base degree) that a sweep fills for consecutive row groups of
+bounded size, so that its memory is O(T). Only :func:`block`, :func:`blocks`
+and a first failure's least entry assemble entries in double precision:
+each coefficient is its exact rational rounded once, and an entry is their
+float product, within a few half-ulps of its exact value. A block with an
+entry outside that range raises :class:`CapabilityError`; a first failure
+past it keeps its exact (i, sigma) and has no least entry. The Hyperbolic
+entries come from this direct Taylor expansion, and only their signs are
+compared against external claims. ``origin_coefficients`` recomputes the
+low-degree entries of all three forms from the polarized potential's jet at
+the origin, without the coefficient symbol.
 """
 
 from __future__ import annotations
@@ -88,30 +95,64 @@ def multi_factorial(m) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gamma-type factors
+# Each factor's series coefficient
 # ---------------------------------------------------------------------------
 
 
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial a (a+1) ... (a+k-1); exact zeros are preserved.
+def _ratio(num: int, den: int = 1) -> float:
+    """num / den rounded once (den > 0), ±inf past the double range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
-    Past the double range the product is left infinite; block assembly
-    rejects it.
+
+@dataclass(frozen=True)
+class _Coefficient:
+    """The Taylor coefficient of one base factor's phi_i^-s, the one place
+    it is stated.
+
+    At the exact argument a = mu_i s = p / q (q > 0) the factor's part of an
+    entry of degree k on that factor is the rising product (a)_k =
+    prod_j (p + j q) / q^k of a ball-like factor, or a^k = p^k / q^k of a
+    fock factor, times the factorials of the factor's part of the index.
+    -log phi_i is a sum over factors; its entry is mu_i (k - 1)! (ball-like)
+    or mu_i at k = 1 only (fock), times the same factorials.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = 1.0
-    for j in range(k):
-        term = a + j
-        if term == 0.0:
-            return 0.0
-        out *= term
-    return out
+
+    fock: bool
+
+    def values(self, p: int, q: int, k_max: int) -> list[float]:
+        """The coefficient at a = p / q for k = 0..k_max, each rounded once
+        from its exact rational; ±inf past the double range, and an exact
+        zero stays 0."""
+        out, num, den = [], 1, 1
+        for k in range(k_max + 1):
+            out.append(_ratio(num, den))
+            num *= p if self.fock else p + k * q
+            den *= q
+        return out
+
+    def signs(self, p: int, q: int, cap: int) -> tuple[int, bool]:
+        """(c, zero): the coefficient at a = p / q has sign (-1)^min(k, c),
+        and vanishes past k = c where ``zero`` holds. Exact by int floor
+        division; c is capped at ``cap``."""
+        if self.fock:
+            return (cap if p < 0 else 0), p == 0
+        # ceil(-a) negative terms; a zero term iff a is an integer <= 0
+        return min(cap, max(0, -(p // q))), p <= 0 and p % q == 0
+
+    def log_entries(self, mu: Fraction, k_max: int) -> list[float]:
+        """-log phi_i's entry for k = 0..k_max, before the factorials, each
+        rounded once; 0 at k = 0."""
+        out, num = [0.0], mu.numerator
+        for k in range(1, k_max + 1):
+            out.append(_ratio(num, mu.denominator))
+            num *= 0 if self.fock else k
+        return out
 
 
-# ---------------------------------------------------------------------------
-# Radial base coefficient tables (derivative normalization)
-# ---------------------------------------------------------------------------
+_BALL_LIKE, _FOCK = _Coefficient(fock=False), _Coefficient(fock=True)
 
 
 def _require_radial(base: BaseDomainSpec):
@@ -119,19 +160,26 @@ def _require_radial(base: BaseDomainSpec):
         raise CapabilityError("rank >= 2 Cartan series unsupported")
 
 
-def _float_or_inf(x: int) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf
+def _symbols(base: BaseDomainSpec) -> tuple[_Coefficient, ...]:
+    """Each factor's coefficient; a rank-one Cartan factor is ball-like."""
+    _require_radial(base)
+    return (_FOCK if base.kind is DomainKind.FOCK else _BALL_LIKE,) * base.factor_count
 
 
-def _power(a: float, k: int) -> float:
-    """a**k, inf past the double range."""
-    try:
-        return a**k
-    except OverflowError:
-        return math.inf
+#: e per form: phi enters as phi^-(sigma + e h), and for e != 0 the prefactor
+#: P_sigma sigma! is e (e h)_sigma, the ball-like coefficient at a = e h.
+_SHIFT = {Form.EUCLIDEAN: 0, Form.PROJECTIVE: 1, Form.HYPERBOLIC: -1}
+
+
+def _arguments(base: BaseDomainSpec, e: int, h: Fraction, sigma: int) -> list[tuple[int, int]]:
+    """(p, q) with p / q = mu_i (sigma + e h) for each factor."""
+    p, q = h.as_integer_ratio()
+    return [(mu.numerator * (sigma * q + e * p), mu.denominator * q) for mu in base.exponents]
+
+
+# ---------------------------------------------------------------------------
+# Coefficient blocks (derivative normalization)
+# ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=256)
@@ -146,80 +194,10 @@ def _grade_table(dims: tuple[int, ...], deg: int):
     exponents = np.array(indices).reshape(len(indices), -1)
     degrees = np.stack([exponents[:, a:b].sum(axis=1) for a, b in zip(edges, edges[1:])])
     factorials = np.array(
-        [[_float_or_inf(math.prod(map(math.factorial, m[a:b]))) for m in indices]
+        [[_ratio(math.prod(map(math.factorial, m[a:b]))) for m in indices]
          for a, b in zip(edges, edges[1:])]
     ).reshape(degrees.shape)
     return (indices,) + _read_only(degrees, factorials)
-
-
-class _BaseTable:
-    """Mixed partials at 0 of phi^-s (or of -log phi when s is None) for the
-    diagonal index pairs (alpha, alpha), for every alpha of one degree.
-
-    phi^-s is a product over factors, so its entry is the product of one
-    factor value per factor: pochhammer(mu s, k) (ball-like) or (s mu)^k
-    (fock) at the factor degree k, times the factorials of the factor's part
-    of alpha. Each factor value is evaluated once per (factor, s, k); entries
-    are the same floats however often the table is reused. -log phi is a sum
-    over factors, so its entry vanishes unless alpha is supported on a single
-    factor.
-    """
-
-    def __init__(self, base: BaseDomainSpec):
-        _require_radial(base)
-        self._base = base
-        self._fock = base.kind is DomainKind.FOCK
-        self._values: dict[tuple, np.ndarray] = {}
-
-    def _factor_values(self, idx: int, s: float, degree: int) -> np.ndarray:
-        """The factor's values at k = 0..degree at least, inf past the double
-        range; pochhammer(a, k) grows by one term a + k - 1 per k, the
-        product :func:`pochhammer` forms. A table grows to twice the degree
-        asked for, so a sweep extends it O(log T) times."""
-        values = self._values.get((idx, s), np.ones(1))
-        if len(values) <= degree:
-            a = self._base.float_exponents[idx] * s
-            out = values.tolist()
-            for k in range(len(out), 2 * degree + 1):
-                if self._fock:
-                    out.append(_power(a, k))
-                else:
-                    out.append(0.0 if a <= 0 and a.is_integer() and -a < k else out[-1] * (a + (k - 1)))
-            values = self._values[idx, s] = np.array(out)
-        return values
-
-    def entries(self, s: float | None, degree: int) -> np.ndarray:
-        """The entries of every base index of ``degree``, in the canonical
-        order."""
-        _, degrees, factorials = _grade_table(self._base.dims, degree)
-        if s is not None:
-            out = self._factor_values(0, s, degree)[degrees[0]] * factorials[0]
-            for idx in range(1, len(degrees)):
-                out = out * (self._factor_values(idx, s, degree)[degrees[idx]] * factorials[idx])
-            return out
-        out = np.zeros(degrees.shape[1])
-        if degree == 0:
-            return out
-        live = degrees > 0
-        single = live.sum(axis=0) == 1
-        for mu, rows, fact in zip(self._base.float_exponents, live & single, factorials):
-            if self._fock:
-                out[rows] = mu if degree == 1 else 0.0
-            else:
-                out[rows] = mu * math.factorial(degree - 1) * fact[rows]
-        return out
-
-
-def power_deriv(base: BaseDomainSpec, s: float, alpha) -> float:
-    """Mixed partial of phi^-s at 0 for the diagonal index pair (alpha, alpha)."""
-    table = _BaseTable(base)
-    degree = sum(alpha)
-    return float(table.entries(s, degree)[_grade_table(base.dims, degree)[0].index(tuple(alpha))])
-
-
-# ---------------------------------------------------------------------------
-# Coefficient blocks
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,23 +220,6 @@ class CoefficientBlock:
         self.diagonal.setflags(write=False)
 
 
-def _series_term(form: Form, sigma: int, h: float):
-    """Series prefactor P_sigma and the base-table power s (None for -log phi).
-
-    The expanded potential reads sum_sigma P_sigma t^sigma G_sigma(z); entries
-    in derivative normalization are P_sigma sigma! nu! times the table value.
-    """
-    if form is Form.EUCLIDEAN:
-        if sigma == 0:
-            return h, None
-        return h / sigma, float(sigma)
-    if form is Form.PROJECTIVE:
-        return pochhammer(h, sigma) / math.factorial(sigma), h + sigma
-    if sigma == 0:
-        return -1.0, -h
-    return -pochhammer(-h, sigma) / math.factorial(sigma), float(sigma) - h
-
-
 def _scale(spec: HartogsSpec, h) -> Fraction:
     """The scale h, exactly: ``spec.scale`` when None, else h read by :func:`_exact`."""
     if h is None:
@@ -269,23 +230,69 @@ def _scale(spec: HartogsSpec, h) -> Fraction:
 
 
 class _Sweep:
-    """The blocks of one form at one spec and scale h: one base table, and
-    the fiber part of each fiber degree, computed once."""
+    """The blocks of one form at one spec and exact scale h.
+
+    The expanded potential reads sum_sigma P_sigma t^sigma G_sigma(z), with
+    G_sigma = phi^-(sigma + e h), or -log phi for the Euclidean sigma = 0.
+    An entry at (nu, alpha) is the fiber weight P_sigma sigma! nu! times the
+    product over factors of one coefficient value times the factorials of
+    the factor's part of alpha. Each value is rounded once from its exact
+    rational and computed once per (factor, argument); each fiber weight
+    once per fiber degree.
+    """
 
     def __init__(self, form: Form, spec: HartogsSpec, h: Fraction):
-        self.form, self.spec, self.h = form, spec, float(h)
-        self.table = _BaseTable(spec.base)
-        self._fibers: dict[int, tuple] = {}
+        self.form, self.spec, self.h = form, spec, h
+        self.e = _SHIFT[form]
+        self.symbols = _symbols(spec.base)
+        self._values: dict[tuple, np.ndarray] = {}
+        self._fibers: dict[int, np.ndarray] = {}
 
-    def _fiber(self, sigma: int):
-        """(s, weights): the base-table power of fiber degree sigma, and the
-        weights P_sigma sigma! nu! of its fiber indices nu."""
-        part = self._fibers.get(sigma)
-        if part is None:
-            prefactor, s = _series_term(self.form, sigma, self.h)
-            factorials = _grade_table((self.spec.fiber_dim,), sigma)[2][0]
-            part = self._fibers[sigma] = (s, prefactor * math.factorial(sigma) * factorials)
-        return part
+    def _factor_values(self, symbol: _Coefficient, arg: tuple, degree: int) -> np.ndarray:
+        """The values at k = 0..degree at least. A list grows to twice the
+        degree asked for, so a sweep extends it O(log T) times."""
+        values = self._values.get((symbol, arg))
+        if values is None or len(values) <= degree:
+            values = self._values[symbol, arg] = np.array(symbol.values(*arg, 2 * degree))
+        return values
+
+    def _weights(self, sigma: int) -> np.ndarray:
+        """P_sigma sigma! nu! for the fiber indices nu of degree sigma."""
+        weights = self._fibers.get(sigma)
+        if weights is None:
+            if self.e:
+                p, q = self.h.as_integer_ratio()
+                prefactor = self.e * _BALL_LIKE.values(self.e * p, q, sigma)[sigma]
+            elif sigma:  # h (sigma - 1)!, the log entry of -h log(1 - t / phi)
+                prefactor = _BALL_LIKE.log_entries(self.h, sigma)[sigma]
+            else:
+                prefactor = float(self.h)
+            weights = prefactor * _grade_table((self.spec.fiber_dim,), sigma)[2][0]
+            self._fibers[sigma] = weights
+        return weights
+
+    def _base(self, sigma: int, degree: int) -> np.ndarray:
+        """G_sigma's entries at every base index of ``degree``, in the
+        canonical order."""
+        base = self.spec.base
+        _, degrees, factorials = _grade_table(base.dims, degree)
+        if self.e or sigma:
+            out = None
+            for symbol, arg, k, fact in zip(
+                self.symbols, _arguments(base, self.e, self.h, sigma), degrees, factorials
+            ):
+                term = self._factor_values(symbol, arg, degree)[k] * fact
+                out = term if out is None else out * term
+            return out
+        # -log phi: an index supported on a single factor has that factor's entry
+        out = np.zeros(degrees.shape[1])
+        single = (degrees > 0).sum(axis=0) == 1
+        for symbol, mu, k, fact in zip(self.symbols, base.exponents, degrees, factorials):
+            entry = symbol.log_entries(mu, degree)[degree]
+            if entry:  # a zero entry reads no factorial, which may be inf
+                rows = single & (k > 0)
+                out[rows] = entry * fact[rows]
+        return out
 
     def block(self, i: int, sigma: int) -> CoefficientBlock:
         spec = self.spec
@@ -299,16 +306,9 @@ class _Sweep:
                 base_indices=((0,) * spec.base.dim,),
                 diagonal=np.zeros(1),
             )
-        fiber_idx = _grade_table((spec.fiber_dim,), sigma)[0]
-        base_idx = _grade_table(spec.base.dims, i - sigma)[0]
-        diagonal = None
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                s, weights = self._fiber(sigma)
-                diagonal = (weights[:, None] * self.table.entries(s, i - sigma)).ravel()
-        except OverflowError:
-            pass
-        if diagonal is None or not np.isfinite(diagonal).all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            diagonal = (self._weights(sigma)[:, None] * self._base(sigma, i - sigma)).ravel()
+        if not np.isfinite(diagonal).all():
             raise CapabilityError(
                 f"{self.form.value} coefficient block (i={i}, sigma={sigma}) exceeds the "
                 "double-precision range; lower the truncation degree"
@@ -317,8 +317,8 @@ class _Sweep:
             form=self.form,
             total_degree=i,
             fiber_degree=sigma,
-            fiber_indices=fiber_idx,
-            base_indices=base_idx,
+            fiber_indices=_grade_table((spec.fiber_dim,), sigma)[0],
+            base_indices=_grade_table(spec.base.dims, i - sigma)[0],
             diagonal=diagonal,
         )
 
@@ -341,7 +341,7 @@ def blocks(form: Form, spec: HartogsSpec, truncation_degree: int, h: float | Non
     """Every block with i <= truncation_degree, as :func:`block` gives it, in
     the canonical traversal (i ascending, sigma descending). One
     :class:`_Sweep` serves them all, so each factor value and each fiber
-    part is computed once."""
+    weight is computed once."""
     sweep = _Sweep(Form(form), spec, _scale(spec, h))
     for i in range(truncation_degree + 1):
         for sigma in range(i, -1, -1):
@@ -387,18 +387,6 @@ class ResolvabilityVerdict:
 _GROUP_ENTRIES = 1 << 13
 
 
-def _cutoffs(nums, den: int, fock: bool, cap: int):
-    """(c, zero) for the rationals a = num / den: a factor's table value at
-    degree k, pochhammer(a, k) (ball-like) or a^k (fock), has sign
-    (-1)^min(k, c) and vanishes past k = c where ``zero`` holds. Exact by
-    Python-int floor division; c is capped at ``cap``."""
-    if fock:
-        return np.array([cap if n < 0 else 0 for n in nums]), np.array([n == 0 for n in nums])
-    # ceil(-a) negative terms; a zero term iff a is an integer <= 0
-    c = [min(cap, max(0, -(n // den))) for n in nums]
-    return np.array(c), np.array([n <= 0 and n % den == 0 for n in nums])
-
-
 def _sign_table(c: np.ndarray, zero: np.ndarray, width: int) -> np.ndarray:
     """Signs (-1)^min(k, c) for k = 0..width-1, one row per (c, zero) pair,
     and 0 past k = c on the rows where ``zero`` holds."""
@@ -415,8 +403,8 @@ def _sign_tables(form: Form, spec: HartogsSpec, h: Fraction, t: int):
     ``_GROUP_ENTRIES`` entries (at least one row): pos[r, m] and neg[r, m]
     count the entries of block (sigma + m, sigma) at sigma = sigma0 + r, and
     are 0 past m = t - sigma. An entry's sign is the product of the exact
-    signs of the prefactor P_sigma and of one table value per base factor,
-    whose arguments mu (sigma + e h) are integers over one denominator.
+    signs of the prefactor P_sigma and of one coefficient per base factor,
+    read from each factor's :class:`_Coefficient` at its exact argument.
     A factor of dimension d has C(d + k - 1, k) base indices of degree k;
     their (nonzero, signed) counts are convolved across factors and repeated
     over the C(d0 + sigma - 1, sigma) fiber indices. Counts are int64 when
@@ -428,18 +416,19 @@ def _sign_tables(form: Form, spec: HartogsSpec, h: Fraction, t: int):
     def degrees(d):  # multi-indices of degree k = 0..t in d variables
         return np.array([math.comb(d + k - 1, k) for k in range(t + 1)], dtype=dtype)
 
-    base, fibers = spec.base, degrees(spec.fiber_dim)
-    fock = base.kind is DomainKind.FOCK
-    p, q = h.as_integer_ratio()
-    # prefactor signs, and the base-table power s = sigma + e h
-    e = {Form.EUCLIDEAN: 0, Form.PROJECTIVE: 1, Form.HYPERBOLIC: -1}[form]
-    prefactor = np.ones(t + 1, dtype=int)
+    def profiles(symbol, args):  # (c, zero) arrays, one entry per argument
+        c, zero = zip(*(symbol.signs(p, q, t + 1) for p, q in args))
+        return np.array(c), np.array(zero)
+
+    base, fibers, e = spec.base, degrees(spec.fiber_dim), _SHIFT[form]
+    symbols = _symbols(base)
+    prefactor = np.ones(t + 1, dtype=int)  # h (sigma - 1)! > 0 for the Euclidean form
     if e:
-        prefactor = e * _sign_table(*_cutoffs([e * p], q, False, t + 1), t + 1)[0]
+        p, q = h.as_integer_ratio()
+        prefactor = e * _sign_table(*profiles(_BALL_LIKE, [(e * p, q)]), t + 1)[0]
+    args = zip(*(_arguments(base, e, h, sigma) for sigma in range(t + 1)))
     factors = [
-        (degrees(d), *_cutoffs([mu.numerator * (sigma * q + e * p) for sigma in range(t + 1)],
-                               mu.denominator * q, fock, t + 1))
-        for d, mu in zip(base.dims, base.exponents)
+        (degrees(d), *profiles(symbol, a)) for d, symbol, a in zip(base.dims, symbols, args)
     ]
     # rows with equal sign data form consecutive runs, and every row of a run
     # reads a prefix of the counts of its first row, which has the most live
@@ -468,12 +457,14 @@ def _sign_tables(form: Form, spec: HartogsSpec, h: Fraction, t: int):
         both, n = np.concatenate([(nonzero + signed) // 2, (nonzero - signed) // 2]), len(nonzero)
         run, flip = np.cumsum(new[s0:s1]) - new[s0], n * (prefactor[s0:s1] < 0)
         pos, neg = both[run + flip], both[run + n - flip]
-        if s0 == 0 and form is Form.EUCLIDEAN:
+        if s0 == 0 and not e:
             # -log phi is a sum over factors: one positive entry per base index
-            # supported on a single factor (degree 1 only for fock factors)
-            pos[0], neg[0] = sum(f[0][:width] for f in factors), 0
-            if fock:
-                pos[0, 2:] = 0
+            # supported on a single factor where that factor's entry is nonzero
+            pos[0] = sum(
+                np.where(np.array(symbol.log_entries(mu, t)) != 0, f[0], 0)
+                for f, symbol, mu in zip(factors, symbols, base.exponents)
+            )
+            neg[0] = 0
         live = np.arange(s1 - s0)[:, None] + np.arange(width) < width
         live[0, 0] &= s0 > 0  # every expansion has constant term 0: phi(0) = 1
         weight = np.where(live, (fibers[s0:s1] * (prefactor[s0:s1] != 0))[:, None], 0)

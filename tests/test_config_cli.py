@@ -387,6 +387,17 @@ class TestCli:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "multi-indices" in err and "Traceback" not in out + err
 
+    def test_csv_dump_past_the_double_range_writes_no_file(self, disc_config, tmp_path, capsys):
+        # the Euclidean blocks are finite, the projective (2, 2) entry h (h + 1) is not
+        dump = tmp_path / "dump"
+        code = main(["diastasis", "--config", str(disc_config), "--h", "1e300",
+                     "--truncation", "4", "--format", "csv", "--out", str(dump)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: projective coefficient block (i=2, sigma=2)")
+        assert len(err.splitlines()) == 1 and "Traceback" not in out + err
+        assert not dump.exists()
+
     def test_csv_dump_without_out_fails_before_any_sweep(self, disc_config, monkeypatch, capsys):
         def sweep(*args, **kwargs):
             raise AssertionError("a sweep ran before the usage check")

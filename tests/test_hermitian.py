@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs.curvature import curvature_report, eigenvalues, hermitian_part
+from hartogs.curvature import curvature_report, hermitian_part
 from hartogs.domains import BaseDomainSpec, HartogsSpec, sample_points
-from hartogs.errors import EigenSolverError
 
 B2 = HartogsSpec(BaseDomainSpec.disc(1.0), 1)  # the unit ball in C^2
 
@@ -70,25 +69,11 @@ class TestDeterminant:
         assert np.all(np.abs(det.imag) <= 1e-12 * np.maximum(np.abs(det), 1.0))
 
 
-class TestPsdCheck:
-    """Eigen-solver failures; diagonal coefficient blocks are decided exactly
-    in ``hartogs.series``."""
-
-    def test_solver_failure_names_dimension(self, monkeypatch):
-        def boom(_):
-            raise np.linalg.LinAlgError("no convergence")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", boom)
-        with pytest.raises(EigenSolverError) as err:
-            eigenvalues(np.eye(4)[None])
-        assert err.value.dim == 4
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31))
 def test_determinant_matches_eigenvalue_product(dim, seed):
     # metrics of dimension 2..7: one fiber over a polydisc of `dim` factors
     spec = HartogsSpec(BaseDomainSpec.polydisc(((1.0, 2.0, 0.5) * 2)[:dim]), 1)
     rep = metric_report(spec, sample_points(spec, 1, seed=seed))
-    prod = float(np.prod(eigenvalues(rep.metric)[0]))
+    prod = float(np.prod(np.linalg.eigvalsh(rep.metric)[0]))
     assert rep.det_direct[0] == pytest.approx(prod, rel=1e-9, abs=1e-12)

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from hartogs.domains import BaseDomainSpec, HartogsSpec
+from hartogs.domains import BaseDomainSpec, DomainKind, HartogsSpec
 from hartogs.errors import CapabilityError, HartogsError
 from hartogs.immersion import (
     NO,
@@ -95,6 +97,30 @@ class TestCatalogFacts:
     def test_rank_one_matrix_ball(self):
         facts = catalog_facts(BaseDomainSpec.cartan_type_i(1, 3, 1.0))
         assert facts.hyperbolic_at(1.0) == YES
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            BaseDomainSpec.disc(1),
+            BaseDomainSpec.disc(Fraction(1, 3)),
+            BaseDomainSpec.ball(2, Fraction(3, 2)),
+            BaseDomainSpec.cartan_type_i(1, 3, 2),
+            BaseDomainSpec.fock(1, 1),
+            BaseDomainSpec.fock(2, Fraction(1, 3)),
+            BaseDomainSpec.polydisc((1, 1)),
+        ],
+        ids=["disc_1", "disc_1_3", "ball2_3_2", "cartan_1x3_2", "fock1", "fock2_1_3",
+             "polydisc_1_1"],
+    )
+    def test_derived_facts_match_the_hand_written_rule(self, base):
+        # C and CP always; CH iff the base is one ball-like factor with h mu <= 1
+        facts = catalog_facts(base)
+        assert facts.euclidean == YES
+        mu = base.exponents[0]
+        ball_like = base.kind is not DomainKind.FOCK and base.factor_count == 1
+        for h in (1 / (2 * mu), 1 / mu, 3 / (2 * mu), 1 / mu + Fraction(1, 10**9)):
+            assert facts.projective_all_shifts(h) == YES
+            assert facts.hyperbolic_at(h) == (YES if ball_like and h * mu <= 1 else NO), h
 
     def test_rank_two_needs_user_facts(self):
         with pytest.raises(CapabilityError):

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from fractions import Fraction
@@ -25,7 +26,8 @@ from hartogs.series import (
     BlockFailure,
     Form,
     ResolvabilityVerdict,
-    _cutoffs,
+    _BALL_LIKE,
+    _FOCK,
     _sign_table,
     _sign_tables,
     block,
@@ -33,8 +35,6 @@ from hartogs.series import (
     enumerate_indices,
     grade_indices,
     origin_coefficients,
-    pochhammer,
-    power_deriv,
     resolvability,
     series_partial_sum,
 )
@@ -80,11 +80,29 @@ class TestOrdering:
         assert len(enumerate_indices(v, m)) == math.comb(v + m, v)
 
 
+def _rising(a: Fraction, k: int) -> Fraction:
+    return math.prod((a + j for j in range(k)), start=Fraction(1))
+
+
+def _rounded(x: Fraction) -> float:
+    """float(x), or +-inf past the double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _base_entries(base, s, degree):
+    """phi^-s's entries at every base index of ``degree``: G_0 of the
+    projective sweep at h = s."""
+    return series._Sweep(Form.PROJECTIVE, HartogsSpec(base, 1), _exact(s))._base(0, degree)
+
+
 class TestGammaFactors:
     def test_pochhammer_basic(self):
-        assert pochhammer(1.0, 2) == 2.0
-        assert pochhammer(-1.0, 2) == 0.0  # exact zero at integer h
-        assert pochhammer(-1.5, 2) == pytest.approx(0.75)
+        assert _BALL_LIKE.values(1, 1, 2) == [1.0, 1.0, 2.0]
+        assert _BALL_LIKE.values(-1, 1, 2)[2] == 0.0  # exact zero at integer h
+        assert _BALL_LIKE.values(-3, 2, 2)[2] == 0.75
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -95,43 +113,61 @@ class TestGammaFactors:
         via_lgamma = math.exp(
             math.lgamma(h + sigma) - math.lgamma(h) + math.lgamma(sigma + 1)
         )
-        gamma_ratio = pochhammer(h, sigma) * math.factorial(sigma)
+        p, q = _exact(h).as_integer_ratio()
+        gamma_ratio = _BALL_LIKE.values(p, q, sigma)[sigma] * math.factorial(sigma)
         assert gamma_ratio == pytest.approx(via_lgamma, rel=1e-11)
 
     def test_overflow_is_left_infinite(self):
-        assert pochhammer(1.5, 200) == math.inf
-        assert pochhammer(-0.5, 200) == -math.inf
-        assert pochhammer(-150.0, 200) == 0.0  # an exact zero wins over overflow
+        assert _BALL_LIKE.values(3, 2, 200)[200] == math.inf
+        assert _BALL_LIKE.values(-1, 2, 200)[200] == -math.inf
+        assert _BALL_LIKE.values(-150, 1, 200)[200] == 0.0  # an exact zero wins over overflow
+        assert _FOCK.values(-10**200, 3, 3) == [1.0, _rounded(Fraction(-10**200, 3)), math.inf,
+                                                -math.inf]
+
+    @pytest.mark.parametrize("symbol", [_BALL_LIKE, _FOCK], ids=["ball_like", "fock"])
+    def test_each_value_is_its_exact_rational_rounded_once(self, symbol):
+        for p in (-301, -150, -7, -3, -1, 0, 1, 2, 5, 27, 10**6 + 3):
+            for q in (1, 2, 3, 10, 7 * 10**5):
+                a, exact = Fraction(p, q), [Fraction(1)]
+                for k in range(200):
+                    exact.append(exact[-1] * (a if symbol.fock else a + k))
+                assert symbol.values(p, q, 200) == list(map(_rounded, exact)), a
 
 
 class TestBaseTables:
     def test_disc_geometric_series(self):
         # s=1, k=2: geometric coefficient 1, derivative (2!)^2 = 4
-        assert power_deriv(BaseDomainSpec.disc(1.0), 1.0, (2,)) == pytest.approx(4.0)
+        assert _base_entries(BaseDomainSpec.disc(1.0), 1, 2).tolist() == [4.0]
 
     def test_fock_linear(self):
-        assert power_deriv(BaseDomainSpec.fock(1, 1.0), 2.0, (1,)) == pytest.approx(2.0)
+        assert _base_entries(BaseDomainSpec.fock(1, 1.0), 2, 1).tolist() == [2.0]
 
     def test_zero_power_is_trivial(self):
-        disc = BaseDomainSpec.disc(1.0)
-        assert power_deriv(disc, 0.0, (0,)) == pytest.approx(1.0)
-        assert all(
-            power_deriv(disc, 0.0, a) == 0.0 for a in enumerate_indices(1, 3) if sum(a) > 0
-        )
+        for symbol in (_BALL_LIKE, _FOCK):
+            assert symbol.values(0, 1, 3) == [1.0, 0.0, 0.0, 0.0]
+            assert symbol.signs(0, 1, 4) == (0, True)
 
     def test_polydisc_factorizes(self):
         base = BaseDomainSpec.polydisc((1.0, 2.0))
-        v = power_deriv(base, 1.5, (2, 1))
-        expected = pochhammer(1.5, 2) * 2.0 * pochhammer(3.0, 1) * 1.0
-        assert v == pytest.approx(expected, rel=1e-13)
+        entries = dict(zip(grade_indices(2, 3), _base_entries(base, 1.5, 3)))
+        expected = _rising(Fraction(3, 2), 2) * 2 * _rising(Fraction(3), 1) * 1
+        assert entries[2, 1] == float(expected) == 22.5
 
     def test_cartan_rank_two_unsupported(self):
         with pytest.raises(CapabilityError, match="rank >= 2"):
-            power_deriv(BaseDomainSpec.cartan_type_i(2, 2, 1.0), 1.0, (0,) * 4)
+            series._symbols(BaseDomainSpec.cartan_type_i(2, 2, 1.0))
 
     def test_cartan_rank_one_supported(self):
         base = BaseDomainSpec.cartan_type_i(1, 2, 1.0)
-        assert power_deriv(base, 1.0, (1, 0)) == pytest.approx(1.0)
+        assert series._symbols(base) == (_BALL_LIKE,)
+        assert _base_entries(base, 1, 1).tolist() == [1.0, 1.0]
+
+    def test_log_entries(self):
+        # -mu log(1 - x) = mu sum x^k / k, and -log exp(-mu x) = mu x
+        mu = Fraction(2, 3)
+        assert _BALL_LIKE.log_entries(mu, 4) == [0.0] + [float(mu * math.factorial(k - 1))
+                                                         for k in range(1, 5)]
+        assert _FOCK.log_entries(mu, 4) == [0.0, float(mu), 0.0, 0.0, 0.0]
 
 
 class TestBlocks:
@@ -169,7 +205,8 @@ class TestBlocks:
 
     def test_projective_factorization(self):
         # blocks factor as Gamma(h+s)Gamma(s+1)/Gamma(h) times the phi^-(h+s)
-        # table; reassemble through lgamma as an independent route
+        # entry Gamma(h+s+k)Gamma(k+1)/Gamma(h+s); reassembled through lgamma
+        # as a route independent of the coefficient symbol
         h = 2.7
         for i in range(1, 8):
             for sigma in range(0, i + 1):
@@ -177,8 +214,12 @@ class TestBlocks:
                 factor = math.exp(
                     math.lgamma(h + sigma) - math.lgamma(h) + math.lgamma(sigma + 1)
                 )
-                alpha = (i - sigma,)
-                expected = factor * power_deriv(DISC.base, h + sigma, alpha)
+                # the base part, pochhammer(h + sigma, k) k!, by lgamma too
+                k = i - sigma
+                base = math.exp(
+                    math.lgamma(h + sigma + k) - math.lgamma(h + sigma) + math.lgamma(k + 1)
+                )
+                expected = factor * base
                 got = b.diagonal[0]
                 assert got == pytest.approx(expected, rel=1e-10)
 
@@ -359,33 +400,43 @@ CATALOG = [
 ]
 
 
-def _exact_entry_signs(form, spec, h, i, sigma, base_indices):
-    """Sign of each exact block entry, by multiplying out the rational
-    Pochhammer terms (or fock powers) one by one."""
+@functools.cache
+def _exact_coefficient(fock: bool, a: Fraction, k: int) -> Fraction:
+    """a^k (fock) or the rising product (a)_k, multiplied out term by term."""
+    return a**k if fock else _rising(a, k)
+
+
+def _multi_factorial(m) -> int:
+    return math.prod(map(math.factorial, m))
+
+
+def _exact_entries(form, spec, h, sigma, fiber_indices, base_indices):
+    """Each exact block entry, in block order, from the series as written:
+    P_sigma sigma! nu! times, per factor, the coefficient of phi_i^-s (or of
+    -log phi) times the factorials of the factor's part of alpha."""
     base = spec.base
     h = _exact(h)
     fock = base.kind is DomainKind.FOCK
-    if form is Form.EUCLIDEAN and sigma == 0:
-        out = []
-        for alpha in base_indices:
-            degrees = [sum(alpha[sl]) for sl in base.factor_slices]
-            support = [k for k in degrees if k]
-            out.append(int(len(support) == 1 and (not fock or support[0] == 1)))
-        return out
     if form is Form.EUCLIDEAN:
-        prefactor, s = Fraction(1), Fraction(sigma)
+        prefactor, s = h * math.factorial(max(sigma - 1, 0)), Fraction(sigma)
     elif form is Form.PROJECTIVE:
-        prefactor, s = math.prod(h + t for t in range(sigma)), h + sigma
+        prefactor, s = _rising(h, sigma), h + sigma
     else:
-        prefactor, s = -math.prod(-h + t for t in range(sigma)), sigma - h
-    out = []
+        prefactor, s = -_rising(-h, sigma), sigma - h
+    values = []
     for alpha in base_indices:
-        value = prefactor
-        for sl, mu in zip(base.factor_slices, base.exponents):
-            a, k = _exact(mu) * s, sum(alpha[sl])
-            value *= a**k if fock else math.prod(a + t for t in range(k))
-        out.append((value > 0) - (value < 0))
-    return out
+        parts = [(sum(alpha[sl]), mu) for sl, mu in zip(base.factor_slices, base.exponents)]
+        if form is Form.EUCLIDEAN and sigma == 0:
+            # -log phi = sum_i -mu_i log phi_i: mu_i sum_k x^k / k, or mu_i x for fock
+            live = [(k, mu) for k, mu in parts if k]
+            k, mu = live[0] if len(live) == 1 else (0, 0)
+            value = mu * (int(k == 1) if fock else math.factorial(k - 1)) if k else Fraction(0)
+        else:
+            value = math.prod(
+                (_exact_coefficient(fock, mu * s, k) for k, mu in parts), start=Fraction(1)
+            )
+        values.append(value * _multi_factorial(alpha))
+    return [prefactor * _multi_factorial(nu) * v for nu in fiber_indices for v in values]
 
 
 # The per-sigma sweep that the row-group tables replaced, kept as the
@@ -493,12 +544,13 @@ RADIAL_BASES = st.one_of(
 class TestExactSweep:
     def test_pochhammer_signs_match_products(self):
         nums = range(-60, 61)
-        for fock in (False, True):
-            c, zero = _cutoffs(nums, 6, fock, 13)
+        for symbol in (_BALL_LIKE, _FOCK):
+            c, zero = map(np.array, zip(*(symbol.signs(n, 6, 13) for n in nums)))
             for n, row in zip(nums, _sign_table(c, zero, 13)):
                 a = Fraction(n, 6)
-                values = (a**k if fock else math.prod(a + t for t in range(k)) for k in range(13))
-                assert row.tolist() == [(p > 0) - (p < 0) for p in values], (a, fock)
+                values = (a**k if symbol.fock else _rising(a, k) for k in range(13))
+                assert row.tolist() == [(p > 0) - (p < 0) for p in values], (a, symbol)
+                assert row.tolist() == np.sign(symbol.values(n, 6, 12)).tolist(), (a, symbol)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -575,8 +627,8 @@ class TestExactSweep:
         for (i, sigma), (pos, neg) in _block_counts(form, spec, h, t).items():
             b = block(form, spec, i, sigma, h=h)
             fibers = len(b.fiber_indices)
-            signs = np.tile(
-                _exact_entry_signs(form, spec, h, i, sigma, b.base_indices), fibers
+            signs = np.sign(
+                _exact_entries(form, spec, h, sigma, b.fiber_indices, b.base_indices)
             ) if i else np.zeros(1)
             assert (pos, neg) == (np.sum(signs > 0), np.sum(signs < 0)), (i, sigma)
             # the former float rule: entries beyond 1e-10 (1 + max |d|) count
@@ -587,6 +639,41 @@ class TestExactSweep:
             old_rank += int(np.count_nonzero(b.diagonal > tol))
         assert resolvability(form, spec, h=h, truncation_degree=t).rank_lower_bound == exact_rank
         assert exact_rank >= old_rank
+
+
+# Every catalog kind, at integer and non-integer exponents and fiber dims.
+EXACT_CATALOG = {
+    "disc_1_2": HartogsSpec(BaseDomainSpec.disc(Fraction(1, 2)), 1),
+    "disc_1_3": HartogsSpec(BaseDomainSpec.disc(Fraction(1, 3)), 1),
+    "disc_2_c2": HartogsSpec(BaseDomainSpec.disc(2), 2),
+    "ball2_3_4_c2": HartogsSpec(BaseDomainSpec.ball(2, Fraction(3, 4)), 2),
+    "polydisc_1_2_1": HartogsSpec(BaseDomainSpec.polydisc((Fraction(1, 2), 1)), 1),
+    "polydisc_1_2": HartogsSpec(BaseDomainSpec.polydisc((1, 2)), 1),
+    "cartan_1x3": HartogsSpec(BaseDomainSpec.cartan_type_i(1, 3, 1), 1),
+    "fock1_1_3": HartogsSpec(BaseDomainSpec.fock(1, Fraction(1, 3)), 1),
+    "fock2_1": HartogsSpec(BaseDomainSpec.fock(2, 1), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CATALOG))
+def test_block_entries_are_their_exact_rationals_rounded(name):
+    spec = EXACT_CATALOG[name]
+    # each factor value is rounded once and an entry is a product of a few of
+    # them, so it lies within a few half-ulps of its exact rational
+    worst = Fraction(0)
+    for form in Form:
+        for h in (Fraction(1, 2), 1, Fraction(3, 2), Fraction(27, 10)):
+            for b in series.blocks(form, spec, 12, h):
+                if b.total_degree == 0:
+                    continue
+                exact = _exact_entries(
+                    form, spec, h, b.fiber_degree, b.fiber_indices, b.base_indices
+                )
+                for got, x in zip(b.diagonal.tolist(), exact):
+                    assert (got == 0) == (x == 0), (form, h, b.total_degree, b.fiber_degree)
+                    if x:
+                        worst = max(worst, abs(Fraction(got) / x - 1))
+    assert worst <= Fraction(1, 10**15), float(worst)
 
 
 class TestSeries:
